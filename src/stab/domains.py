@@ -15,13 +15,50 @@ Canonical associates are positive integers and monic polynomials, so ideal
 and invariant-factor equality reduce to element equality.
 
 Factorization is desk-scale by design: trial division plus Pollard rho for
-integers (inputs up to roughly 64-bit prime factors), squarefree then
-distinct-degree then equal-degree splitting for GF(p)[x].
+integers, whose cost grows with the square root of the second-largest prime
+factor (a product of two 32-bit primes takes under a second, two 40-bit
+primes several seconds), squarefree then distinct-degree then equal-degree
+splitting for GF(p)[x].  Results are memoized per process in a bounded
+:class:`BoundedMemo`, so a repeated factorization costs one lookup.
 """
 
 from __future__ import annotations
 
 import random
+
+
+FACTOR_MEMO_BOUND = 1024
+
+
+class BoundedMemo:
+    """A content-keyed memo holding at most ``bound`` entries.
+
+    Eviction is first-in first-out in dict insertion order.  Values must be
+    immutable (or copied by the caller) because every hit shares them.
+    """
+
+    __slots__ = ("bound", "entries")
+
+    def __init__(self, bound):
+        self.bound = bound
+        self.entries = {}
+
+    def get(self, key, compute):
+        """The value stored under ``key``, computing and storing it on a miss."""
+        entries = self.entries
+        try:
+            return entries[key]
+        except KeyError:
+            pass
+        value = compute()
+        if len(entries) >= self.bound:
+            del entries[next(iter(entries))]
+        entries[key] = value
+        return value
+
+
+# Factorizations as tuples, keyed by ``(backend, canonical element)``.
+_FACTOR_MEMO = BoundedMemo(FACTOR_MEMO_BOUND)
 
 
 class BackendMismatch(TypeError):
@@ -111,7 +148,25 @@ def _factor_int(n):
     return factors
 
 
-class Integers:
+class _Backend:
+    """Operations written once over each backend's primitives."""
+
+    def gcd(self, a, b):
+        return self.gcd_ext(a, b)[0]
+
+    def saturate_part(self, d, g):
+        """The divisor of ``d`` supported on primes dividing ``g``, canonical."""
+        if self.is_zero(d):
+            raise ZeroInputError("saturate_part of zero")
+        c = d
+        h = self.gcd(c, g)
+        while not self.is_unit(h):
+            c = self.exact_div(c, h)
+            h = self.gcd(c, g)
+        return self.canon(self.exact_div(d, c))[0]
+
+
+class Integers(_Backend):
     """The rational integers with canonical associates the positive integers."""
 
     kind = "integers"
@@ -178,9 +233,6 @@ class Integers:
             g, u, v = -g, -u, -v
         return g, u, v
 
-    def gcd(self, a, b):
-        return self.gcd_ext(a, b)[0]
-
     def lcm(self, a, b):
         if a == 0 or b == 0:
             return 0
@@ -190,18 +242,9 @@ class Integers:
         """Factor ``a`` into a sorted list of ``(prime, multiplicity)`` pairs."""
         if a == 0:
             raise ZeroInputError("cannot factor zero")
-        return sorted(_factor_int(abs(a)).items())
-
-    def saturate_part(self, d, g):
-        """The divisor of ``d`` supported on primes dividing ``g``, canonical."""
-        if d == 0:
-            raise ZeroInputError("saturate_part of zero")
-        c = d
-        h = self.gcd(c, g)
-        while not self.is_unit(h):
-            c = self.exact_div(c, h)
-            h = self.gcd(c, g)
-        return self.canon(self.exact_div(d, c))[0]
+        n = abs(a)
+        return list(_FACTOR_MEMO.get(
+            (self, n), lambda: tuple(sorted(_factor_int(n).items()))))
 
     def prime_key(self, p):
         return p
@@ -247,7 +290,7 @@ def _ptrim(coeffs):
     return tuple(coeffs[:i])
 
 
-class PolyOverFp:
+class PolyOverFp(_Backend):
     """Univariate polynomials over the prime field GF(p), monic canonical form."""
 
     kind = "poly"
@@ -367,9 +410,6 @@ class PolyOverFp:
         c, u = self.canon(g)
         return c, self.mul(u, x), self.mul(u, y)
 
-    def gcd(self, a, b):
-        return self.gcd_ext(a, b)[0]
-
     def lcm(self, a, b):
         if not a or not b:
             return ()
@@ -478,23 +518,17 @@ class PolyOverFp:
             raise ZeroInputError("cannot factor zero")
         if self.is_unit(a):
             return []
+        monic = self.canon(a)[0]
+        return list(_FACTOR_MEMO.get((self, monic), lambda: self._factor(monic)))
+
+    def _factor(self, a):
         rng = random.Random((self.p, a).__hash__())
         factors = {}
         for squarefree, mult in self._squarefree_parts(a):
             for block, d in self._distinct_degree(squarefree):
                 for irr in self._equal_degree(block, d, rng):
                     factors[irr] = factors.get(irr, 0) + mult
-        return sorted(factors.items(), key=lambda kv: self.prime_key(kv[0]))
-
-    def saturate_part(self, d, g):
-        if not d:
-            raise ZeroInputError("saturate_part of zero")
-        c = d
-        h = self.gcd(c, g)
-        while not self.is_unit(h):
-            c = self.exact_div(c, h)
-            h = self.gcd(c, g)
-        return self.canon(self.exact_div(d, c))[0]
+        return tuple(sorted(factors.items(), key=lambda kv: self.prime_key(kv[0])))
 
     def prime_key(self, q):
         return (len(q), q)

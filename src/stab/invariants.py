@@ -157,19 +157,22 @@ def ann_contains(inner, outer):
 
 
 def depth(j, m):
-    """Depth of the ideal ``J`` on ``M``: one of 0, 1, DEPTH_INF.
+    """Depth of the ideal ``J = (g)`` on ``M``: one of 0, 1, DEPTH_INF.
 
-    ``inf`` iff ``J M = M`` (in particular M = 0); 0 iff the generator lies
-    in an associated prime of a module that J does not exhaust; 1 otherwise
-    (the generator is regular and annihilates M/gM, so the sequence stops).
+    Read off ``(rank, factors)`` with one gcd.  With ``h = gcd(d_last, g)``
+    for the largest invariant factor ``d_last``: depth is 0 when ``h`` is a
+    non-unit (some associated prime contains g).  Otherwise, with free rank
+    and g not a unit, it is 0 when ``g = 0`` and 1 when not (g is regular and
+    annihilates M/gM).  In every other case ``J M = M`` and depth is ``inf``
+    (in particular for M = 0).
     """
-    if m.power_quotient(j, 1).is_zero():
-        return DEPTH_INF
+    D = m.domain
     g = j.gen
-    for p in ass(m):
-        if p.contains(g):
-            return 0
-    return 1
+    if m.factors and not D.is_unit(D.gcd(m.factors[-1], g)):
+        return 0
+    if m.rank > 0 and not D.is_unit(g):
+        return 0 if D.is_zero(g) else 1
+    return DEPTH_INF
 
 
 class TorsionPart(NamedTuple):

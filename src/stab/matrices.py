@@ -6,11 +6,21 @@ unimodular) and presentations compose directly with cokernels.
 
 Pivots are chosen by minimal norm to limit coefficient growth; arithmetic
 is exact, so blow-up is a speed concern only.
+
+``Mat`` is immutable and hashed by content, so the Hermite and Smith forms
+are memoized per process on the matrix itself: equal matrices built by
+different routes share one computation.  The memos are bounded, because a
+form can be much larger than its input.
 """
 
 from __future__ import annotations
 
-from .domains import BackendMismatch
+from .domains import BackendMismatch, BoundedMemo
+
+NF_MEMO_BOUND = 32
+
+_HNF_MEMO = BoundedMemo(NF_MEMO_BOUND)
+_SNF_MEMO = BoundedMemo(NF_MEMO_BOUND)
 
 
 class Mat:
@@ -190,6 +200,9 @@ class Mat:
         zero columns trailing.  The form is canonical: two column spans are
         equal iff their Hermite forms are equal.
         """
+        return _HNF_MEMO.get(self, self._compute_hnf)
+
+    def _compute_hnf(self):
         D = self.domain
         m, n = self.rows, self.cols
         H = [list(r) for r in self.data]
@@ -261,6 +274,9 @@ class Mat:
 
     def _snf_full(self):
         """Smith form plus the inverses of both transforms."""
+        return _SNF_MEMO.get(self, self._compute_snf)
+
+    def _compute_snf(self):
         D = self.domain
         m, n = self.rows, self.cols
         A = [list(r) for r in self.data]
@@ -435,19 +451,3 @@ class Mat:
                 return None
             cols.append(x)
         return Mat.from_cols(D, cols, self.rows)
-
-
-def hnf(a):
-    return a.hnf()
-
-
-def snf(a):
-    return a.snf()
-
-
-def solve(a, b):
-    return a.solve(b)
-
-
-def kernel(a):
-    return a.kernel()

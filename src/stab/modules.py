@@ -19,7 +19,7 @@ True
 
 from __future__ import annotations
 
-from .domains import BackendMismatch
+from .domains import BackendMismatch, _ptrim
 from .matrices import Mat
 
 
@@ -202,7 +202,7 @@ class FpModule:
                 opts = [()]
                 for _ in range(deg):
                     opts = [o + (c,) for o in opts for c in range(p)]
-                residues.append([_trim_tuple(o) for o in opts])
+                residues.append([_ptrim(o) for o in opts])
         out = [[]]
         for opts in residues:
             out = [v + [o] for v in out for o in opts]
@@ -339,13 +339,6 @@ class FpModule:
         return " + ".join(parts) if parts else "0"
 
 
-def _trim_tuple(t):
-    i = len(t)
-    while i > 0 and t[i - 1] == 0:
-        i -= 1
-    return t[:i]
-
-
 class Morphism:
     """A module map given by a generator-image matrix.
 
@@ -471,14 +464,6 @@ class LocModule:
 
     def __repr__(self):
         return f"({self.base!r})[1/{self.base.domain.elem_str(self.inverted)}]"
-
-
-def direct_sum(m, n):
-    return m.direct_sum(n)
-
-
-def tensor(m, n):
-    return m.tensor(n)
 
 
 def tensor_mor(f, g):
@@ -617,11 +602,6 @@ def hom_induced(f, n):
     return _hom_induced_full(f, n)[2]
 
 
-def sub_member(ambient_mod, gens, vec):
-    """Whether an ambient vector lies in ``<gens> + relations``."""
-    return gens.hstack(ambient_mod.relations).solve(vec) is not None
-
-
 def sub_contains(ambient_mod, g1, g2):
     """Whether ``<g2>`` is contained in ``<g1>`` inside the module."""
     aug = g1.hstack(ambient_mod.relations)
@@ -643,15 +623,3 @@ def sub_intersect(ambient_mod, g1, g2):
     keep = [j for j in range(canon.cols)
             if any(not D.is_zero(canon.data[i][j]) for i in range(canon.rows))]
     return canon.take_cols(keep)
-
-
-def kernel_m(f):
-    return f.kernel()
-
-
-def cokernel_m(f):
-    return f.cokernel()
-
-
-def image_m(f):
-    return f.image()

@@ -8,15 +8,10 @@ horizon.  Detection is honest about its finite window: the theorems this
 machinery probes guarantee existence of a stabilization index but give no
 bound, so a sequence that keeps moving is reported as
 ``not-stable-within-horizon`` (or as periodic when an exact period fits).
-
-Distinct indices are independent; set ``STAB_THREADS`` to evaluate them in a
-thread pool with deterministic assembly in index order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -219,13 +214,6 @@ class ScanResult:
     ann_checks: int
 
 
-def _thread_count():
-    try:
-        return max(1, int(os.environ.get("STAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def scan_rows(family, functor=None, depth_ideal=None, horizon=50, window=10,
               check_ann=True):
     """Evaluate a family through a functor across ``[start, horizon]``.
@@ -253,12 +241,7 @@ def scan_rows(family, functor=None, depth_ideal=None, horizon=50, window=10,
         d = depth(depth_ideal, value) if depth_ideal is not None else None
         return ScanRow(n, value, ass(value), d)
 
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(evaluate, ns))
-    else:
-        rows = [evaluate(n) for n in ns]
+    rows = [evaluate(n) for n in ns]
 
     ass_values = [r.ass_set for r in rows]
     status, n0, period = detect(ns, ass_values, window)

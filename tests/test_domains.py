@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stab.domains import ZZ, poly_ring, ZeroInputError
+from stab import domains
+from stab.domains import ZZ, poly_ring, ZeroInputError, FACTOR_MEMO_BOUND
 
 F2 = poly_ring(2)
 F5 = poly_ring(5)
@@ -56,6 +57,35 @@ def test_factor_examples():
         ZZ.factor(0)
     with pytest.raises(ZeroInputError):
         F2.factor(())
+
+
+def test_factor_result_is_a_fresh_list():
+    for domain, a in [(ZZ, 360), (F5, (2, 0, 3, 1))]:
+        first = domain.factor(a)
+        want = list(first)
+        first.append(first[0])
+        first[0] = (domain.one, 99)
+        assert domain.factor(a) == want
+        assert domain.factor(a) is not domain.factor(a)
+
+
+def test_factor_memo_keys_on_canonical_associate():
+    assert ZZ.factor(-360) == ZZ.factor(360) == [(2, 3), (3, 2), (5, 1)]
+    f = (1, 0, 1)  # x^2 + 1 = (x + 2)(x + 3) over GF(5)
+    assert F5.factor(F5.mul((3,), f)) == F5.factor(f) == [((2, 1), 1), ((3, 1), 1)]
+    # Equal elements of different backends never share an entry.
+    assert F2.factor((1, 0, 1)) == [((1, 1), 2)]
+
+
+def test_factor_memo_holds_exactly_its_bound():
+    memo = domains._FACTOR_MEMO
+    start = 10**9
+    for n in range(start, start + FACTOR_MEMO_BOUND + 10):
+        ZZ.factor(n)
+    assert len(memo.entries) == FACTOR_MEMO_BOUND
+    # First in, first out: the oldest entries went, the newest stayed.
+    assert (ZZ, start) not in memo.entries
+    assert (ZZ, start + FACTOR_MEMO_BOUND + 9) in memo.entries
 
 
 def test_factor_large_prime_pair():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stab.domains import ZZ, poly_ring
 from stab.modules import FpModule, Ideal
@@ -93,6 +94,50 @@ def test_depth_zero_iff_zerodivisor_on_nonexhausted():
             assert d == 0
         else:
             assert d == 1
+
+
+def depth_reference(j, m):
+    """Depth by its definition: exhaustion via M/JM, then a zero-divisor test."""
+    if m.power_quotient(j, 1).is_zero():
+        return DEPTH_INF
+    if any(p.contains(j.gen) for p in ass(m)):
+        return 0
+    return 1
+
+
+@st.composite
+def depth_cases(draw):
+    domain = draw(st.sampled_from([ZZ, F2, poly_ring(5)]))
+    if domain is ZZ:
+        elems = st.integers(-40, 40)
+    else:
+        elems = st.lists(st.integers(0, domain.p - 1), max_size=4).map(
+            domain.elem_from_json)
+    nonzero = elems.filter(lambda e: not domain.is_zero(e))
+    rank = draw(st.integers(0, 2))
+    factors = draw(st.lists(nonzero, max_size=3))
+    # The zero and unit ideals are drawn explicitly, besides random generators.
+    gen = draw(st.one_of(st.just(domain.zero), st.just(domain.one), elems))
+    return Ideal(domain, gen), FpModule.from_invariants(domain, rank, factors)
+
+
+@given(depth_cases())
+@settings(max_examples=300, deadline=None)
+def test_depth_matches_definition(case):
+    j, m = case
+    assert depth(j, m) == depth_reference(j, m)
+
+
+def test_depth_definition_edge_cases():
+    x = (0, 1)
+    for domain, g in [(ZZ, 6), (F2, F2.mul(x, x)), (poly_ring(5), (1, 1))]:
+        zero, unit, gen = Ideal(domain, domain.zero), Ideal(domain, domain.one), Ideal(domain, g)
+        free = FpModule.free(domain, 2)
+        torsion = FpModule.from_invariants(domain, 0, [g])
+        mixed = FpModule.from_invariants(domain, 1, [g])
+        for j in (zero, unit, gen):
+            for m in (FpModule.zero(domain), free, torsion, mixed):
+                assert depth(j, m) == depth_reference(j, m)
 
 
 def test_gamma_examples():

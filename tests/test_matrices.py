@@ -2,8 +2,9 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from stab import matrices
 from stab.domains import ZZ, poly_ring
-from stab.matrices import Mat
+from stab.matrices import Mat, NF_MEMO_BOUND
 
 F5 = poly_ring(5)
 
@@ -186,3 +187,32 @@ def test_kron_indexing():
     k = a.kron(b)
     assert k.rows == 2 and k.cols == 2
     assert k.data == ((3, 6), (4, 8))
+
+
+def test_equal_matrices_from_different_routes_share_forms():
+    rows = [[4, 6, 2], [10, 0, 8]]
+    for domain, data in [(ZZ, rows),
+                         (F5, [[F5.const(c) + (1,) for c in r] for r in rows])]:
+        a = Mat(domain, data)
+        routes = [Mat.from_cols(domain, a.columns(), a.rows),
+                  a @ Mat.identity(domain, a.cols),
+                  a.hstack(Mat.zero(domain, a.rows, 1)).take_cols(range(a.cols))]
+        for b in routes:
+            assert b == a and b is not a
+            h, u = b.hnf()
+            assert (h, u) == a.hnf()
+            assert b @ u == h
+            d, ul, vr = b.snf()
+            assert (d, ul, vr) == a.snf()
+            assert ul @ b @ vr == d
+            assert b._snf_full() is a._snf_full()
+
+
+def test_normal_form_memos_hold_exactly_their_bound():
+    for k in range(NF_MEMO_BOUND + 5):
+        a = Mat(ZZ, [[k + 2, 3], [5, 7 * k + 1]])
+        a.hnf()
+        a.snf()
+    assert len(matrices._HNF_MEMO.entries) == NF_MEMO_BOUND
+    assert len(matrices._SNF_MEMO.entries) == NF_MEMO_BOUND
+    assert Mat(ZZ, [[2, 3], [5, 1]]) not in matrices._HNF_MEMO.entries

@@ -232,13 +232,3 @@ def test_artin_rees_poly():
     x = (0, 1)
     beta = Morphism(rp, rp, Mat(F2, [[F2.mul(x, x)]]))
     assert artin_rees_probe(beta, Mat(F2, [[F2.one]]), Ideal(F2, x), horizon=10) == 2
-
-
-def test_threads_env_deterministic(monkeypatch):
-    fam = QuotientPowers(R.direct_sum(cyc(8)), I2)
-    base = scan_rows(fam, None, Ideal(ZZ, 2), horizon=12, window=5)
-    monkeypatch.setenv("STAB_THREADS", "4")
-    threaded = scan_rows(fam, None, Ideal(ZZ, 2), horizon=12, window=5)
-    assert [r.n for r in threaded.rows] == [r.n for r in base.rows]
-    assert [r.ass_set for r in threaded.rows] == [r.ass_set for r in base.rows]
-    assert threaded.ass_report == base.ass_report

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import stab
 from stab.scenario import (parse_scenario, run_scenario, report_csv, report_json,
                            ScenarioError, _normalize_doc)
 from stab.domains import ZZ
@@ -99,8 +101,12 @@ def test_report_json_fields():
 
 
 def _run_cli(args, cwd):
+    # The child runs in ``cwd``, so a relative PYTHONPATH would not find stab.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "stab.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=env)
 
 
 def test_cli_run_ok(tmp_path):
