@@ -19,12 +19,13 @@ from pathlib import Path
 
 from .domains import ZZ, domain_from_descriptor
 from .modules import FpModule, Ideal, DomainViolation, NotWellDefined
-from .invariants import ass, depth, DEPTH_INF
+from .invariants import ass, depth
 from .modules import HomSpace
 from .functors import OscillatingFunctor, ExponentSet
 from .laws import check_functor_laws
 from .scenario import (ScenarioError, parse_scenario, run_scenario,
-                       report_csv, report_json, build_functor, _Env, _mat, _elem)
+                       report_csv, report_json, build_functor, _Env, _mat, _elem,
+                       _depth_str)
 
 
 def _fail_parse(message):
@@ -89,15 +90,13 @@ def _summary_line(sc, outcome):
     return " ".join(parts)
 
 
-def _depth_str(v):
-    return "inf" if v == DEPTH_INF else str(int(v))
-
-
 def _cmd_compute(args):
     doc, err = _load_json(args.json if args.json != "-" else sys.stdin.read(),
                           "<args>")
     if err:
         return _fail_parse(err)
+    if not isinstance(doc, dict):
+        return _fail_parse("<args>: expected a JSON object")
     try:
         domain = domain_from_descriptor(doc.get("backend", {"kind": "integers"}))
     except (ValueError, KeyError) as exc:

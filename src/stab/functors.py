@@ -23,7 +23,8 @@ from typing import NamedTuple
 
 from .matrices import Mat
 from .modules import (FpModule, Morphism, Ideal, LocModule, HomSpace,
-                      _hom_induced_full, loc_tensor, tensor_mor, DomainViolation)
+                      _diag_module, _hom_induced_full, loc_tensor, tensor_mor,
+                      DomainViolation)
 from .invariants import gamma, tau
 
 
@@ -66,6 +67,13 @@ class IdentityFunctor(Functor):
         return "Id"
 
 
+def _hom_push(k, g):
+    """``(Hom(k, source), Hom(k, target), matrix of g_*)`` on the Hom generators."""
+    ha, hb = HomSpace(k, g.source), HomSpace(k, g.target)
+    cols = [hb.coords(g.compose(u)) for u in ha.generators()]
+    return ha, hb, Mat.from_cols(k.domain, cols, len(hb.pairs))
+
+
 class HomFrom(Functor):
     """``Hom(M, -)``."""
 
@@ -76,10 +84,7 @@ class HomFrom(Functor):
         return HomSpace(self.m, n).module
 
     def map(self, g):
-        ha = HomSpace(self.m, g.source)
-        hb = HomSpace(self.m, g.target)
-        cols = [hb.coords(g.compose(u)) for u in ha.generators()]
-        mat = Mat.from_cols(self.m.domain, cols, len(hb.pairs))
+        ha, hb, mat = _hom_push(self.m, g)
         return Morphism(ha.module, hb.module, mat)
 
     def __repr__(self):
@@ -107,14 +112,8 @@ class CoherentFunctor(Functor):
         return value
 
     def map(self, g):
-        fa = self(g.source)
-        fb = self(g.target)
-        k = self.presenting.source
-        ha = HomSpace(k, g.source)
-        hb = HomSpace(k, g.target)
-        cols = [hb.coords(g.compose(u)) for u in ha.generators()]
-        mat = Mat.from_cols(k.domain, cols, len(hb.pairs))
-        return Morphism(fa, fb, mat)
+        mat = _hom_push(self.presenting.source, g)[2]
+        return Morphism(self(g.source), self(g.target), mat)
 
     def __repr__(self):
         return f"coker(h_{self.presenting.target!r} -> h_{self.presenting.source!r})"
@@ -174,10 +173,7 @@ class ComplexHomology(Functor):
 def presentation_map(m):
     """An injective presentation ``R^s -> R^k`` with cokernel ``m``."""
     D = m.domain
-    h, _ = m.relations.hnf()
-    keep = [j for j in range(h.cols)
-            if any(not D.is_zero(h.data[i][j]) for i in range(h.rows))]
-    a = h.take_cols(keep)
+    a = m.relations.span_basis()
     return Morphism(FpModule.free(D, a.cols), FpModule.free(D, m.ambient), a)
 
 
@@ -515,7 +511,7 @@ class OscillatingFunctor(Functor):
         """Object rule on a module already in skeleton form."""
         pairs = skeleton_pairs(module)
         kept = [p for (p, e) in pairs if e in self.exponents_of(p)]
-        return _diag_of(self.domain, kept)
+        return _diag_module(self.domain, kept)
 
     def map_skeleton(self, g):
         """Morphism rule when both endpoints are in skeleton form."""
@@ -524,8 +520,8 @@ class OscillatingFunctor(Functor):
         tpairs = skeleton_pairs(g.target)
         skeep = [i for i, (p, e) in enumerate(spairs) if e in self.exponents_of(p)]
         tkeep = [j for j, (p, e) in enumerate(tpairs) if e in self.exponents_of(p)]
-        fa = _diag_of(D, [spairs[i][0] for i in skeep])
-        fb = _diag_of(D, [tpairs[j][0] for j in tkeep])
+        fa = _diag_module(D, [spairs[i][0] for i in skeep])
+        fb = _diag_module(D, [tpairs[j][0] for j in tkeep])
         out = [[D.zero] * len(skeep) for _ in range(len(tkeep))]
         for col, i in enumerate(skeep):
             for row, j in enumerate(tkeep):
@@ -548,21 +544,3 @@ class OscillatingFunctor(Functor):
     def __repr__(self):
         inner = ", ".join(f"{self.domain.elem_str(p)}: {s!r}" for p, s in self.rules.items())
         return "Osc{" + inner + "}"
-
-
-def _diag_of(domain, elems):
-    k = len(elems)
-    cols = []
-    for i, d in enumerate(elems):
-        col = [domain.zero] * k
-        col[i] = d
-        cols.append(col)
-    return FpModule(domain, k, Mat.from_cols(domain, cols, k))
-
-
-def evaluate(functor, n):
-    return functor(n)
-
-
-def evaluate_mor(functor, g):
-    return functor.map(g)

@@ -99,14 +99,8 @@ class AssSet:
     def __hash__(self):
         return hash(self.primes)
 
-    def intersect(self, other):
-        return AssSet([p for p in self.primes if p in other])
-
     def minus(self, other):
         return AssSet([p for p in self.primes if p not in other])
-
-    def union(self, other):
-        return AssSet(self.primes + other.primes)
 
     def restrict_to_v(self, ideal):
         """Intersection with ``V(I) = {P : P >= I}``."""

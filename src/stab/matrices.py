@@ -432,11 +432,14 @@ class Mat:
         H, U = self.hnf()
         zero_cols = [j for j in range(self.cols)
                      if all(D.is_zero(H.data[i][j]) for i in range(self.rows))]
-        basis = U.take_cols(zero_cols)
-        K, _ = basis.hnf()
-        keep = [j for j in range(K.cols)
-                if not all(D.is_zero(K.data[i][j]) for i in range(K.rows))]
-        return K.take_cols(keep)
+        return U.take_cols(zero_cols).span_basis()
+
+    def span_basis(self):
+        """The nonzero columns of the Hermite form: canonical generators of the span."""
+        D = self.domain
+        H, _ = self.hnf()
+        return H.take_cols([j for j in range(H.cols)
+                            if any(not D.is_zero(row[j]) for row in H.data)])
 
     def inverse(self):
         """Exact inverse over the domain, or ``None`` if not unimodular."""

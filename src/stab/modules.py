@@ -56,9 +56,6 @@ class Ideal:
     def is_zero(self):
         return self.domain.is_zero(self.gen)
 
-    def is_unit_ideal(self):
-        return self.domain.is_unit(self.gen)
-
     def contains(self, elem):
         return self.domain.divides(self.gen, elem)
 
@@ -135,13 +132,7 @@ class FpModule:
         if any(domain.is_zero(d) for d in factors):
             raise ValueError("zero invariant factor; use rank for free summands")
         factors = [d for d in factors if not domain.is_unit(d)]
-        k = len(factors) + rank
-        cols = []
-        for i, d in enumerate(factors):
-            col = [domain.zero] * k
-            col[i] = d
-            cols.append(col)
-        return cls(domain, k, Mat.from_cols(domain, cols, k))
+        return _diag_module(domain, factors + [domain.zero] * rank)
 
     @classmethod
     def cyclic(cls, domain, d):
@@ -273,10 +264,7 @@ class FpModule:
         killed = w.scale(g)
         big = gens.hstack(killed).hstack(self.relations)
         syz = big.kernel().take_rows(range(gens.cols))
-        pres, _ = syz.hnf()
-        keep = [j for j in range(pres.cols)
-                if any(not D.is_zero(pres.data[i][j]) for i in range(pres.rows))]
-        return FpModule(D, gens.cols, pres.take_cols(keep))
+        return FpModule(D, gens.cols, syz.span_basis())
 
     def submodule(self, gens):
         """Presentation of the submodule spanned by the given generator columns.
@@ -288,10 +276,7 @@ class FpModule:
             raise ValueError("generators must live in the ambient module")
         big = gens.hstack(self.relations)
         syz = big.kernel().take_rows(range(gens.cols))
-        pres, _ = syz.hnf()
-        keep = [j for j in range(pres.cols)
-                if any(not D.is_zero(pres.data[i][j]) for i in range(pres.rows))]
-        sub = FpModule(D, gens.cols, pres.take_cols(keep))
+        sub = FpModule(D, gens.cols, syz.span_basis())
         return sub, Morphism(sub, self, gens)
 
     def _check(self, other):
@@ -324,6 +309,8 @@ class FpModule:
 
     @classmethod
     def from_json(cls, domain, doc):
+        if not isinstance(doc, dict):
+            raise ValueError("module must be an object")
         if "relations" in doc:
             rows = [[domain.elem_from_json(a) for a in row] for row in doc["relations"]]
             ambient = doc.get("ambient", len(rows))
@@ -393,9 +380,6 @@ class Morphism:
     def __sub__(self, other):
         return Morphism(self.source, self.target, self.mat - other.mat, check=False)
 
-    def apply(self, vec):
-        return self.mat.mul_vec(vec)
-
     def is_zero(self):
         return all(self.target.contains_vector(self.mat.col(j))
                    for j in range(self.mat.cols))
@@ -410,11 +394,7 @@ class Morphism:
         """``(K, include)`` with ``include`` the inclusion of the kernel."""
         big = self.mat.hstack(self.target.relations)
         pre = big.kernel().take_rows(range(self.source.ambient))
-        gens, _ = pre.hnf()
-        D = self.source.domain
-        keep = [j for j in range(gens.cols)
-                if any(not D.is_zero(gens.data[i][j]) for i in range(gens.rows))]
-        return self.source.submodule(gens.take_cols(keep))
+        return self.source.submodule(pre.span_basis())
 
     def cokernel(self):
         """``(C, project)``; the cokernel shares the target's ambient generators."""
@@ -574,6 +554,7 @@ class HomSpace:
 
 
 def _diag_module(domain, anns):
+    """One generator per entry of ``anns``, killed by it (zero entries stay free)."""
     k = len(anns)
     cols = []
     for i, a in enumerate(anns):
@@ -617,9 +598,4 @@ def sub_intersect(ambient_mod, g1, g2):
     big = g1.hstack(g2).hstack(ambient_mod.relations)
     ker = big.kernel()
     part = ker.take_rows(range(g1.cols))
-    gens = g1 @ part
-    canon, _ = gens.hnf()
-    D = ambient_mod.domain
-    keep = [j for j in range(canon.cols)
-            if any(not D.is_zero(canon.data[i][j]) for i in range(canon.rows))]
-    return canon.take_cols(keep)
+    return (g1 @ part).span_basis()

@@ -12,8 +12,7 @@ bound, so a sequence that keeps moving is reported as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .matrices import Mat
 from .modules import (FpModule, Morphism, sub_equal, sub_intersect,
@@ -161,8 +160,7 @@ class KwHomology(Family):
         return self.ideal.domain
 
 
-@dataclass(frozen=True)
-class StabilizationReport:
+class StabilizationReport(NamedTuple):
     """A scanned sequence of values with the detected verdict."""
 
     kind: str
@@ -171,9 +169,6 @@ class StabilizationReport:
     status: str
     n0: Optional[int]
     period: Optional[int]
-
-    def is_stable(self):
-        return self.status == "stable"
 
 
 def detect(ns, values, window):
@@ -198,16 +193,14 @@ def detect(ns, values, window):
     return "not-stable-within-horizon", None, None
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     n: int
     value: FpModule
     ass_set: object
     depth_value: object
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     rows: tuple
     ass_report: StabilizationReport
     depth_report: Optional[StabilizationReport]

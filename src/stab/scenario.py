@@ -16,8 +16,7 @@ reports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .domains import domain_from_descriptor
 from .matrices import Mat
@@ -40,11 +39,27 @@ class ScenarioError(ValueError):
 
 
 def _require(doc, key, path, kind=None):
+    if not isinstance(doc, dict):
+        raise ScenarioError(path, "expected an object")
     if key not in doc:
         raise ScenarioError(path, f"missing required field {key!r}")
     value = doc[key]
     if kind is not None and not isinstance(value, kind):
         raise ScenarioError(f"{path}.{key}", f"expected {kind.__name__}")
+    return value
+
+
+def _int(value, path):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(path, f"expected an integer, got {value!r}")
+    return value
+
+
+def _section(doc, key):
+    """The object of named definitions under ``key``, empty when absent."""
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ScenarioError(key, "expected an object of named definitions")
     return value
 
 
@@ -71,14 +86,9 @@ def _mat(domain, rows, path, expect_rows=None, expect_cols=None):
     return Mat(domain, data, nrows, width)
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     domain: object
-    modules: dict
-    ideals: dict
-    submodules: dict
-    morphisms: dict
     family: object
     functor: object
     functor_doc: dict
@@ -99,16 +109,16 @@ class _Env:
         self.ideals = {}
         self.submodules = {}
         self.morphisms = {}
-        for name, mdoc in doc.get("modules", {}).items():
+        for name, mdoc in _section(doc, "modules").items():
             try:
                 self.modules[name] = FpModule.from_json(domain, mdoc)
             except (ValueError, TypeError) as exc:
                 raise ScenarioError(f"modules.{name}", str(exc)) from exc
-        for name, idoc in doc.get("ideals", {}).items():
+        for name, idoc in _section(doc, "ideals").items():
             self.ideals[name] = Ideal(domain, _elem(domain, idoc, f"ideals.{name}"))
-        for name, sdoc in doc.get("submodules", {}).items():
+        for name, sdoc in _section(doc, "submodules").items():
             self.submodules[name] = _mat(domain, sdoc, f"submodules.{name}")
-        for name, fdoc in doc.get("morphisms", {}).items():
+        for name, fdoc in _section(doc, "morphisms").items():
             self.morphisms[name] = self.morphism(fdoc, f"morphisms.{name}")
 
     def module(self, ref, path):
@@ -303,7 +313,7 @@ def build_family(env, doc, path="family"):
                                f"{path}.shift.l1")
             l2 = env.submodule(_require(sdoc, "l2", f"{path}.shift"), alpha.source,
                                f"{path}.shift.l2")
-            c = int(_require(sdoc, "c", f"{path}.shift"))
+            c = _int(_require(sdoc, "c", f"{path}.shift"), f"{path}.shift.c")
             shift = (l1, l2, c)
         try:
             return KwHomology(alpha, beta, l_sub, m_sub, n_sub, ideal, shift)
@@ -328,8 +338,8 @@ def parse_scenario(doc):
     depth_ideal = None
     if "depth_ideal" in doc:
         depth_ideal = env.ideal(doc["depth_ideal"], "depth_ideal")
-    horizon = int(doc.get("horizon", 50))
-    window = int(doc.get("window", 10))
+    horizon = _int(doc.get("horizon", 50), "horizon")
+    window = _int(doc.get("window", 10), "window")
     if window < 2 or horizon < window:
         raise ScenarioError("horizon", "need horizon >= window >= 2")
     artin = None
@@ -340,23 +350,47 @@ def parse_scenario(doc):
             "n_prime": None,
             "ideal": env.ideal(adoc.get("ideal", _require(doc, "family", "$", dict)
                                         .get("ideal")), "artin_rees.ideal"),
-            "horizon": int(adoc.get("horizon", 10)),
+            "horizon": _int(adoc.get("horizon", 10), "artin_rees.horizon"),
         }
         artin["n_prime"] = env.submodule(_require(adoc, "n_prime", "artin_rees"),
                                          artin["beta"].target, "artin_rees.n_prime")
     expect = doc.get("expect")
-    if expect is not None and not isinstance(expect, dict):
-        raise ScenarioError("expect", "expect must be an object")
-    sc = Scenario(
-        name=str(doc.get("name", "scenario")),
-        domain=domain, modules=env.modules, ideals=env.ideals,
-        submodules=env.submodules, morphisms=env.morphisms,
-        family=family, functor=functor, functor_doc=functor_doc,
-        depth_ideal=depth_ideal, horizon=horizon, window=window,
-        artin_rees=artin, expect=expect,
+    if expect is not None:
+        _check_expect_doc(expect)
+    name = doc.get("name", "scenario")
+    if (not isinstance(name, str) or not name
+            or any(bad in name for bad in ("/", "\\", "..", "\0"))):
+        raise ScenarioError("name", "expected a file name without '/', '\\' or '..'")
+    if not isinstance(doc.get("out", ""), str):
+        raise ScenarioError("out", "expected a directory path")
+    return Scenario(
+        name=name, domain=domain, family=family, functor=functor,
+        functor_doc=functor_doc, depth_ideal=depth_ideal, horizon=horizon,
+        window=window, artin_rees=artin, expect=expect,
         normalized=_normalize_doc(domain, doc),
     )
-    return sc
+
+
+def _check_expect_doc(expect):
+    """Type-check an expectation block, so that a bad one fails before the scan."""
+    if not isinstance(expect, dict):
+        raise ScenarioError("expect", "expected an object")
+    for key in ("ass", "depth"):
+        block, path = expect.get(key, {}), f"expect.{key}"
+        if not isinstance(block, dict):
+            raise ScenarioError(path, "expected an object")
+        if not isinstance(block.get("status", ""), str):
+            raise ScenarioError(f"{path}.status", "expected a string")
+        if not isinstance(block.get("sequence", []), list):
+            raise ScenarioError(f"{path}.sequence", "expected an array")
+        if "n0_max" in block:
+            _int(block["n0_max"], f"{path}.n0_max")
+        if block.get("period") is not None:
+            _int(block["period"], f"{path}.period")
+    if "artin_rees_max" in expect:
+        _int(expect["artin_rees_max"], "expect.artin_rees_max")
+    if expect.get("artin_rees_d") is not None:
+        _int(expect["artin_rees_d"], "expect.artin_rees_d")
 
 
 def _normalize_elem(domain, v, path):
@@ -400,8 +434,7 @@ def _normalize_doc(domain, doc):
     return out
 
 
-@dataclass
-class RunOutcome:
+class RunOutcome(NamedTuple):
     result: object
     artin_d: Optional[int]
     expect_ok: bool

@@ -94,6 +94,52 @@ def test_factor_large_prime_pair():
     assert ZZ.factor(p * q) == sorted([(q, 1), (p, 1)])
 
 
+@pytest.mark.parametrize("factors", [
+    [(4294967279, 1), (4294967291, 1)],  # two 32-bit primes
+    [(10007, 3), (65537, 2)],  # prime powers above the trial-division bound
+    [(1073741789, 2)],  # square of a 30-bit prime
+    [(3, 1), (11, 1), (17, 1), (16777213, 1)],  # Carmichael 561 times a 24-bit prime
+], ids=["two-32-bit", "prime-powers", "square-30-bit", "carmichael"])
+def test_factor_rho_shapes(factors):
+    n = 1
+    for p, e in factors:
+        n *= p**e
+    assert ZZ.factor(n) == factors
+
+
+def _prime_from(bits, offset):
+    """The least prime at or above ``2^(bits-1) + offset mod 2^(bits-1)``."""
+    p = 2 ** (bits - 1) + offset % 2 ** (bits - 1)
+    while not domains._is_probable_prime(p):
+        p += 1
+    return p
+
+
+@given(st.lists(st.builds(_prime_from, st.integers(8, 28), st.integers(0, 2**27)),
+                min_size=2, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_factor_product_of_primes_property(primes):
+    n = 1
+    for p in primes:
+        n *= p
+    prod = 1
+    for p, e in ZZ.factor(n):
+        assert domains._is_probable_prime(p)
+        prod *= p**e
+    assert prod == n
+
+
+def test_factor_deterministic_when_cold():
+    n = 4294967291 * 1073741789 * 16777213
+    domains._FACTOR_MEMO.entries.clear()
+    first = ZZ.factor(n)
+    domains._FACTOR_MEMO.entries.clear()
+    assert ZZ.factor(n) == first
+    # The walk is seeded from n, so two primes of one size split the same way.
+    m = 4294967279 * 4294967291
+    assert len({domains._pollard_rho(m) for _ in range(8)}) == 1
+
+
 def test_factor_remultiplies_500_random_per_backend():
     rng = random.Random(7)
     for _ in range(500):

@@ -143,6 +143,43 @@ def test_cli_validation_error_exit_1(tmp_path):
     assert "family.module" in proc.stderr
 
 
+MALFORMED = [
+    ("name", {"name": "../escape"}),
+    ("name", {"name": "sub/dir"}),
+    ("name", {"name": "sub\\dir"}),
+    ("name", {"name": 7}),
+    ("horizon", {"horizon": "abc"}),
+    ("horizon", {"horizon": 12.5}),
+    ("window", {"window": True}),
+    ("modules", {"modules": []}),
+    ("modules.M", {"modules": {"M": []}}),
+    ("backend", {"backend": 5}),
+    ("artin_rees", {"artin_rees": 5}),
+    ("artin_rees.horizon", {"artin_rees": dict(BASE["artin_rees"], horizon="8")}),
+    ("functor", {"functor": 5}),
+    ("expect", {"expect": []}),
+    ("expect.ass.n0_max", {"expect": {"ass": {"n0_max": "x"}}}),
+    ("expect.depth.status", {"expect": {"depth": {"status": 1}}}),
+    ("expect.artin_rees_d", {"expect": {"artin_rees_d": 2.0}}),
+    ("out", {"out": 3}),
+]
+
+
+@pytest.mark.parametrize("prefix,overrides", MALFORMED,
+                         ids=[f"{p}={list(o.values())[0]!r}" for p, o in MALFORMED])
+def test_cli_malformed_field_exit_1(tmp_path, prefix, overrides):
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "s.json").write_text(json.dumps(scenario(**overrides)))
+    proc = _run_cli(["run", "s.json", "--out", "reports"], work)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert f"error: s.json: {prefix}: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+    # Nothing was written, inside --out or outside it.
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) \
+        == ["work", "work/s.json"]
+
+
 def test_cli_domain_violation_exit_2(tmp_path):
     doc = scenario()
     del doc["expect"]
@@ -207,6 +244,10 @@ def test_cli_compute_eval(tmp_path):
 def test_cli_compute_bad_input_exit_1(tmp_path):
     proc = _run_cli(["compute", "snf", "{"], tmp_path)
     assert proc.returncode == 1
+    for sub, arg in [("snf", "[1]"), ("ass", '{"module": []}'),
+                     ("snf", '{"backend": 5, "matrix": [[1]]}')]:
+        proc = _run_cli(["compute", sub, arg], tmp_path)
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
 
 
 def test_cli_compute_poly_backend(tmp_path):
