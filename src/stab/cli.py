@@ -18,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 
 from .domains import ZZ, domain_from_descriptor
-from .modules import FpModule, Ideal, DomainViolation, NotWellDefined
+from .modules import Ideal, DomainViolation, NotWellDefined
 from .invariants import ass, depth
 from .modules import HomSpace
 from .functors import OscillatingFunctor, ExponentSet
@@ -115,6 +115,10 @@ def _compute(sub, domain, doc):
             raise ScenarioError(key, "missing required field")
         return doc[key]
 
+    def module_arg(key):
+        # An empty scenario environment anchors module errors at ``key``.
+        return _Env(domain, {}).module(need(key), key)
+
     def mat_json(m):
         return [[domain.elem_to_json(a) for a in row] for row in m.data]
 
@@ -127,15 +131,15 @@ def _compute(sub, domain, doc):
         h, u = _mat(domain, need("matrix"), "matrix").hnf()
         return {"h": mat_json(h), "u": mat_json(u)}
     if sub == "ass":
-        module = FpModule.from_json(domain, need("module"))
+        module = module_arg("module")
         return {"ass": ass(module).to_json()}
     if sub == "depth":
-        module = FpModule.from_json(domain, need("module"))
+        module = module_arg("module")
         ideal = Ideal(domain, _elem(domain, need("ideal"), "ideal"))
         return {"depth": _depth_str(depth(ideal, module))}
     if sub == "hom":
-        source = FpModule.from_json(domain, need("source"))
-        target = FpModule.from_json(domain, need("target"))
+        source = module_arg("source")
+        target = module_arg("target")
         return {"module": HomSpace(source, target).module.dec_module().to_json()}
     if sub == "eval":
         env = _Env(domain, doc)

@@ -9,10 +9,19 @@ Element representations are plain hashable Python values:
 * integers     -- Python ``int`` (arbitrary precision),
 * polynomials  -- tuples of coefficients low-to-high degree, coefficients
                   reduced into ``{0, ..., p-1}``, no trailing zeros, with
-                  ``()`` for the zero polynomial.
+                  ``()`` for the zero polynomial.  The arithmetic expects
+                  its inputs in this form and returns results in it.
 
 Canonical associates are positive integers and monic polynomials, so ideal
 and invariant-factor equality reduce to element equality.
+
+GF(p)[x] arithmetic keeps the tuple representation but works around Python's
+per-coefficient cost.  ``mul`` packs both operands into one integer each
+(Kronecker substitution, with byte slots wide enough that no product
+coefficient carries), multiplies once and unpacks; a constant operand is
+scaled directly, and only characteristics too large for 8-byte slots fall
+back to the schoolbook loop.  ``gcd`` is plain remainder Euclid made monic,
+without the Bezout cofactors that ``gcd_ext`` carries.
 
 Factorization is desk-scale by design: trial division plus Brent's rho for
 integers, whose cost grows with the square root of the second-largest prime
@@ -26,10 +35,15 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from array import array
+from itertools import zip_longest
 
 
 FACTOR_MEMO_BOUND = 1024
 _RHO_BLOCK = 128  # steps of Brent's rho whose differences share one gcd
+# (slot bytes, array typecode) for the packed GF(p)[x] mul, narrowest first.
+_SLOT_CODES = sorted({array(t).itemsize: t for t in "QLIHB"}.items())
 
 
 class BoundedMemo:
@@ -168,18 +182,20 @@ def _factor_int(n):
 class _Backend:
     """Operations written once over each backend's primitives."""
 
-    def gcd(self, a, b):
-        return self.gcd_ext(a, b)[0]
-
     def saturate_part(self, d, g):
         """The divisor of ``d`` supported on primes dividing ``g``, canonical."""
         if self.is_zero(d):
             raise ZeroInputError("saturate_part of zero")
+        # Every prime of h divides g, and every prime of g that divides c
+        # divides h, so c is coprime to g exactly when h becomes a unit.
         c = d
         h = self.gcd(c, g)
         while not self.is_unit(h):
-            c = self.exact_div(c, h)
-            h = self.gcd(c, g)
+            q, r = self.divmod(c, h)
+            while self.is_zero(r):
+                c = q
+                q, r = self.divmod(c, h)
+            h = self.gcd(c, h)
         return self.canon(self.exact_div(d, c))[0]
 
 
@@ -202,9 +218,6 @@ class Integers(_Backend):
 
     def sub(self, a, b):
         return a - b
-
-    def neg(self, a):
-        return -a
 
     def mul(self, a, b):
         return a * b
@@ -304,8 +317,10 @@ ZZ = Integers()
 
 
 def _ptrim(coeffs):
+    if not any(coeffs):
+        return ()
     i = len(coeffs)
-    while i > 0 and coeffs[i - 1] == 0:
+    while not coeffs[i - 1]:
         i -= 1
     return tuple(coeffs[:i])
 
@@ -322,6 +337,7 @@ class PolyOverFp(_Backend):
         self.p = p
         self.characteristic = p
         self.one = (1 % p,) if p > 1 else ()
+        self._mod_byte = bytes(i % p for i in range(256))
 
     def const(self, c):
         return _ptrim([c % self.p])
@@ -337,30 +353,50 @@ class PolyOverFp(_Backend):
 
     def add(self, a, b):
         p = self.p
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % p
-        return _ptrim(out)
-
-    def neg(self, a):
-        p = self.p
-        return tuple((-c) % p for c in a)
+        out = [(x + y) % p for x, y in zip_longest(a, b, fillvalue=0)]
+        return tuple(out) if len(a) != len(b) else _ptrim(out)
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        p = self.p
+        out = [(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)]
+        return tuple(out) if len(a) != len(b) else _ptrim(out)
 
     def mul(self, a, b):
-        if not a or not b:
-            return ()
+        # Leading coefficients multiply to a nonzero one, so nothing to trim.
+        if len(a) > len(b):
+            a, b = b, a
+        n = len(a)
         p = self.p
-        out = [0] * (len(a) + len(b) - 1)
+        if n <= 1:
+            if not a:
+                return ()
+            c = a[0]
+            return b if c == 1 else tuple([c * cb % p for cb in b])
+        # A product coefficient is a sum of at most n terms below p^2, so
+        # slots of k bytes with 256^k > n * (p-1)^2 never carry.
+        bits = (n * (p - 1) ** 2).bit_length()
+        for k, code in _SLOT_CODES:
+            if 8 * k >= bits:
+                return self._kronecker_mul(a, b, k, code)
+        # Schoolbook when even the widest slot could carry, as for p = 2^31 - 1.
+        out = [0] * (n + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] = (out[i + j] + ca * cb) % p
-        return _ptrim(out)
+                for j, cb in enumerate(b, i):
+                    out[j] += ca * cb
+        return tuple([c % p for c in out])
+
+    def _kronecker_mul(self, a, b, k, code):
+        """The product from one integer multiply, each operand packed in ``k``-byte slots."""
+        size = k * (len(a) + len(b) - 1)
+        if k == 1:
+            prod = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
+            return tuple(prod.to_bytes(size, "little").translate(self._mod_byte))
+        # Native byte order on both sides keeps slot i the coefficient of x^i.
+        prod = (int.from_bytes(array(code, a), sys.byteorder)
+                * int.from_bytes(array(code, b), sys.byteorder))
+        p = self.p
+        return tuple([c % p for c in memoryview(prod.to_bytes(size, sys.byteorder)).cast(code)])
 
     def pow(self, a, n):
         result = self.one
@@ -376,18 +412,30 @@ class PolyOverFp(_Backend):
         if not b:
             raise ZeroInputError("division by zero polynomial")
         p = self.p
-        inv_lead = pow(b[-1], p - 2, p)
-        rem = list(a)
         db = len(b) - 1
-        q = [0] * max(len(a) - db, 0)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
+        inv_lead = pow(b[-1], p - 2, p)
+        low = b[:-1]
+        if not any(low):
+            # b = c * x^db, a constant when db == 0: shift and scale.
+            q = a[db:]
+            if inv_lead != 1:
+                q = tuple([c * inv_lead % p for c in q])
+            return q, _ptrim(a[:db])
+        if len(a) <= db:
+            return (), a
+        # Each step cancels the leading coefficient, so only the lower ``db``
+        # coefficients of ``b`` are applied; a coefficient is reduced when read.
+        rem = list(a)
+        q = [0] * (len(a) - db)
+        for i in range(len(a) - 1, db - 1, -1):
+            c = rem[i] % p
             if c:
                 factor = c * inv_lead % p
                 q[i - db] = factor
-                for j, cb in enumerate(b):
-                    rem[i - db + j] = (rem[i - db + j] - factor * cb) % p
-        return _ptrim(q), _ptrim(rem)
+                for j, cb in enumerate(low, i - db):
+                    rem[j] -= factor * cb
+        # The top quotient coefficient is nonzero, so only the remainder trims.
+        return tuple(q), _ptrim([c % p for c in rem[:db]])
 
     def exact_div(self, a, b):
         q, r = self.divmod(a, b)
@@ -429,6 +477,11 @@ class PolyOverFp(_Backend):
             return (), self.one, ()
         c, u = self.canon(g)
         return c, self.mul(u, x), self.mul(u, y)
+
+    def gcd(self, a, b):
+        while b:
+            a, b = b, self.divmod(a, b)[1]
+        return self.canon(a)[0]
 
     def lcm(self, a, b):
         if not a or not b:

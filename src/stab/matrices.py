@@ -134,15 +134,17 @@ class Mat:
         return out
 
     def __add__(self, other):
-        self._check_domain(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in addition")
-        D = self.domain
-        return Mat(D, [[D.add(a, b) for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.data, other.data)], self.rows, self.cols)
+        return self._entrywise(self.domain.add, other)
 
     def __sub__(self, other):
-        return self + other.scale(self.domain.neg(self.domain.one))
+        return self._entrywise(self.domain.sub, other)
+
+    def _entrywise(self, op, other):
+        self._check_domain(other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        return Mat(self.domain, [[op(a, b) for a, b in zip(ra, rb)]
+                                 for ra, rb in zip(self.data, other.data)], self.rows, self.cols)
 
     def scale(self, elem):
         D = self.domain

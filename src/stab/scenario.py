@@ -171,11 +171,11 @@ class _Env:
             raise ScenarioError(path, "set must be an object")
         if "elements" in doc:
             elems = [_elem(self.domain, e, f"{path}.elements[{i}]")
-                     for i, e in enumerate(doc["elements"])]
+                     for i, e in enumerate(_require(doc, "elements", path, list))]
             return CmcSet.explicit(self.domain, elems)
         if "closure" in doc:
             gens = [_elem(self.domain, e, f"{path}.closure[{i}]")
-                    for i, e in enumerate(doc["closure"])]
+                    for i, e in enumerate(_require(doc, "closure", path, list))]
             return CmcSet.closure(self.domain, gens)
         raise ScenarioError(path, "set needs 'elements' or 'closure'")
 
@@ -233,6 +233,8 @@ def build_functor(env, doc, path="functor"):
 
 
 def _end_summands(env, docs, path):
+    if not isinstance(docs, list):
+        raise ScenarioError(path, "expected list")
     out = []
     for i, item in enumerate(docs):
         if isinstance(item, dict) and "module" in item:
@@ -265,7 +267,7 @@ def _middle_finite(env, doc, path):
 def _oscillating(env, doc, path):
     rules = {}
     if "rules" in doc:
-        for i, rule in enumerate(doc["rules"]):
+        for i, rule in enumerate(_require(doc, "rules", path, list)):
             p = _elem(env.domain, _require(rule, "prime", f"{path}.rules[{i}]"),
                       f"{path}.rules[{i}].prime")
             rules[p] = _exponent_set(_require(rule, "set", f"{path}.rules[{i}]"),

@@ -126,3 +126,61 @@ def elementary_divisors(domain, rank, factors):
         for p, e in domain.factor(d):
             out.append(domain.pow(p, e))
     return rank, sorted(out, key=domain.elem_sort_key)
+
+
+# Reference GF(p)[x] arithmetic by the direct loops, reducing every
+# coefficient at every step, for differential tests of the backend's packed
+# multiplication and lazy division.  Polynomials are coefficient tuples, low
+# to high, without trailing zeros.
+
+def poly_mul_schoolbook(p, a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] = (out[i + j] + ca * cb) % p
+    return _trim(tuple(out))
+
+
+def poly_sub_reference(p, a, b):
+    n = max(len(a), len(b))
+    a, b = a + (0,) * (n - len(a)), b + (0,) * (n - len(b))
+    return _trim(tuple((x - y) % p for x, y in zip(a, b)))
+
+
+def poly_divmod_reference(p, a, b):
+    """Long division reducing every coefficient at every step."""
+    inv_lead = pow(b[-1], p - 2, p)
+    rem = list(a)
+    db = len(b) - 1
+    q = [0] * max(len(a) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if c:
+            factor = c * inv_lead % p
+            q[i - db] = factor
+            for j, cb in enumerate(b):
+                rem[i - db + j] = (rem[i - db + j] - factor * cb) % p
+    return _trim(tuple(q)), _trim(tuple(rem))
+
+
+def poly_gcd_reference(p, a, b):
+    """Monic gcd by Euclid's algorithm over the reference division."""
+    while b:
+        a, b = b, poly_divmod_reference(p, a, b)[1]
+    if not a:
+        return ()
+    return poly_mul_schoolbook(p, (pow(a[-1], p - 2, p),), a)
+
+
+def poly_saturate_part_reference(p, d, g):
+    """Divide out one gcd with ``g`` at a time until none is left."""
+    c = d
+    h = poly_gcd_reference(p, c, g)
+    while len(h) != 1:
+        c = poly_divmod_reference(p, c, h)[0]
+        h = poly_gcd_reference(p, c, g)
+    s = poly_divmod_reference(p, d, c)[0]
+    return poly_mul_schoolbook(p, (pow(s[-1], p - 2, p),), s)

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from stab import domains
 from stab.domains import ZZ, poly_ring, ZeroInputError, FACTOR_MEMO_BOUND
 
+import oracles
+
 F2 = poly_ring(2)
 F5 = poly_ring(5)
 
@@ -233,3 +235,78 @@ def test_element_serialization_roundtrip():
     assert F5.elem_from_json([6, 1]) == (1, 1)
     assert F5.elem_to_json((1, 1)) == [1, 1]
     assert F5.elem_str((1, 0, 2)) == "2x^2+1"
+
+
+# Differential tests of GF(p)[x] arithmetic against the reference loops in
+# ``oracles``, at degrees up to 300.  These characteristics cover one-, two-
+# and eight-byte packing slots and, at 2^31 - 1, the schoolbook product for
+# operands too long for any slot; the slot-edge test adds four-byte slots.
+DIFF_PRIMES = [2, 3, 5, 65537, 2**31 - 1]
+
+
+def long_polys(p, max_deg=300):
+    coeffs = st.one_of(st.integers(0, p - 1), st.just(p - 1))
+    return st.integers(0, max_deg + 1).flatmap(
+        lambda n: st.lists(coeffs, min_size=n, max_size=n)).map(poly_ring(p).elem_from_json)
+
+
+def poly_pair(max_deg=300):
+    return st.sampled_from(DIFF_PRIMES).flatmap(
+        lambda p: st.tuples(st.just(p), long_polys(p, max_deg), long_polys(p, max_deg)))
+
+
+@given(poly_pair())
+@settings(max_examples=80, deadline=None)
+def test_poly_arithmetic_matches_reference(pab):
+    p, a, b = pab
+    F = poly_ring(p)
+    assert F.mul(a, b) == oracles.poly_mul_schoolbook(p, a, b)
+    assert F.sub(a, b) == oracles.poly_sub_reference(p, a, b)
+    assert F.sub(a, a) == ()
+    if b:
+        assert F.divmod(a, b) == oracles.poly_divmod_reference(p, a, b)
+    assert F.gcd(a, b) == oracles.poly_gcd_reference(p, a, b) == F.gcd_ext(a, b)[0]
+
+
+@given(poly_pair(max_deg=12), st.integers(0, 20))
+@settings(max_examples=100, deadline=None)
+def test_poly_divmod_exact_and_monomial_divisors(pab, shift):
+    p, a, b = pab
+    F = poly_ring(p)
+    if not b:
+        return
+    # Products divide exactly; c * x^k divisors take the shift-and-scale path.
+    for divisor in (b, (0,) * shift + b[-1:]):
+        assert F.divmod(F.mul(a, divisor), divisor) == (a, ())
+        assert F.divmod(a, divisor) == oracles.poly_divmod_reference(p, a, divisor)
+
+
+def _slot_edges(p, max_len=300):
+    """Operand lengths on either side of each packing-slot width."""
+    for k in (1, 2, 4, 8):
+        n = (256**k - 1) // (p - 1) ** 2  # the longest operand k bytes hold
+        for m in (n, n + 1):
+            if 1 <= m <= max_len:
+                yield m
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 17, 4099, 65537, 2**31 - 1])
+def test_poly_mul_worst_case_coefficients_at_slot_edges(p):
+    # All coefficients p - 1 make the middle product coefficient exactly
+    # n * (p-1)^2, the bound the slot width is chosen against.
+    for n in sorted(set(_slot_edges(p))) + [2, 12, 300]:
+        a = (p - 1,) * n
+        b = (p - 1,) * (n + 3)
+        assert poly_ring(p).mul(a, b) == oracles.poly_mul_schoolbook(p, a, b), n
+
+
+@given(st.sampled_from(DIFF_PRIMES).flatmap(lambda p: st.tuples(
+    st.just(p), long_polys(p, 3), long_polys(p, 40), st.integers(0, 200))))
+@settings(max_examples=40, deadline=None)
+def test_saturate_part_of_power_matches_reference(case):
+    p, g, u, k = case
+    F = poly_ring(p)
+    d = F.mul(F.pow(g, k), u) if g else u
+    if not d:
+        return
+    assert F.saturate_part(d, g) == oracles.poly_saturate_part_reference(p, d, g)

@@ -162,6 +162,11 @@ MALFORMED = [
     ("expect.depth.status", {"expect": {"depth": {"status": 1}}}),
     ("expect.artin_rees_d", {"expect": {"artin_rees_d": 2.0}}),
     ("out", {"out": 3}),
+    ("functor.rules", {"functor": {"kind": "oscillating", "rules": 5}}),
+    ("functor.a", {"functor": {"kind": "middle_finite", "b": "M", "a": 5}}),
+    ("functor.c", {"functor": {"kind": "middle_finite", "b": "M", "c": 5}}),
+    ("functor.set.elements", {"functor": {"kind": "tau", "set": {"elements": 5}}}),
+    ("functor.set.closure", {"functor": {"kind": "tau", "set": {"closure": 5}}}),
 ]
 
 
@@ -248,6 +253,14 @@ def test_cli_compute_bad_input_exit_1(tmp_path):
                      ("snf", '{"backend": 5, "matrix": [[1]]}')]:
         proc = _run_cli(["compute", sub, arg], tmp_path)
         assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
+    for sub, arg, prefix in [
+            ("ass", '{"module": {"rank": "x", "factors": []}}', "module"),
+            ("depth", '{"ideal": "2", "module": {"factors": ["y"]}}', "module"),
+            ("ass", '{"module": {"factors": 5}}', "module"),
+            ("hom", '{"source": {"factors": []}, "target": {"relations": 5}}', "target")]:
+        proc = _run_cli(["compute", sub, arg], tmp_path)
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
+        assert proc.stderr.startswith(f"error: {prefix}: "), proc.stderr
 
 
 def test_cli_compute_poly_backend(tmp_path):
