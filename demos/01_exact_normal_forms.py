@@ -3,7 +3,7 @@ Exact matrix normal forms over Z and GF(p)[x]
 =============================================
 
 Smith and Hermite forms with their transformation matrices, exact linear
-solving, and kernels (syzygies).  Everything is arbitrary precision; nothing
+solving, preimages and kernels (syzygies).  Everything is arbitrary precision; nothing
 is ever rounded.
 """
 
@@ -23,9 +23,16 @@ print("U^-1 exists:", U.inverse() is not None)
 H, U2 = Mat(ZZ, [[12, 6]]).hnf()
 print("hnf of [[12, 6]]:", H.data)             # ((6, 0),)
 
-# Exact solving: 2x = 4 has the solution 2, while 2x = 3 has none over Z.
-print("solve 2x=4:", Mat(ZZ, [[2]]).solve([4]))
-print("solve 2x=3:", Mat(ZZ, [[2]]).solve([3]))
+# Exact solving, one column per right-hand side: 2x = 4 has the solution 2,
+# while 2x = 3 has none over Z, so a system holding both columns has none.
+two = Mat(ZZ, [[2]])
+print("solve 2x=4:", two.solve(Mat(ZZ, [[4]])).col(0))     # [2]
+print("solve 2x=3:", two.solve(Mat(ZZ, [[3]])))            # None
+print("solve 2x=[4, 3]:", two.solve(Mat(ZZ, [[4, 3]])))    # None
+
+# Preimages: the x with 2x in 6Z are generated by 3.
+P = two.preimage(Mat(ZZ, [[6]]))
+print("preimage of 6Z under 2:", P.col(0))                # [3]
 
 # Kernels: all integer solutions of 2x + 4y = 0.
 K = Mat(ZZ, [[2, 4]]).kernel()

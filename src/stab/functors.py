@@ -24,7 +24,7 @@ from typing import NamedTuple
 from .matrices import Mat
 from .modules import (FpModule, Morphism, Ideal, LocModule, HomSpace,
                       _diag_module, _hom_induced_full, loc_tensor, tensor_mor,
-                      DomainViolation)
+                      sub_contains, DomainViolation)
 from .invariants import gamma, tau
 
 
@@ -298,18 +298,16 @@ class MiddleFiniteComplex:
         comp = self.d_b @ self.d_a
         row = 0
         for summand in self.c_ends:
-            block = comp.take_rows(range(row, row + summand.module.ambient))
-            row += summand.module.ambient
-            for j in range(block.cols):
-                col = block.col(j)
-                if summand.invert is None:
-                    ok = summand.module.contains_vector(col)
-                else:
-                    torsion = gamma(Ideal(D, summand.invert), summand.module)
-                    aug = torsion.include.mat.hstack(summand.module.relations)
-                    ok = aug.solve(col) is not None
-                if not ok:
-                    raise ValueError("middle-finite complex has nonzero composite")
+            module = summand.module
+            block = comp.take_rows(range(row, row + module.ambient))
+            row += module.ambient
+            if summand.invert is None:
+                ok = module.contains(block)
+            else:
+                torsion = gamma(Ideal(D, summand.invert), module)
+                ok = sub_contains(module, torsion.include.mat, block)
+            if not ok:
+                raise ValueError("middle-finite complex has nonzero composite")
 
     def _tensor_end(self, summand, n):
         if summand.invert is None:

@@ -99,9 +99,6 @@ class AssSet:
     def __hash__(self):
         return hash(self.primes)
 
-    def minus(self, other):
-        return AssSet([p for p in self.primes if p not in other])
-
     def restrict_to_v(self, ideal):
         """Intersection with ``V(I) = {P : P >= I}``."""
         return AssSet([p for p in self.primes if p.contains_ideal(ideal)])

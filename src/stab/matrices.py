@@ -7,6 +7,11 @@ unimodular) and presentations compose directly with cokernels.
 Pivots are chosen by minimal norm to limit coefficient growth; arithmetic
 is exact, so blow-up is a speed concern only.
 
+Linear algebra goes through two calls, each on one Hermite form: ``solve``
+takes a matrix of right-hand sides and answers every column at once, and
+``preimage`` gives the canonical generators of ``{x : A @ x in span(B)}``,
+with ``kernel`` the preimage of zero.
+
 ``Mat`` is immutable and hashed by content, so the Hermite and Smith forms
 are memoized per process on the matrix itself: equal matrices built by
 different routes share one computation.  The memos are bounded, because a
@@ -271,11 +276,11 @@ class Mat:
         ``D`` is diagonal with canonical entries forming a divisibility chain;
         ``U`` and ``V`` are unimodular.
         """
-        d, u, v, _, _ = self._snf_full()
+        d, u, v, _ = self._snf_full()
         return d, u, v
 
     def _snf_full(self):
-        """Smith form plus the inverses of both transforms."""
+        """Smith form plus the inverse of the row transform: ``(D, U, V, U^-1)``."""
         return _SNF_MEMO.get(self, self._compute_snf)
 
     def _compute_snf(self):
@@ -285,7 +290,6 @@ class Mat:
         U = [[D.one if i == j else D.zero for j in range(m)] for i in range(m)]
         Uinv = [[D.one if i == j else D.zero for j in range(m)] for i in range(m)]
         V = [[D.one if i == j else D.zero for j in range(n)] for i in range(n)]
-        Vinv = [[D.one if i == j else D.zero for j in range(n)] for i in range(n)]
 
         def row_swap(i1, i2):
             if i1 == i2:
@@ -302,7 +306,6 @@ class Mat:
                 r[j1], r[j2] = r[j2], r[j1]
             for r in V:
                 r[j1], r[j2] = r[j2], r[j1]
-            Vinv[j1], Vinv[j2] = Vinv[j2], Vinv[j1]
 
         def row_sub(i, isrc, q):
             # row i -= q * row isrc;  Uinv column isrc += q * column i
@@ -320,7 +323,6 @@ class Mat:
                 r[j] = D.sub(r[j], D.mul(q, r[jsrc]))
             for r in V:
                 r[j] = D.sub(r[j], D.mul(q, r[jsrc]))
-            Vinv[jsrc] = [D.add(a, D.mul(q, b)) for a, b in zip(Vinv[jsrc], Vinv[j])]
 
         def row_scale(i, u):
             if u == D.one:
@@ -395,46 +397,60 @@ class Mat:
             row_scale(t, u)
             t += 1
         return (Mat(D, A, m, n), Mat(D, U, m, m), Mat(D, V, n, n),
-                Mat(D, Uinv, m, m), Mat(D, Vinv, n, n))
+                Mat(D, Uinv, m, m))
 
     def diagonal(self):
         return [self.data[i][i] for i in range(min(self.rows, self.cols))]
 
     def solve(self, b):
-        """A particular exact solution ``x`` of ``self @ x == b``, or ``None``."""
+        """A particular exact solution ``X`` of ``self @ X == b``, or ``None``.
+
+        ``b`` is a matrix of right-hand sides.  One Hermite form serves every
+        column, and one product checks the whole answer.
+        """
+        self._check_domain(b)
+        if b.rows != self.rows:
+            raise ValueError("right-hand side row count mismatch")
         D = self.domain
-        if len(b) != self.rows:
-            raise ValueError("right-hand side length mismatch")
+        if not b.cols:
+            return Mat.zero(D, self.cols, 0)
         H, U = self.hnf()
-        y = [D.zero] * self.cols
         pivots = []
         for j in range(self.cols):
             prow = next((i for i in range(self.rows) if not D.is_zero(H.data[i][j])), None)
             if prow is not None:
                 pivots.append((prow, j))
-        for prow, j in pivots:
-            acc = b[prow]
-            for prow2, j2 in pivots:
-                if j2 >= j:
-                    break
-                acc = D.sub(acc, D.mul(H.data[prow][j2], y[j2]))
-            q, r = D.divmod(acc, H.data[prow][j])
-            if not D.is_zero(r):
-                return None
-            y[j] = q
-        x = U.mul_vec(y)
-        check = self.mul_vec(x)
-        if any(not D.is_zero(D.sub(c, t)) for c, t in zip(check, b)):
-            return None
-        return x
+        ys = []
+        for rhs in b.columns():
+            y = [D.zero] * self.cols
+            for k, (prow, j) in enumerate(pivots):
+                acc = rhs[prow]
+                for _, j2 in pivots[:k]:
+                    acc = D.sub(acc, D.mul(H.data[prow][j2], y[j2]))
+                q, r = D.divmod(acc, H.data[prow][j])
+                if not D.is_zero(r):
+                    return None
+                y[j] = q
+            ys.append(y)
+        x = U @ Mat.from_cols(D, ys, self.cols)
+        return x if self @ x == b else None
+
+    def preimage(self, b):
+        """Canonical generators of ``{x : self @ x in span(b)}``.
+
+        One Hermite form of ``[self | b]``: the transform columns under its
+        zero columns, cut to their first ``self.cols`` rows.
+        """
+        D = self.domain
+        big = self.hstack(b)
+        H, U = big.hnf()
+        zero_cols = [j for j in range(big.cols)
+                     if all(D.is_zero(H.data[i][j]) for i in range(big.rows))]
+        return U.take_cols(zero_cols).take_rows(range(self.cols)).span_basis()
 
     def kernel(self):
         """Columns generating ``{x : self @ x == 0}``, in canonical Hermite form."""
-        D = self.domain
-        H, U = self.hnf()
-        zero_cols = [j for j in range(self.cols)
-                     if all(D.is_zero(H.data[i][j]) for i in range(self.rows))]
-        return U.take_cols(zero_cols).span_basis()
+        return self.preimage(Mat.zero(self.domain, self.rows, 0))
 
     def span_basis(self):
         """The nonzero columns of the Hermite form: canonical generators of the span."""
@@ -447,12 +463,4 @@ class Mat:
         """Exact inverse over the domain, or ``None`` if not unimodular."""
         if self.rows != self.cols:
             return None
-        D = self.domain
-        cols = []
-        for j in range(self.rows):
-            e = [D.one if i == j else D.zero for i in range(self.rows)]
-            x = self.solve(e)
-            if x is None:
-                return None
-            cols.append(x)
-        return Mat.from_cols(D, cols, self.rows)
+        return self.solve(Mat.identity(self.domain, self.rows))

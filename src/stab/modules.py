@@ -93,7 +93,7 @@ class FpModule:
 
     def _decompose(self):
         D = self.domain
-        dmat, u, _, uinv, _ = self.relations._snf_full()
+        dmat, u, _, uinv = self.relations._snf_full()
         diag = dmat.diagonal()
         torsion_rows = [i for i, d in enumerate(diag)
                         if not D.is_zero(d) and not D.is_unit(d)]
@@ -200,9 +200,9 @@ class FpModule:
         frommat = self._from_dec
         return [frommat.mul_vec(v) for v in out]
 
-    def contains_vector(self, vec):
-        """Membership of an ambient vector in the relation span (i.e. is it 0)."""
-        return self.relations.solve(vec) is not None
+    def contains(self, gens):
+        """Whether every column of ``gens`` lies in the relation span (is zero here)."""
+        return self.relations.solve(gens) is not None
 
     # -- constructions ----------------------------------------------------------
 
@@ -255,16 +255,12 @@ class FpModule:
         for m_ in (u, v, w):
             if m_.rows != self.ambient:
                 raise ValueError("submodule generators must live in the ambient module")
-        vr = v.hstack(self.relations)
-        for j in range(w.cols):
-            if vr.solve(w.col(j)) is None:
-                raise SubmoduleError("W is not contained in V")
+        if not sub_contains(self, v, w):
+            raise SubmoduleError("W is not contained in V")
         g = ideal.power_gen(n)
         gens = u.hstack(v.scale(g))
-        killed = w.scale(g)
-        big = gens.hstack(killed).hstack(self.relations)
-        syz = big.kernel().take_rows(range(gens.cols))
-        return FpModule(D, gens.cols, syz.span_basis())
+        syz = gens.preimage(w.scale(g).hstack(self.relations))
+        return FpModule(D, gens.cols, syz)
 
     def submodule(self, gens):
         """Presentation of the submodule spanned by the given generator columns.
@@ -274,9 +270,7 @@ class FpModule:
         D = self.domain
         if gens.rows != self.ambient:
             raise ValueError("generators must live in the ambient module")
-        big = gens.hstack(self.relations)
-        syz = big.kernel().take_rows(range(gens.cols))
-        sub = FpModule(D, gens.cols, syz.span_basis())
+        sub = FpModule(D, gens.cols, gens.preimage(self.relations))
         return sub, Morphism(sub, self, gens)
 
     def _check(self, other):
@@ -345,11 +339,8 @@ class Morphism:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "mat", mat)
-        if check:
-            rel = source.relations
-            for j in range(rel.cols):
-                if not target.contains_vector(mat.mul_vec(rel.col(j))):
-                    raise NotWellDefined("images of relations do not vanish")
+        if check and not target.contains(mat @ source.relations):
+            raise NotWellDefined("images of relations do not vanish")
 
     def __setattr__(self, name, value):
         raise AttributeError("Morphism is immutable")
@@ -381,8 +372,7 @@ class Morphism:
         return Morphism(self.source, self.target, self.mat - other.mat, check=False)
 
     def is_zero(self):
-        return all(self.target.contains_vector(self.mat.col(j))
-                   for j in range(self.mat.cols))
+        return self.target.contains(self.mat)
 
     def equals(self, other):
         if self.source.ambient != other.source.ambient or \
@@ -392,9 +382,7 @@ class Morphism:
 
     def kernel(self):
         """``(K, include)`` with ``include`` the inclusion of the kernel."""
-        big = self.mat.hstack(self.target.relations)
-        pre = big.kernel().take_rows(range(self.source.ambient))
-        return self.source.submodule(pre.span_basis())
+        return self.source.submodule(self.mat.preimage(self.target.relations))
 
     def cokernel(self):
         """``(C, project)``; the cokernel shares the target's ambient generators."""
@@ -414,15 +402,10 @@ class Morphism:
         image of ``self``; returns ``f' : source -> S`` with
         ``include . f' == self``.
         """
-        aug = include.mat.hstack(self.target.relations)
-        cols = []
-        for j in range(self.mat.cols):
-            sol = aug.solve(self.mat.col(j))
-            if sol is None:
-                raise SubmoduleError("morphism does not factor through the submodule")
-            cols.append(sol[:include.mat.cols])
-        return Morphism(self.source, include.source,
-                        Mat.from_cols(self.source.domain, cols, include.mat.cols))
+        sol = include.mat.hstack(self.target.relations).solve(self.mat)
+        if sol is None:
+            raise SubmoduleError("morphism does not factor through the submodule")
+        return Morphism(self.source, include.source, sol.take_rows(range(include.mat.cols)))
 
     def __repr__(self):
         return f"Morphism({self.source!r} -> {self.target!r})"
@@ -585,8 +568,7 @@ def hom_induced(f, n):
 
 def sub_contains(ambient_mod, g1, g2):
     """Whether ``<g2>`` is contained in ``<g1>`` inside the module."""
-    aug = g1.hstack(ambient_mod.relations)
-    return all(aug.solve(g2.col(j)) is not None for j in range(g2.cols))
+    return g1.hstack(ambient_mod.relations).solve(g2) is not None
 
 
 def sub_equal(ambient_mod, g1, g2):
@@ -595,7 +577,4 @@ def sub_equal(ambient_mod, g1, g2):
 
 def sub_intersect(ambient_mod, g1, g2):
     """Generators of the intersection of two submodules of the same module."""
-    big = g1.hstack(g2).hstack(ambient_mod.relations)
-    ker = big.kernel()
-    part = ker.take_rows(range(g1.cols))
-    return (g1 @ part).span_basis()
+    return (g1 @ g1.preimage(g2.hstack(ambient_mod.relations))).span_basis()

@@ -33,9 +33,6 @@ class Family:
     def generate(self, n):
         raise NotImplementedError
 
-    def domain(self):
-        raise NotImplementedError
-
 
 class QuotientPowers(Family):
     """``n -> M / I^n M``."""
@@ -47,9 +44,6 @@ class QuotientPowers(Family):
     def generate(self, n):
         return self.module.power_quotient(self.ideal, n)
 
-    def domain(self):
-        return self.module.domain
-
 
 class Layers(Family):
     """``n -> I^(n-1) M / I^n M``."""
@@ -60,9 +54,6 @@ class Layers(Family):
 
     def generate(self, n):
         return self.module.power_layer(self.ideal, n)
-
-    def domain(self):
-        return self.module.domain
 
 
 class GradedLayers(Family):
@@ -81,9 +72,6 @@ class GradedLayers(Family):
                                        Mat.identity(D, self.module.ambient),
                                        self.sub_gens, self.ideal, n)
 
-    def domain(self):
-        return self.module.domain
-
 
 class SubquotientFamily(Family):
     """``n -> (U + I^n V) / I^n W`` inside a fixed module."""
@@ -97,9 +85,6 @@ class SubquotientFamily(Family):
 
     def generate(self, n):
         return self.module.subquotient(self.u, self.v, self.w, self.ideal, n)
-
-    def domain(self):
-        return self.module.domain
 
 
 class KwHomology(Family):
@@ -117,14 +102,10 @@ class KwHomology(Family):
         self.ideal = ideal
         self.shift = shift
         lmod, mmod, nmod = alpha.source, alpha.target, beta.target
-        for j in range(l_sub.cols):
-            if not sub_contains(mmod, m_sub, Mat.from_cols(
-                    mmod.domain, [alpha.mat.mul_vec(l_sub.col(j))], mmod.ambient)):
-                raise ValueError("alpha does not map L' into M'")
-        for j in range(m_sub.cols):
-            if not sub_contains(nmod, n_sub, Mat.from_cols(
-                    nmod.domain, [beta.mat.mul_vec(m_sub.col(j))], nmod.ambient)):
-                raise ValueError("beta does not map M' into N'")
+        if not sub_contains(mmod, m_sub, alpha.mat @ l_sub):
+            raise ValueError("alpha does not map L' into M'")
+        if not sub_contains(nmod, n_sub, beta.mat @ m_sub):
+            raise ValueError("beta does not map M' into N'")
         if shift is not None:
             l1, l2, c = shift
             if c < 0:
@@ -155,9 +136,6 @@ class KwHomology(Family):
         carrier = Morphism(FpModule.free(D, image_gens.cols), m_n, image_gens)
         inside = carrier.factor_through(incl)
         return FpModule(D, k.ambient, k.relations.hstack(inside.mat))
-
-    def domain(self):
-        return self.ideal.domain
 
 
 class StabilizationReport(NamedTuple):

@@ -7,6 +7,8 @@ decomposition paths, so agreement is meaningful.
 
 from itertools import product
 
+from stab.matrices import Mat
+
 
 def int_is_prime_trial(n):
     if n < 2:
@@ -99,7 +101,7 @@ def hom_count_oracle(module, target):
             for coeff, vec in zip(col, images):
                 for i in range(target.ambient):
                     total[i] = domain.add(total[i], domain.mul(coeff, vec[i]))
-            if not target.contains_vector(total):
+            if not target.contains(Mat.from_cols(domain, [total], target.ambient)):
                 ok = False
                 break
         if ok:
@@ -184,3 +186,48 @@ def poly_saturate_part_reference(p, d, g):
         h = poly_gcd_reference(p, c, g)
     s = poly_divmod_reference(p, d, c)[0]
     return poly_mul_schoolbook(p, (pow(s[-1], p - 2, p),), s)
+
+
+# Reference linear algebra by the direct routes: one right-hand side at a
+# time, and a preimage as the first rows of the kernel of the augmented
+# matrix.  Used by differential tests of ``Mat.solve``, ``Mat.preimage`` and
+# ``Mat.kernel``.
+
+def solve_vector_reference(a, b):
+    """A solution ``x`` of ``a @ x == b`` for one vector ``b``, or ``None``."""
+    D = a.domain
+    H, U = a.hnf()
+    y = [D.zero] * a.cols
+    pivots = []
+    for j in range(a.cols):
+        prow = next((i for i in range(a.rows) if not D.is_zero(H[i, j])), None)
+        if prow is not None:
+            pivots.append((prow, j))
+    for prow, j in pivots:
+        acc = b[prow]
+        for _, j2 in pivots:
+            if j2 >= j:
+                break
+            acc = D.sub(acc, D.mul(H[prow, j2], y[j2]))
+        q, r = D.divmod(acc, H[prow, j])
+        if not D.is_zero(r):
+            return None
+        y[j] = q
+    x = U.mul_vec(y)
+    if any(not D.is_zero(D.sub(c, t)) for c, t in zip(a.mul_vec(x), b)):
+        return None
+    return x
+
+
+def kernel_reference(a):
+    """Transform columns under the zero columns of the Hermite form, reduced."""
+    D = a.domain
+    H, U = a.hnf()
+    zero_cols = [j for j in range(a.cols)
+                 if all(D.is_zero(H[i, j]) for i in range(a.rows))]
+    return U.take_cols(zero_cols).span_basis()
+
+
+def preimage_reference(a, b):
+    """``{x : a @ x in span(b)}`` as the first rows of the kernel of ``[a | b]``."""
+    return kernel_reference(a.hstack(b)).take_rows(range(a.cols)).span_basis()

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stab.domains import ZZ, poly_ring
+from stab.matrices import Mat
 from stab.modules import FpModule, Ideal
 from stab.invariants import (PrimeIdeal, AssSet, CmcSet, DEPTH_INF,
                              ass, ann, depth, gamma, tau, NotCmc, ann_contains)
@@ -234,7 +235,8 @@ def test_tau_matches_union_definition_on_finite_modules():
         res = tau(s, m)
         killed = 0
         for vec in m.elements():
-            if any(m.contains_vector([r * x for x in vec]) for r in elems):
+            if any(m.contains(Mat.from_cols(ZZ, [[r * x for x in vec]], m.ambient))
+                   for r in elems):
                 killed += 1
         assert res.part.element_count() == killed
 

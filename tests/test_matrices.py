@@ -1,11 +1,14 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from stab import matrices
 from stab.domains import ZZ, poly_ring
 from stab.matrices import Mat, NF_MEMO_BOUND
+from oracles import kernel_reference, preimage_reference, solve_vector_reference
 
+F2 = poly_ring(2)
 F5 = poly_ring(5)
 
 
@@ -115,24 +118,24 @@ def test_snf_poly_invariance_under_unimodular():
 
 
 def test_solve_examples():
-    assert Mat(ZZ, [[2]]).solve([4]) == [2]
-    assert Mat(ZZ, [[2]]).solve([3]) is None
-    x = Mat(ZZ, [[2, 4]]).solve([6])
-    assert 2 * x[0] + 4 * x[1] == 6
+    assert Mat(ZZ, [[2]]).solve(Mat(ZZ, [[4]])) == Mat(ZZ, [[2]])
+    assert Mat(ZZ, [[2]]).solve(Mat(ZZ, [[3]])) is None
+    x = Mat(ZZ, [[2, 4]]).solve(Mat(ZZ, [[6]]))
+    assert 2 * x[0, 0] + 4 * x[1, 0] == 6
     # no columns: only the zero vector is reachable
-    assert Mat.zero(ZZ, 2, 0).solve([0, 0]) == []
-    assert Mat.zero(ZZ, 2, 0).solve([1, 0]) is None
+    assert Mat.zero(ZZ, 2, 0).solve(Mat(ZZ, [[0], [0]])) == Mat.zero(ZZ, 0, 1)
+    assert Mat.zero(ZZ, 2, 0).solve(Mat(ZZ, [[1], [0]])) is None
 
 
 def test_solve_random_consistency():
     rng = random.Random(5)
     for _ in range(80):
         a = rand_mat(rng, rng.randint(1, 4), rng.randint(1, 4), 10)
-        x = [rng.randint(-5, 5) for _ in range(a.cols)]
-        b = a.mul_vec(x)
+        x = rand_mat(rng, a.cols, rng.randint(1, 3), 5)
+        b = a @ x
         y = a.solve(b)
         assert y is not None
-        assert a.mul_vec(y) == b
+        assert a @ y == b
 
 
 def test_kernel_examples():
@@ -158,7 +161,7 @@ def test_kernel_contains_all_small_solutions():
                 for x2 in range(-6, 7):
                     v = [x0, x1, x2]
                     if a.mul_vec(v) == [0, 0, 0]:
-                        assert k.solve(v) is not None
+                        assert k.solve(Mat.from_cols(ZZ, [v], 3)) is not None
 
 
 @given(st.lists(st.lists(st.integers(-50, 50), min_size=2, max_size=2),
@@ -178,7 +181,7 @@ def test_empty_shapes():
     h, uh = e.hnf()
     assert h.rows == 0
     assert Mat.zero(ZZ, 0, 0).kernel().cols == 0
-    assert e.solve([]) is not None
+    assert e.solve(Mat.zero(ZZ, 0, 1)) is not None
 
 
 def test_kron_indexing():
@@ -216,3 +219,95 @@ def test_normal_form_memos_hold_exactly_their_bound():
     assert len(matrices._HNF_MEMO.entries) == NF_MEMO_BOUND
     assert len(matrices._SNF_MEMO.entries) == NF_MEMO_BOUND
     assert Mat(ZZ, [[2, 3], [5, 1]]) not in matrices._HNF_MEMO.entries
+
+
+# -- one solver for every column, one preimage --------------------------------
+
+def elems(domain):
+    if domain is ZZ:
+        return st.integers(-12, 12)
+    return st.lists(st.integers(0, domain.p - 1), max_size=3).map(domain.elem_from_json)
+
+
+@st.composite
+def mats(draw, domain, rows, cols):
+    return Mat(domain, draw(st.lists(st.lists(elems(domain), min_size=cols, max_size=cols),
+                                     min_size=rows, max_size=rows)), rows, cols)
+
+
+@st.composite
+def systems(draw, min_rows=0):
+    """``(a, b)``: some columns of ``b`` lie in the span of ``a``, some are random."""
+    domain = draw(st.sampled_from([ZZ, F2, F5]))
+    rows, cols = draw(st.integers(min_rows, 3)), draw(st.integers(0, 3))
+    a = draw(mats(domain, rows, cols))
+    b_cols = []
+    for _ in range(draw(st.integers(0, 3))):
+        col = (a @ draw(mats(domain, cols, 1))).col(0)
+        if draw(st.booleans()):
+            col = [domain.add(c, e) for c, e in zip(col, draw(mats(domain, rows, 1)).col(0))]
+        b_cols.append(col)
+    return a, Mat.from_cols(domain, b_cols, rows)
+
+
+def non_unit(domain):
+    return 2 if domain is ZZ else (0, 1)
+
+
+@given(systems())
+@settings(max_examples=150, deadline=None)
+def test_solve_matches_per_column_reference(system):
+    a, b = system
+    x = a.solve(b)
+    refs = [solve_vector_reference(a, col) for col in b.columns()]
+    if any(r is None for r in refs):
+        assert x is None
+    else:
+        assert x is not None and x.rows == a.cols and x.cols == b.cols
+        assert x.columns() == refs
+        assert a @ x == b
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_solve_none_when_only_last_column_inconsistent(data):
+    domain = data.draw(st.sampled_from([ZZ, F2, F5]))
+    rows, cols, k = (data.draw(st.integers(lo, 3)) for lo in (1, 0, 0))
+    # Every entry of g*a @ x is a multiple of the non-unit g; e_0 is not.
+    a = data.draw(mats(domain, rows, cols)).scale(non_unit(domain))
+    good = a @ data.draw(mats(domain, cols, k))
+    e0 = Mat.from_cols(domain, [[domain.one] + [domain.zero] * (rows - 1)], rows)
+    assert a.solve(good) is not None
+    assert solve_vector_reference(a, e0.col(0)) is None
+    assert a.solve(good.hstack(e0)) is None
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_solve_no_columns_skips_the_hermite_form(data):
+    domain = data.draw(st.sampled_from([ZZ, F2, F5]))
+    rows, cols = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    # A large corner entry keeps this matrix out of every earlier memo.
+    a = data.draw(mats(domain, rows, cols))
+    if rows and cols:
+        corner = 10**40 + 7 if domain is ZZ else (1,) * 60
+        a = Mat(domain, [[corner] + list(a.data[0][1:])] + [list(r) for r in a.data[1:]])
+    assert a.solve(Mat.zero(domain, rows, 0)) == Mat.zero(domain, cols, 0)
+    if rows and cols:
+        assert a not in matrices._HNF_MEMO.entries
+
+
+def test_solve_rejects_wrong_row_count():
+    with pytest.raises(ValueError):
+        Mat(ZZ, [[1, 2]]).solve(Mat(ZZ, [[1], [2]]))
+
+
+@given(systems())
+@settings(max_examples=150, deadline=None)
+def test_preimage_matches_reference(system):
+    a, b = system
+    pre = a.preimage(b)
+    assert pre == preimage_reference(a, b)
+    assert a.kernel() == kernel_reference(a)
+    # Every generator lands in the span of b.
+    assert b.solve(a @ pre) is not None

@@ -123,6 +123,27 @@ def test_morphism_well_definedness_enforced():
     Morphism(cyc(4), cyc(8), Mat(ZZ, [[2]]))  # 4*2 = 8 ok
 
 
+def test_morphism_check_reaches_the_last_relation():
+    # Relations (2,0,0), (0,2,0) map into 2Z^3; only (0,0,3) does not.
+    ident = Mat.identity(ZZ, 3)
+    with pytest.raises(NotWellDefined):
+        Morphism(cyc(2, 2, 3), cyc(2, 2, 2), ident)
+    Morphism(cyc(2, 2, 3), cyc(2, 2, 3), ident)
+    m = cyc(2, 2, 3)
+    assert Morphism.mult_by(6, m).is_zero()
+    assert not Morphism(m, m, Mat(ZZ, [[2, 0, 0], [0, 2, 0], [0, 0, 1]])).is_zero()
+
+
+def test_factor_through_rejects_an_image_outside_the_submodule():
+    r2 = FpModule.free(ZZ, 2)
+    include = Morphism(R, r2, Mat(ZZ, [[1], [0]]))
+    inside = Morphism(r2, r2, Mat(ZZ, [[3, 5], [0, 0]]))
+    assert inside.factor_through(include).mat == Mat(ZZ, [[3, 5]])
+    # The first column factors; only the last one leaves the submodule.
+    with pytest.raises(SubmoduleError):
+        Morphism(r2, r2, Mat(ZZ, [[3, 0], [0, 1]])).factor_through(include)
+
+
 def test_kernel_cokernel_image_examples():
     f = Morphism(R, R, Mat(ZZ, [[2]]))
     k, _ = f.kernel()
