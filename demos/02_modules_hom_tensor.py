@@ -8,7 +8,7 @@ isomorphism testing, tensor products, Hom modules, and kernels/cokernels.
 """
 
 from stab import ZZ, Mat, FpModule, Morphism, Ideal
-from stab.modules import hom, hom_induced, loc_tensor, LocModule
+from stab.modules import hom, hom_induced, loc_tensor
 
 # coker of a relation matrix: Z^2 / <(2,6), (4,8)> = Z/2 (+) Z/4.
 M = FpModule.from_relations(ZZ, [[2, 4], [6, 8]])
@@ -49,4 +49,4 @@ print("M/I^5 M for M = Z (+) Z/8:", big.power_quotient(I, 5).decompose())
 print("layer at n=3 for M = Z:", R.power_layer(I, 3).decompose())
 
 # Inverting an element kills the matching primary part of a torsion module.
-print("R[1/2] (x) Z/12:", loc_tensor(LocModule(R, 2), FpModule.cyclic(ZZ, 12)).decompose())
+print("R[1/2] (x) Z/12:", loc_tensor(R, 2, FpModule.cyclic(ZZ, 12)).decompose())

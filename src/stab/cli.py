@@ -23,7 +23,7 @@ from .invariants import ass, depth
 from .modules import HomSpace
 from .functors import OscillatingFunctor, ExponentSet
 from .laws import check_functor_laws
-from .scenario import (ScenarioError, parse_scenario, run_scenario,
+from .scenario import (ScenarioError, parse_scenario, run_scenario, scan_range,
                        report_csv, report_json, build_functor, _Env, _mat, _elem,
                        _depth_str)
 
@@ -53,10 +53,10 @@ def _cmd_run(args):
         sc = parse_scenario(doc)
     except ScenarioError as exc:
         return _fail_parse(f"{path}: {exc}")
-    horizon = args.horizon if args.horizon is not None else None
-    window = args.window if args.window is not None else None
     try:
-        outcome = run_scenario(sc, horizon, window)
+        outcome = run_scenario(sc, args.horizon, args.window)
+    except ScenarioError as exc:
+        return _fail_parse(f"{path}: {exc}")
     except DomainViolation as exc:
         print(f"domain violation: {exc}", file=sys.stderr)
         return 2
@@ -158,18 +158,33 @@ def _iter_packaged_scenarios():
 
 
 def _cmd_suite(args):
-    failures = 0
-    count = 0
+    parsed = []
     for name, text in _iter_packaged_scenarios():
         doc, err = _load_json(text, name)
+        sc = None
+        if not err:
+            try:
+                sc = parse_scenario(doc)
+            except ScenarioError as exc:
+                err = str(exc)
+        parsed.append((name, sc, err))
+    # Overrides are checked against every scenario before any scan or write.
+    for name, sc, _ in parsed:
+        if sc is not None:
+            try:
+                scan_range(sc, args.horizon, args.window)
+            except ScenarioError as exc:
+                return _fail_parse(f"{name}: {exc}")
+    failures = 0
+    count = 0
+    for name, sc, err in parsed:
         if err:
             print(f"FAIL {name}: {err}")
             failures += 1
             continue
         try:
-            sc = parse_scenario(doc)
             outcome = run_scenario(sc, args.horizon, args.window)
-        except (ScenarioError, DomainViolation) as exc:
+        except DomainViolation as exc:
             print(f"FAIL {name}: {exc}")
             failures += 1
             continue

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .matrices import Mat
-from .modules import (FpModule, Morphism, Ideal, LocModule, HomSpace,
+from .modules import (FpModule, Morphism, Ideal, HomSpace,
                       _diag_module, _hom_induced_full, loc_tensor, tensor_mor,
                       sub_contains, DomainViolation)
 from .invariants import gamma, tau
@@ -312,7 +312,7 @@ class MiddleFiniteComplex:
     def _tensor_end(self, summand, n):
         if summand.invert is None:
             return summand.module.tensor(n)
-        return loc_tensor(LocModule(summand.module, summand.invert), n)
+        return loc_tensor(summand.module, summand.invert, n)
 
     def _tensored(self, n):
         D = self.b.domain

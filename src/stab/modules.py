@@ -5,8 +5,10 @@ given by generator matrices inside an ambient presentation; everything
 (membership, kernels, subquotients) routes through exact solving and syzygy
 computation on augmented matrices.
 
-The invariant-factor decomposition is computed once at construction via the
-Smith normal form of the relations; isomorphism testing reduces to comparing
+The invariant-factor decomposition is computed on first read of ``rank``,
+``factors`` or the decomposition transforms, via the Smith normal form of the
+relations, so kernels and carriers that only serve as presentations never
+pay for one.  Isomorphism testing reduces to comparing
 ``(rank, invariant factors)``.
 
 >>> from stab.domains import ZZ
@@ -74,7 +76,7 @@ class FpModule:
     """A finitely presented module: ambient free rank plus a relation matrix."""
 
     __slots__ = ("domain", "ambient", "relations", "rank", "factors",
-                 "_dec_rows", "_to_dec", "_from_dec")
+                 "_to_dec", "_from_dec")
 
     def __init__(self, domain, ambient, relations=None):
         if relations is None:
@@ -86,10 +88,16 @@ class FpModule:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "relations", relations)
-        self._decompose()
 
     def __setattr__(self, name, value):
         raise AttributeError("FpModule is immutable")
+
+    def __getattr__(self, name):
+        # Reached only for unset slots: the decomposition is filled in on first read.
+        if name not in ("rank", "factors", "_to_dec", "_from_dec"):
+            raise AttributeError(name)
+        self._decompose()
+        return object.__getattribute__(self, name)
 
     def _decompose(self):
         D = self.domain
@@ -102,7 +110,6 @@ class FpModule:
         order = torsion_rows + free_rows
         object.__setattr__(self, "rank", len(free_rows))
         object.__setattr__(self, "factors", tuple(diag[i] for i in torsion_rows))
-        object.__setattr__(self, "_dec_rows", tuple(order))
         # Rows with unit diagonal entries present generators that vanish, so
         # dropping them from the transforms is an isomorphism.
         object.__setattr__(self, "_to_dec", u.take_rows(order))
@@ -307,10 +314,10 @@ class FpModule:
             raise ValueError("module must be an object")
         if "relations" in doc:
             rows = [[domain.elem_from_json(a) for a in row] for row in doc["relations"]]
-            ambient = doc.get("ambient", len(rows))
+            ambient = _nonnegative(doc, "ambient", len(rows))
             cols = len(rows[0]) if rows else 0
             return cls(domain, ambient, Mat(domain, rows, ambient, cols))
-        rank = int(doc.get("rank", 0))
+        rank = _nonnegative(doc, "rank", 0)
         factors = [domain.elem_from_json(d) for d in doc.get("factors", [])]
         return cls.from_invariants(domain, rank, factors)
 
@@ -318,6 +325,13 @@ class FpModule:
         D = self.domain
         parts = ["R"] * self.rank + [f"R/({D.elem_str(d)})" for d in self.factors]
         return " + ".join(parts) if parts else "0"
+
+
+def _nonnegative(doc, key, default):
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{key}: expected a nonnegative integer, got {value!r}")
+    return value
 
 
 class Morphism:
@@ -411,24 +425,6 @@ class Morphism:
         return f"Morphism({self.source!r} -> {self.target!r})"
 
 
-class LocModule:
-    """A finitely presented module with one element formally inverted."""
-
-    __slots__ = ("base", "inverted")
-
-    def __init__(self, base, inverted):
-        if base.domain.is_zero(inverted):
-            raise ValueError("cannot invert zero")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "inverted", inverted)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LocModule is immutable")
-
-    def __repr__(self):
-        return f"({self.base!r})[1/{self.base.domain.elem_str(self.inverted)}]"
-
-
 def tensor_mor(f, g):
     """``f (x) g`` on tensor products, matching :meth:`FpModule.tensor` indexing."""
     src = f.source.tensor(g.source)
@@ -436,16 +432,17 @@ def tensor_mor(f, g):
     return Morphism(src, tgt, f.mat.kron(g.mat), check=False)
 
 
-def loc_tensor(loc, n):
-    """``(base[1/x]) (x) N`` for torsion ``N``: the x-primary part of each
-    invariant factor dies.  Shares the ambient of ``base (x) N`` so the
+def loc_tensor(module, x, n):
+    """``(module[1/x]) (x) N`` for torsion ``N``: the x-primary part of each
+    invariant factor dies.  Shares the ambient of ``module (x) N`` so the
     canonical localization map is the identity matrix.
     """
+    D = n.domain
+    if D.is_zero(x):
+        raise ValueError("cannot invert zero")
     if not n.is_torsion():
         raise DomainViolation("localized tensor needs a torsion module")
-    D = n.domain
-    base = loc.base.tensor(n)
-    x = loc.inverted
+    base = module.tensor(n)
     extra = []
     for idx, d in enumerate(base.factors):
         t = D.exact_div(d, D.saturate_part(d, x))

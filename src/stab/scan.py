@@ -18,7 +18,7 @@ from .matrices import Mat
 from .modules import (FpModule, Morphism, sub_equal, sub_intersect,
                       sub_contains)
 from .invariants import ass, ann, depth, ann_contains
-from .functors import IdentityFunctor
+from .functors import IdentityFunctor, homology_at
 
 
 class AnnihilatorViolation(RuntimeError):
@@ -132,10 +132,8 @@ class KwHomology(Family):
             l1, l2, c = self.shift
             shifted = (self.alpha.mat @ l2).scale(self.ideal.power_gen(n - c))
             image_gens = (self.alpha.mat @ l1).hstack(shifted)
-        k, incl = beta_n.kernel()
         carrier = Morphism(FpModule.free(D, image_gens.cols), m_n, image_gens)
-        inside = carrier.factor_through(incl)
-        return FpModule(D, k.ambient, k.relations.hstack(inside.mat))
+        return homology_at(carrier, beta_n)[0]
 
 
 class StabilizationReport(NamedTuple):
@@ -185,14 +183,13 @@ class ScanResult(NamedTuple):
     ann_checks: int
 
 
-def scan_rows(family, functor=None, depth_ideal=None, horizon=50, window=10,
-              check_ann=True):
+def scan_rows(family, functor=None, depth_ideal=None, horizon=50, window=10):
     """Evaluate a family through a functor across ``[start, horizon]``.
 
     Returns a :class:`ScanResult` with one row per index (invariant factors,
     associated primes, and depth when a depth ideal is given) plus detection
-    verdicts.  With ``check_ann`` every evaluation asserts the annihilator
-    monotonicity law ``ann(N) <= ann(F(N))``.
+    verdicts.  Every evaluation asserts the annihilator monotonicity law
+    ``ann(N) <= ann(F(N))``.
     """
     if functor is None:
         functor = IdentityFunctor()
@@ -206,7 +203,7 @@ def scan_rows(family, functor=None, depth_ideal=None, horizon=50, window=10,
     def evaluate(n):
         source = family.generate(n)
         value = functor(source)
-        if check_ann and not ann_contains(ann(source), ann(value)):
+        if not ann_contains(ann(source), ann(value)):
             raise AnnihilatorViolation(
                 f"ann {ann(source)!r} not inside ann {ann(value)!r} at n={n}")
         d = depth(depth_ideal, value) if depth_ideal is not None else None
@@ -224,20 +221,17 @@ def scan_rows(family, functor=None, depth_ideal=None, horizon=50, window=10,
         status, n0, period = detect(ns, dvals, window)
         depth_report = StabilizationReport("depth", tuple(zip(ns, dvals)),
                                            window, status, n0, period)
-    checks = len(rows) if check_ann else 0
-    return ScanResult(tuple(rows), ass_report, depth_report, checks)
+    return ScanResult(tuple(rows), ass_report, depth_report, len(rows))
 
 
-def scan_ass(family, functor=None, horizon=50, window=10, check_ann=True):
+def scan_ass(family, functor=None, horizon=50, window=10):
     """Associated-prime scan; see :func:`scan_rows`."""
-    return scan_rows(family, functor, None, horizon, window, check_ann).ass_report
+    return scan_rows(family, functor, None, horizon, window).ass_report
 
 
-def scan_depth(depth_ideal, family, functor=None, horizon=50, window=10,
-               check_ann=True):
+def scan_depth(depth_ideal, family, functor=None, horizon=50, window=10):
     """Depth scan for a fixed ideal ``J``; see :func:`scan_rows`."""
-    result = scan_rows(family, functor, depth_ideal, horizon, window, check_ann)
-    return result.depth_report
+    return scan_rows(family, functor, depth_ideal, horizon, window).depth_report
 
 
 def artin_rees_probe(beta, n_prime, ideal, horizon=10):

@@ -97,7 +97,6 @@ class Scenario(NamedTuple):
     window: int
     artin_rees: Optional[dict]
     expect: Optional[dict]
-    normalized: dict
 
 
 class _Env:
@@ -242,6 +241,8 @@ def _end_summands(env, docs, path):
             invert = item.get("invert")
             if invert is not None:
                 invert = _elem(env.domain, invert, f"{path}[{i}].invert")
+                if env.domain.is_zero(invert):
+                    raise ScenarioError(f"{path}[{i}].invert", "cannot invert zero")
             out.append(EndSummand(module, invert))
         else:
             out.append(EndSummand(env.module(item, f"{path}[{i}]"), None))
@@ -342,8 +343,6 @@ def parse_scenario(doc):
         depth_ideal = env.ideal(doc["depth_ideal"], "depth_ideal")
     horizon = _int(doc.get("horizon", 50), "horizon")
     window = _int(doc.get("window", 10), "window")
-    if window < 2 or horizon < window:
-        raise ScenarioError("horizon", "need horizon >= window >= 2")
     artin = None
     if "artin_rees" in doc:
         adoc = doc["artin_rees"]
@@ -365,12 +364,13 @@ def parse_scenario(doc):
         raise ScenarioError("name", "expected a file name without '/', '\\' or '..'")
     if not isinstance(doc.get("out", ""), str):
         raise ScenarioError("out", "expected a directory path")
-    return Scenario(
+    sc = Scenario(
         name=name, domain=domain, family=family, functor=functor,
         functor_doc=functor_doc, depth_ideal=depth_ideal, horizon=horizon,
         window=window, artin_rees=artin, expect=expect,
-        normalized=_normalize_doc(domain, doc),
     )
+    scan_range(sc)
+    return sc
 
 
 def _check_expect_doc(expect):
@@ -395,47 +395,6 @@ def _check_expect_doc(expect):
         _int(expect["artin_rees_d"], "expect.artin_rees_d")
 
 
-def _normalize_elem(domain, v, path):
-    return domain.elem_to_json(_elem(domain, v, path))
-
-
-def _normalize_doc(domain, doc):
-    """Canonical JSON form: every element re-serialized, defaults made explicit."""
-    out = json.loads(json.dumps(doc, sort_keys=True))
-
-    def walk_elem(v, path):
-        return _normalize_elem(domain, v, path)
-
-    def walk_mat(rows, path):
-        return [[walk_elem(a, path) for a in row] for row in rows]
-
-    if "modules" in out:
-        for name, mdoc in out["modules"].items():
-            if "relations" in mdoc:
-                mdoc["relations"] = walk_mat(mdoc["relations"], f"modules.{name}")
-                mdoc.setdefault("ambient", len(mdoc["relations"]))
-            else:
-                mdoc["factors"] = [walk_elem(d, f"modules.{name}")
-                                   for d in mdoc.get("factors", [])]
-                mdoc.setdefault("rank", 0)
-    for key in ("ideals",):
-        if key in out:
-            out[key] = {name: walk_elem(v, f"{key}.{name}")
-                        for name, v in out[key].items()}
-    if "submodules" in out:
-        out["submodules"] = {name: walk_mat(rows, f"submodules.{name}")
-                             for name, rows in out["submodules"].items()}
-    if "morphisms" in out:
-        for name, fdoc in out["morphisms"].items():
-            fdoc["matrix"] = walk_mat(fdoc["matrix"], f"morphisms.{name}")
-    out.setdefault("backend", {"kind": "integers"})
-    out.setdefault("functor", {"kind": "identity"})
-    out.setdefault("horizon", 50)
-    out.setdefault("window", 10)
-    out.setdefault("name", "scenario")
-    return out
-
-
 class RunOutcome(NamedTuple):
     result: object
     artin_d: Optional[int]
@@ -453,10 +412,24 @@ def _depth_str(v):
     return str(int(v))
 
 
-def run_scenario(sc, horizon=None, window=None):
-    """Execute the scans and probes of a parsed scenario."""
+def scan_range(sc, horizon=None, window=None):
+    """``(horizon, window)`` with any overrides applied, checked by the one
+    rule for file values and command-line values alike: ``window >= 2``, and
+    the window fits between the family's first index and ``horizon``."""
     horizon = sc.horizon if horizon is None else horizon
     window = sc.window if window is None else window
+    if window < 2:
+        raise ScenarioError("window", f"need window >= 2, got {window}")
+    least = sc.family.scan_start + window - 1
+    if horizon < least:
+        raise ScenarioError("horizon", f"need horizon >= {least} for window {window} "
+                                       f"from n={sc.family.scan_start}, got {horizon}")
+    return horizon, window
+
+
+def run_scenario(sc, horizon=None, window=None):
+    """Execute the scans and probes of a parsed scenario."""
+    horizon, window = scan_range(sc, horizon, window)
     result = scan_rows(sc.family, sc.functor, sc.depth_ideal, horizon, window)
     artin_d = None
     if sc.artin_rees is not None:

@@ -231,3 +231,21 @@ def kernel_reference(a):
 def preimage_reference(a, b):
     """``{x : a @ x in span(b)}`` as the first rows of the kernel of ``[a | b]``."""
     return kernel_reference(a.hstack(b)).take_rows(range(a.cols)).span_basis()
+
+
+def decomposition_reference(module):
+    """``(rank, factors, to_dec, from_dec)`` of a module, computed eagerly.
+
+    Torsion rows of the Smith form come first in diagonal order, then the free
+    rows; rows with a unit on the diagonal present vanishing generators and
+    are dropped.  Uses the public ``snf`` and ``inverse`` rather than the
+    module's own decomposition.
+    """
+    D = module.domain
+    d, u, _ = module.relations.snf()
+    diag = d.diagonal()
+    torsion = [i for i, a in enumerate(diag) if not D.is_zero(a) and not D.is_unit(a)]
+    free = [i for i in range(module.ambient) if i >= len(diag) or D.is_zero(diag[i])]
+    order = torsion + free
+    return (len(free), tuple(diag[i] for i in torsion),
+            u.take_rows(order), u.inverse().take_cols(order))

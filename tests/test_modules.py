@@ -3,15 +3,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stab.domains import ZZ, poly_ring
-from stab.matrices import Mat
-from stab.modules import (FpModule, Morphism, Ideal, LocModule,
+from stab import matrices
+from stab.domains import ZZ, BoundedMemo, poly_ring
+from stab.matrices import Mat, NF_MEMO_BOUND
+from stab.modules import (FpModule, Morphism, Ideal,
                           hom, hom_induced, loc_tensor, tensor_mor,
                           NotWellDefined, SubmoduleError, DomainViolation,
                           sub_equal, sub_intersect)
-from oracles import hom_count_oracle, elementary_divisors
+from oracles import hom_count_oracle, elementary_divisors, decomposition_reference
 
 F2 = poly_ring(2)
+F5 = poly_ring(5)
 
 R = FpModule.free(ZZ, 1)
 I2 = Ideal(ZZ, 2)
@@ -287,18 +289,20 @@ def test_subquotient_counts_match_subgroup_enumeration():
 
 
 def test_loc_tensor_examples():
-    assert loc_tensor(LocModule(R, 2), cyc(12)).decompose() == (0, [3])
-    assert loc_tensor(LocModule(R, 1), cyc(12)).decompose() == (0, [12])
-    assert loc_tensor(LocModule(R, 6), cyc(12)).is_zero()
+    assert loc_tensor(R, 2, cyc(12)).decompose() == (0, [3])
+    assert loc_tensor(R, 1, cyc(12)).decompose() == (0, [12])
+    assert loc_tensor(R, 6, cyc(12)).is_zero()
     with pytest.raises(DomainViolation):
-        loc_tensor(LocModule(R, 2), R)
+        loc_tensor(R, 2, R)
+    with pytest.raises(ValueError, match="cannot invert zero"):
+        loc_tensor(R, 0, cyc(12))
 
 
 def test_loc_tensor_poly():
     rp = FpModule.free(F2, 1)
     x = (0, 1)
     n = FpModule.from_invariants(F2, 0, [F2.mul((0, 1, 1), x)])  # x^2(x+1)
-    val = loc_tensor(LocModule(rp, x), n)
+    val = loc_tensor(rp, x, n)
     assert val.decompose() == (0, [(1, 1)])
 
 
@@ -335,3 +339,62 @@ def test_tensor_mor_matches_indexing():
     t = tensor_mor(f, g)
     assert t.source.is_isomorphic_to(cyc(3))
     assert t.mat.data == ((2,),)
+
+
+# -- lazy decomposition ---------------------------------------------------------
+
+def test_presentation_only_modules_run_no_smith_form(monkeypatch):
+    # A fresh memo, so that every decomposition read below is a computation.
+    monkeypatch.setattr(matrices, "_SNF_MEMO", BoundedMemo(NF_MEMO_BOUND))
+    computed = []
+    compute = Mat._compute_snf
+    monkeypatch.setattr(Mat, "_compute_snf", lambda a: computed.append(a) or compute(a))
+    # Z/36 (+) Z/10 -> Z/12 (+) Z/20 is 2 on each summand, with kernel <6> = Z/6;
+    # modulo the image of the carrier, <12>, that leaves Z/2.
+    src = FpModule.from_relations(ZZ, [[36, 0], [0, 10]])
+    tgt = FpModule.from_relations(ZZ, [[12, 0], [0, 20]])
+    f = Morphism(src, tgt, Mat(ZZ, [[2, 0], [0, 2]]))
+    k, incl = f.kernel()
+    carrier = Morphism(FpModule.free(ZZ, 1), src, Mat(ZZ, [[12], [0]]))
+    inside = carrier.factor_through(incl)
+    quotient = FpModule(ZZ, k.ambient, k.relations.hstack(inside.mat))
+    assert computed == []
+    # The first read decomposes once; later reads of any part reuse it.
+    assert quotient.decompose() == (0, [2])
+    assert quotient._to_dec is not None and quotient._from_dec is not None
+    assert computed == [quotient.relations]
+
+
+@st.composite
+def relation_modules(draw):
+    domain = draw(st.sampled_from([ZZ, F2, F5]))
+    if domain is ZZ:
+        elems = st.integers(-12, 12)
+    else:
+        elems = st.lists(st.integers(0, domain.p - 1), max_size=3).map(domain.elem_from_json)
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    data = draw(st.lists(st.lists(elems, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    return FpModule(domain, rows, Mat(domain, data, rows, cols))
+
+
+LAZY = ("rank", "factors", "_to_dec", "_from_dec")
+
+
+@given(relation_modules(), st.permutations(LAZY))
+@settings(max_examples=150, deadline=None)
+def test_lazy_decomposition_matches_eager_reference(module, order):
+    # Whichever part is read first fills in all four.
+    got = {name: getattr(module, name) for name in order}
+    assert tuple(got[name] for name in LAZY) == decomposition_reference(module)
+
+
+def test_module_stays_immutable_before_and_after_decomposition():
+    m = FpModule.from_relations(ZZ, [[4, 6]])
+    for _ in range(2):
+        for name in LAZY + ("relations",):
+            with pytest.raises(AttributeError):
+                setattr(m, name, None)
+        assert m.decompose() == (0, [2])
+    with pytest.raises(AttributeError):
+        m.no_such_attribute

@@ -7,8 +7,7 @@ import pytest
 
 import stab
 from stab.scenario import (parse_scenario, run_scenario, report_csv, report_json,
-                           ScenarioError, _normalize_doc)
-from stab.domains import ZZ
+                           ScenarioError)
 
 
 BASE = {
@@ -63,16 +62,6 @@ def test_ill_defined_morphism_rejected():
     doc["morphisms"]["bad"] = {"source": "T", "target": "S", "matrix": [["1"]]}
     with pytest.raises(ScenarioError):
         parse_scenario(doc)
-
-
-def test_normalized_doc_roundtrip():
-    doc = scenario()
-    doc["modules"]["M"] = {"rank": 1, "factors": [8]}  # ints normalize to strings
-    norm1 = _normalize_doc(ZZ, doc)
-    norm2 = _normalize_doc(ZZ, norm1)
-    assert norm1 == norm2
-    sc = parse_scenario(norm1)
-    assert sc.normalized == norm1
 
 
 def test_csv_shape_and_determinism():
@@ -143,6 +132,16 @@ def test_cli_validation_error_exit_1(tmp_path):
     assert "family.module" in proc.stderr
 
 
+# A homology family whose scan starts at n = 14: BASE's window of 4 then needs
+# horizon >= 17, one more than BASE's horizon of 16.
+KW_SHIFTED = {
+    "kind": "kw_homology", "ideal": "I",
+    "alpha": {"source": "R", "target": "R", "matrix": [["2"]]},
+    "beta": {"source": "R", "target": {"rank": 0, "factors": []}, "matrix": []},
+    "l_sub": "full", "m_sub": "full", "n_sub": [],
+    "shift": {"c": 14, "l1": "full", "l2": "full"},
+}
+
 MALFORMED = [
     ("name", {"name": "../escape"}),
     ("name", {"name": "sub/dir"}),
@@ -167,6 +166,17 @@ MALFORMED = [
     ("functor.c", {"functor": {"kind": "middle_finite", "b": "M", "c": 5}}),
     ("functor.set.elements", {"functor": {"kind": "tau", "set": {"elements": 5}}}),
     ("functor.set.closure", {"functor": {"kind": "tau", "set": {"closure": 5}}}),
+    # The scan range: window >= 2 and horizon >= first index + window - 1.
+    ("window", {"window": 1}),
+    ("horizon", {"horizon": 3}),
+    ("horizon", {"family": KW_SHIFTED}),
+    ("functor.c[0].invert", {"functor": {"kind": "middle_finite", "b": "R", "d_b": [["1"]],
+                                         "c": [{"module": "R", "invert": "0"}]}}),
+    ("modules.M: rank", {"modules": dict(BASE["modules"], M={"rank": 1.5, "factors": ["8"]})}),
+    ("modules.M: rank", {"modules": dict(BASE["modules"], M={"rank": True, "factors": ["8"]})}),
+    ("modules.M: rank", {"modules": dict(BASE["modules"], M={"rank": -2, "factors": ["8"]})}),
+    ("modules.M: ambient", {"modules": dict(BASE["modules"],
+                                            M={"relations": [["8", "0"]], "ambient": -1})}),
 ]
 
 
@@ -183,6 +193,34 @@ def test_cli_malformed_field_exit_1(tmp_path, prefix, overrides):
     # Nothing was written, inside --out or outside it.
     assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) \
         == ["work", "work/s.json"]
+
+
+def test_kw_shift_scan_range_is_checked_at_its_first_index():
+    # Horizon 17 fits a window of 4 from n = 14; horizon 16 does not.
+    sc = parse_scenario(scenario(family=KW_SHIFTED, horizon=17))
+    assert [n for n, _ in run_scenario(sc).result.ass_report.observations] == \
+        [14, 15, 16, 17]
+
+
+@pytest.mark.parametrize("argv,prefix", [
+    (["run", "s.json", "--window", "1"], "s.json: window"),
+    (["run", "s.json", "--horizon", "3"], "s.json: horizon"),
+    (["run", "s.json", "--horizon", "20", "--window", "21"], "s.json: horizon"),
+    (["run", "k.json", "--horizon", "16"], "k.json: horizon"),
+    (["suite", "--window", "1"], "brodmann_int_graded.json: window"),
+    (["suite", "--horizon", "5"], "brodmann_int_graded.json: horizon"),
+])
+def test_cli_scan_range_override_exit_1(tmp_path, argv, prefix):
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "s.json").write_text(json.dumps(scenario()))
+    (work / "k.json").write_text(json.dumps(scenario(family=KW_SHIFTED, horizon=17)))
+    proc = _run_cli([*argv, "--out", "reports"], work)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stderr.startswith(f"error: {prefix}: "), proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) \
+        == ["work", "work/k.json", "work/s.json"]
 
 
 def test_cli_domain_violation_exit_2(tmp_path):
@@ -257,6 +295,13 @@ def test_cli_compute_bad_input_exit_1(tmp_path):
             ("ass", '{"module": {"rank": "x", "factors": []}}', "module"),
             ("depth", '{"ideal": "2", "module": {"factors": ["y"]}}', "module"),
             ("ass", '{"module": {"factors": 5}}', "module"),
+            ("ass", '{"module": {"rank": -2, "factors": [4]}}', "module: rank"),
+            ("ass", '{"module": {"rank": 1.5, "factors": [4]}}', "module: rank"),
+            ("ass", '{"module": {"rank": true}}', "module: rank"),
+            ("depth", '{"ideal": "2", "module": {"relations": [[2]], "ambient": 1.5}}',
+             "module: ambient"),
+            ("eval", '{"functor": {"kind": "identity"}, "argument": {"rank": -1}}',
+             "argument: rank"),
             ("hom", '{"source": {"factors": []}, "target": {"relations": 5}}', "target")]:
         proc = _run_cli(["compute", sub, arg], tmp_path)
         assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
@@ -311,10 +356,7 @@ def test_packaged_scenarios_roundtrip():
     from stab.cli import _iter_packaged_scenarios
     names = []
     for name, text in _iter_packaged_scenarios():
-        doc = json.loads(text)
-        sc = parse_scenario(doc)
-        norm = sc.normalized
-        again = parse_scenario(norm)
-        assert again.normalized == norm
+        sc = parse_scenario(json.loads(text))
+        assert name == f"{sc.name}.json"
         names.append(name)
     assert len(names) >= 25
