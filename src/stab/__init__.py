@@ -4,11 +4,11 @@ and asymptotic-stability scans along ideal-power families."""
 from .domains import ZZ, PolyOverFp, poly_ring, domain_from_descriptor
 from .matrices import Mat
 from .modules import FpModule, Morphism, Ideal
-from .invariants import PrimeIdeal, AssSet, CmcSet, DEPTH_INF, ass, ann, depth, gamma, tau
+from .invariants import AssSet, CmcSet, DEPTH_INF, ass, ann, depth, gamma, tau
 
 __all__ = [
     "ZZ", "PolyOverFp", "poly_ring", "domain_from_descriptor",
     "Mat", "FpModule", "Morphism", "Ideal",
-    "PrimeIdeal", "AssSet", "CmcSet", "DEPTH_INF",
+    "AssSet", "CmcSet", "DEPTH_INF",
     "ass", "ann", "depth", "gamma", "tau",
 ]

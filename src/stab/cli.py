@@ -60,17 +60,19 @@ def _cmd_run(args):
     except DomainViolation as exc:
         print(f"domain violation: {exc}", file=sys.stderr)
         return 2
-    outdir = Path(args.out) if args.out else Path(doc.get("out", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / f"{sc.name}.csv").write_text(report_csv(sc, outcome))
-    (outdir / f"{sc.name}.json").write_text(report_json(sc, outcome))
-    summary = _summary_line(sc, outcome)
-    print(summary)
+    _write_reports(Path(args.out) if args.out else Path(doc.get("out", ".")), sc, outcome)
+    print(_summary_line(sc, outcome))
     if sc.expect is not None and not outcome.expect_ok:
         for failure in outcome.expect_failures:
             print(f"  mismatch: {failure}", file=sys.stderr)
         return 3
     return 0
+
+
+def _write_reports(outdir, sc, outcome):
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / f"{sc.name}.csv").write_text(report_csv(sc, outcome))
+    (outdir / f"{sc.name}.json").write_text(report_json(sc, outcome))
 
 
 def _summary_line(sc, outcome):
@@ -195,10 +197,7 @@ def _cmd_suite(args):
         if not ok:
             failures += 1
         if args.out:
-            outdir = Path(args.out)
-            outdir.mkdir(parents=True, exist_ok=True)
-            (outdir / f"{sc.name}.csv").write_text(report_csv(sc, outcome))
-            (outdir / f"{sc.name}.json").write_text(report_json(sc, outcome))
+            _write_reports(Path(args.out), sc, outcome)
     rng = random.Random(args.seed)
     osc = OscillatingFunctor(ZZ, {2: ExponentSet(progressions=[(2, 2)]),
                                   3: ExponentSet(members=[1])})

@@ -5,10 +5,14 @@ Variants:
 * identity, ``Hom(M, -)``;
 * coherent functors presented by a morphism ``f : K -> L``, evaluated as
   ``coker(Hom(L, N) -> Hom(K, N))``;
-* homology of a tensored three-term complex of finitely presented modules
-  (which houses ``Tor_i(M, -)`` through a free resolution);
-* ``Gamma_I``, ``tau_S`` and their quotient companions;
-* homology of a tensored middle-finite complex whose ends may be localized;
+* homology at the middle of a tensored three-term complex, built once in
+  :class:`TensoredHomology` for two kinds of complex: complexes of finitely
+  presented modules (:class:`ComplexHomology`, which houses ``Tor_i(M, -)``
+  through a free resolution) and middle-finite complexes whose ends may be
+  localized (:class:`MiddleFiniteFunctor`, which houses ``Gamma_(g)`` as the
+  homology of ``0 -> R -> R[1/g]``);
+* ``Gamma_I``, ``tau_S`` and their quotient companions, which share one body
+  for the torsion part and one for the quotient;
 * the oscillating functor on the skeleton of finite torsion modules, with
   per-prime exponent sets.
 
@@ -23,7 +27,7 @@ from typing import NamedTuple
 
 from .matrices import Mat
 from .modules import (FpModule, Morphism, Ideal, HomSpace,
-                      _diag_module, _hom_induced_full, loc_tensor, tensor_mor,
+                      _diag_module, hom_induced, loc_tensor, tensor_mor,
                       sub_contains, DomainViolation)
 from .invariants import gamma, tau
 
@@ -38,12 +42,6 @@ def homology_at(f, h):
     f2 = f.factor_through(incl)
     hmod = FpModule(k.domain, k.ambient, k.relations.hstack(f2.mat))
     return hmod, incl
-
-
-def homology_induced(hm, incl_m, hn, incl_n, mid):
-    """The map on homology induced by a middle square ``mid : B_M -> B_N``."""
-    carried = mid.compose(incl_m).factor_through(incl_n)
-    return Morphism(hm, hn, carried.mat)
 
 
 class Functor:
@@ -107,8 +105,7 @@ class CoherentFunctor(Functor):
         self.presenting = presenting
 
     def __call__(self, n):
-        _, _, induced = _hom_induced_full(self.presenting, n)
-        value, _ = induced.cokernel()
+        value, _ = hom_induced(self.presenting, n).cokernel()
         return value
 
     def map(self, g):
@@ -119,8 +116,31 @@ class CoherentFunctor(Functor):
         return f"coker(h_{self.presenting.target!r} -> h_{self.presenting.source!r})"
 
 
-class ComplexHomology(Functor):
-    """``N -> H_i(P (x) N)`` for a complex ``P2 -> P1 -> P0`` with zero composite."""
+class TensoredHomology(Functor):
+    """``N -> H(A (x) N -> B (x) N -> C (x) N)`` at the middle term ``B``.
+
+    Subclasses supply ``middle`` (the module ``B``) and ``_tensored(n)``, the
+    two tensored maps; a morphism ``g`` acts on the middle as ``id_B (x) g``.
+    """
+
+    def __call__(self, n):
+        value, _ = homology_at(*self._tensored(n))
+        return value
+
+    def map(self, g):
+        fa, incl_a = homology_at(*self._tensored(g.source))
+        fb, incl_b = homology_at(*self._tensored(g.target))
+        mid = tensor_mor(Morphism.identity(self.middle), g)
+        carried = mid.compose(incl_a).factor_through(incl_b)
+        return Morphism(fa, fb, carried.mat)
+
+
+class ComplexHomology(TensoredHomology):
+    """``N -> H_i(P (x) N)`` for a complex ``P2 -> P1 -> P0`` with zero composite.
+
+    ``H_0`` and ``H_2`` are middle homology of the complex extended by a zero
+    map out of ``P0`` or into ``P2``.
+    """
 
     def __init__(self, d2, d1, index):
         if index not in (0, 1, 2):
@@ -129,42 +149,15 @@ class ComplexHomology(Functor):
             raise ValueError("complex maps do not compose")
         if not d1.compose(d2).is_zero():
             raise ValueError("complex has nonzero composite")
-        self.d2 = d2
-        self.d1 = d1
+        zero = FpModule.zero(d1.source.domain)
+        self.maps = ((d1, Morphism.zero_map(d1.target, zero)), (d2, d1),
+                     (Morphism.zero_map(zero, d2.source), d2))[index]
+        self.middle = self.maps[1].source
         self.index = index
 
     def _tensored(self, n):
         ident = Morphism.identity(n)
-        return tensor_mor(self.d2, ident), tensor_mor(self.d1, ident)
-
-    def __call__(self, n):
-        t2, t1 = self._tensored(n)
-        if self.index == 0:
-            value, _ = t1.cokernel()
-            return value
-        if self.index == 2:
-            value, _ = t2.kernel()
-            return value
-        value, _ = homology_at(t2, t1)
-        return value
-
-    def map(self, g):
-        sm2, sm1 = self._tensored(g.source)
-        tm2, tm1 = self._tensored(g.target)
-        if self.index == 0:
-            fa, _ = sm1.cokernel()
-            fb, _ = tm1.cokernel()
-            mid = tensor_mor(Morphism.identity(self.d1.target), g)
-            return Morphism(fa, fb, mid.mat)
-        if self.index == 2:
-            fa, incl_a = sm2.kernel()
-            fb, incl_b = tm2.kernel()
-            mid = tensor_mor(Morphism.identity(self.d2.source), g)
-            return mid.compose(incl_a).factor_through(incl_b)
-        fa, incl_a = homology_at(sm2, sm1)
-        fb, incl_b = homology_at(tm2, tm1)
-        mid = tensor_mor(Morphism.identity(self.d1.source), g)
-        return homology_induced(fa, incl_a, fb, incl_b, mid)
+        return tuple(tensor_mor(f, ident) for f in self.maps)
 
     def __repr__(self):
         return f"H_{self.index}(P (x) -)"
@@ -195,68 +188,57 @@ def tor_functor(m, i=1):
     return ComplexHomology(d2, pres, i)
 
 
-class GammaFunctor(Functor):
-    def __init__(self, ideal):
-        self.ideal = ideal
+class _TorsionSplitFunctor(Functor):
+    """A functor read off ``split(subset, N)``, a :class:`TorsionPart`.
 
-    def __call__(self, n):
-        return gamma(self.ideal, n).part
+    Subclasses set ``split`` to :func:`gamma` or :func:`tau` and ``label`` to
+    the name shown before the subset.
+    """
 
-    def map(self, g):
-        ga = gamma(self.ideal, g.source)
-        gb = gamma(self.ideal, g.target)
-        return g.compose(ga.include).factor_through(gb.include)
+    def __init__(self, subset):
+        self.subset = subset
 
     def __repr__(self):
-        return f"Gamma_{self.ideal!r}"
+        return f"{self.label}_{self.subset!r}"
 
 
-class ModGamma(Functor):
-    def __init__(self, ideal):
-        self.ideal = ideal
+class _TorsionPartFunctor(_TorsionSplitFunctor):
+    """The torsion part; maps restrict to it."""
 
     def __call__(self, n):
-        return gamma(self.ideal, n).quotient
+        return self.split(self.subset, n).part
 
     def map(self, g):
-        qa = gamma(self.ideal, g.source).quotient
-        qb = gamma(self.ideal, g.target).quotient
+        a, b = self.split(self.subset, g.source), self.split(self.subset, g.target)
+        return g.compose(a.include).factor_through(b.include)
+
+
+class _TorsionQuotientFunctor(_TorsionSplitFunctor):
+    """The quotient by the torsion part; maps keep their matrix."""
+
+    def __call__(self, n):
+        return self.split(self.subset, n).quotient
+
+    def map(self, g):
+        qa = self.split(self.subset, g.source).quotient
+        qb = self.split(self.subset, g.target).quotient
         return Morphism(qa, qb, g.mat)
 
-    def __repr__(self):
-        return f"Id/Gamma_{self.ideal!r}"
+
+class GammaFunctor(_TorsionPartFunctor):
+    split, label = staticmethod(gamma), "Gamma"
 
 
-class TauFunctor(Functor):
-    def __init__(self, cmc_set):
-        self.cmc_set = cmc_set
-
-    def __call__(self, n):
-        return tau(self.cmc_set, n).part
-
-    def map(self, g):
-        ta = tau(self.cmc_set, g.source)
-        tb = tau(self.cmc_set, g.target)
-        return g.compose(ta.include).factor_through(tb.include)
-
-    def __repr__(self):
-        return f"tau_{self.cmc_set!r}"
+class ModGamma(_TorsionQuotientFunctor):
+    split, label = staticmethod(gamma), "Id/Gamma"
 
 
-class ModTau(Functor):
-    def __init__(self, cmc_set):
-        self.cmc_set = cmc_set
+class TauFunctor(_TorsionPartFunctor):
+    split, label = staticmethod(tau), "tau"
 
-    def __call__(self, n):
-        return tau(self.cmc_set, n).quotient
 
-    def map(self, g):
-        qa = tau(self.cmc_set, g.source).quotient
-        qb = tau(self.cmc_set, g.target).quotient
-        return Morphism(qa, qb, g.mat)
-
-    def __repr__(self):
-        return f"Id/tau_{self.cmc_set!r}"
+class ModTau(_TorsionQuotientFunctor):
+    split, label = staticmethod(tau), "Id/tau"
 
 
 class EndSummand(NamedTuple):
@@ -266,19 +248,30 @@ class EndSummand(NamedTuple):
     invert: object = None
 
 
-class MiddleFiniteComplex:
-    """``A -> B -> C`` with finitely presented middle and possibly localized ends.
+def _tensor_ends(ends, n):
+    """The direct sum of ``E (x) N`` over end summands, localized ones included."""
+    out = FpModule.zero(n.domain)
+    for s in ends:
+        out = out.direct_sum(s.module.tensor(n) if s.invert is None
+                             else loc_tensor(s.module, s.invert, n))
+    return out
 
-    The maps are block matrices of ring elements between ambient generators;
-    blocks into or out of a localized summand are composed with the canonical
-    localization map.  The composite is checked to vanish, summand by summand,
-    up to the localization (an element of ``C[1/x]`` is zero iff it is
-    x-power torsion in ``C``).
+
+class MiddleFiniteFunctor(TensoredHomology):
+    """``N -> H(sigma (x) N)`` for a middle-finite complex ``sigma = A -> B -> C``.
+
+    ``B`` is finitely presented; the ends are direct sums of end summands,
+    possibly localized.  The maps are block matrices of ring elements between
+    ambient generators; blocks into or out of a localized summand are composed
+    with the canonical localization map.  The composite is checked to vanish,
+    summand by summand, up to the localization (an element of ``C[1/x]`` is
+    zero iff it is x-power torsion in ``C``).  The tensored maps are checked
+    on every evaluation, because maps of localized ends may not descend.
     """
 
     def __init__(self, a_ends, b, c_ends, d_a, d_b):
         self.a_ends = tuple(a_ends)
-        self.b = b
+        self.middle = b
         self.c_ends = tuple(c_ends)
         a_dim = sum(s.module.ambient for s in self.a_ends)
         c_dim = sum(s.module.ambient for s in self.c_ends)
@@ -288,14 +281,7 @@ class MiddleFiniteComplex:
             raise ValueError("d_b has the wrong shape")
         self.d_a = d_a
         self.d_b = d_b
-        self._check_composite()
-
-    def has_localized_ends(self):
-        return any(s.invert is not None for s in self.a_ends + self.c_ends)
-
-    def _check_composite(self):
-        D = self.b.domain
-        comp = self.d_b @ self.d_a
+        comp = d_b @ d_a
         row = 0
         for summand in self.c_ends:
             module = summand.module
@@ -304,28 +290,19 @@ class MiddleFiniteComplex:
             if summand.invert is None:
                 ok = module.contains(block)
             else:
-                torsion = gamma(Ideal(D, summand.invert), module)
+                torsion = gamma(Ideal(b.domain, summand.invert), module)
                 ok = sub_contains(module, torsion.include.mat, block)
             if not ok:
                 raise ValueError("middle-finite complex has nonzero composite")
 
-    def _tensor_end(self, summand, n):
-        if summand.invert is None:
-            return summand.module.tensor(n)
-        return loc_tensor(summand.module, summand.invert, n)
-
     def _tensored(self, n):
-        D = self.b.domain
-        if self.has_localized_ends() and not n.is_torsion():
+        localized = any(s.invert is not None for s in self.a_ends + self.c_ends)
+        if localized and not n.is_torsion():
             raise DomainViolation("localized ends require a torsion argument")
-        b_n = self.b.tensor(n)
-        a_n = FpModule.zero(D)
-        for s in self.a_ends:
-            a_n = a_n.direct_sum(self._tensor_end(s, n))
-        c_n = FpModule.zero(D)
-        for s in self.c_ends:
-            c_n = c_n.direct_sum(self._tensor_end(s, n))
-        ident = Mat.identity(D, n.ambient)
+        b_n = self.middle.tensor(n)
+        a_n = _tensor_ends(self.a_ends, n)
+        c_n = _tensor_ends(self.c_ends, n)
+        ident = Mat.identity(n.domain, n.ambient)
         try:
             f = Morphism(a_n, b_n, self.d_a.kron(ident))
             h = Morphism(b_n, c_n, self.d_b.kron(ident))
@@ -334,40 +311,16 @@ class MiddleFiniteComplex:
         return f, h
 
     def __repr__(self):
-        return f"MiddleFinite({len(self.a_ends)} -> {self.b!r} -> {len(self.c_ends)})"
-
-
-class MiddleFiniteFunctor(Functor):
-    """``N -> H(sigma (x) N)`` for a middle-finite complex ``sigma``."""
-
-    def __init__(self, complex_):
-        self.complex = complex_
-
-    def __call__(self, n):
-        f, h = self.complex._tensored(n)
-        value, _ = homology_at(f, h)
-        return value
-
-    def map(self, g):
-        sf, sh = self.complex._tensored(g.source)
-        tf, th = self.complex._tensored(g.target)
-        fa, incl_a = homology_at(sf, sh)
-        fb, incl_b = homology_at(tf, th)
-        mid = tensor_mor(Morphism.identity(self.complex.b), g)
-        return homology_induced(fa, incl_a, fb, incl_b, mid)
-
-    def __repr__(self):
-        return f"H({self.complex!r} (x) -)"
+        return (f"H(MiddleFinite({len(self.a_ends)} -> {self.middle!r} -> "
+                f"{len(self.c_ends)}) (x) -)")
 
 
 def gamma_as_middle_finite(ideal):
     """``Gamma_(g)`` as homology of ``0 -> R -> R[1/g]``."""
     D = ideal.domain
     r = FpModule.free(D, 1)
-    complex_ = MiddleFiniteComplex(
-        a_ends=[], b=r, c_ends=[EndSummand(r, ideal.gen)],
-        d_a=Mat.zero(D, 1, 0), d_b=Mat.identity(D, 1))
-    return MiddleFiniteFunctor(complex_)
+    return MiddleFiniteFunctor([], r, [EndSummand(r, ideal.gen)],
+                               Mat.zero(D, 1, 0), Mat.identity(D, 1))
 
 
 class ExponentSet:

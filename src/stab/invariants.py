@@ -16,69 +16,23 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .matrices import Mat
-from .modules import FpModule, Morphism, Ideal, DomainViolation
+from .modules import FpModule, Morphism, Ideal, DomainViolation, torsion_gens
 
 DEPTH_INF = float("inf")
 
 
-class PrimeIdeal:
-    """A prime of the backend: the zero ideal or a canonical prime element."""
-
-    __slots__ = ("domain", "gen")
-
-    def __init__(self, domain, gen=None):
-        if gen is not None:
-            gen = domain.canon(gen)[0]
-            if domain.is_zero(gen) or domain.is_unit(gen):
-                raise ValueError("prime generator must be a nonzero nonunit")
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "gen", gen)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrimeIdeal is immutable")
-
-    @classmethod
-    def zero_ideal(cls, domain):
-        return cls(domain, None)
-
-    def is_zero_ideal(self):
-        return self.gen is None
-
-    def contains(self, elem):
-        if self.gen is None:
-            return self.domain.is_zero(elem)
-        return self.domain.divides(self.gen, elem)
-
-    def contains_ideal(self, ideal):
-        """``self >= I`` i.e. membership of I in V-supports; (0) >= I iff I = (0)."""
-        return self.contains(ideal.gen)
-
-    def sort_key(self):
-        if self.gen is None:
-            return (0,)
-        return (1, self.domain.prime_key(self.gen))
-
-    def __eq__(self, other):
-        return (isinstance(other, PrimeIdeal) and self.domain == other.domain
-                and self.gen == other.gen)
-
-    def __hash__(self):
-        return hash((self.domain, self.gen))
-
-    def __repr__(self):
-        if self.gen is None:
-            return "(0)"
-        return f"({self.domain.elem_str(self.gen)})"
+def _prime_order(p):
+    # The zero ideal first, then the primes in the backend's prime order.
+    return (0,) if p.is_zero() else (1, p.domain.prime_key(p.gen))
 
 
 class AssSet:
-    """A finite, canonically ordered set of prime ideals."""
+    """A finite, canonically ordered set of prime ideals (:class:`Ideal` values)."""
 
     __slots__ = ("primes",)
 
     def __init__(self, primes):
-        uniq = {p: None for p in sorted(primes, key=PrimeIdeal.sort_key)}
+        uniq = {p: None for p in sorted(primes, key=_prime_order)}
         object.__setattr__(self, "primes", tuple(uniq))
 
     def __setattr__(self, name, value):
@@ -101,10 +55,10 @@ class AssSet:
 
     def restrict_to_v(self, ideal):
         """Intersection with ``V(I) = {P : P >= I}``."""
-        return AssSet([p for p in self.primes if p.contains_ideal(ideal)])
+        return AssSet([p for p in self.primes if p.contains(ideal.gen)])
 
     def remove_v(self, ideal):
-        return AssSet([p for p in self.primes if not p.contains_ideal(ideal)])
+        return AssSet([p for p in self.primes if not p.contains(ideal.gen)])
 
     def to_json(self):
         return [repr(p) for p in self.primes]
@@ -124,11 +78,11 @@ def ass(m):
     D = m.domain
     primes = []
     if m.rank > 0:
-        primes.append(PrimeIdeal.zero_ideal(D))
+        primes.append(Ideal(D, D.zero))
     if m.factors:
         # Largest invariant factor is divisible by all the others.
         for p, _ in D.factor(m.factors[-1]):
-            primes.append(PrimeIdeal(D, p))
+            primes.append(Ideal(D, p))
     return AssSet(primes)
 
 
@@ -182,23 +136,11 @@ def gamma(i, m):
     ``d`` supported on primes of ``I``; for the zero ideal the whole module is
     returned.
     """
-    D = m.domain
-    g = i.gen
-    if D.is_zero(g):
+    if i.is_zero():
         incl = Morphism.identity(m)
         quot, proj = incl.cokernel()
         return TorsionPart(m, incl, quot, proj)
-    cols = []
-    dim = len(m.factors) + m.rank
-    for idx, d in enumerate(m.factors):
-        s = D.saturate_part(d, g)
-        if D.is_unit(s):
-            continue
-        t = D.exact_div(d, s)
-        col = [D.zero] * dim
-        col[idx] = t
-        cols.append(m._from_dec.mul_vec(col))
-    part, incl = m.submodule(Mat.from_cols(D, cols, m.ambient))
+    part, incl = m.submodule(torsion_gens(m, i.gen))
     quot, proj = incl.cokernel()
     return TorsionPart(part, incl, quot, proj)
 
@@ -286,7 +228,7 @@ class CmcSet:
         """Whether ``P`` intersects the set."""
         if self.is_explicit():
             return any(p.contains(e) for e in self.elems)
-        if p.is_zero_ideal():
+        if p.is_zero():
             return False
         return any(p.contains(g) for g in self.closure_gens)
 

@@ -62,8 +62,7 @@ class Mat:
 
     @classmethod
     def identity(cls, domain, n):
-        z, o = domain.zero, domain.one
-        return cls(domain, [[o if i == j else z for j in range(n)] for i in range(n)], n, n)
+        return cls.scalar(domain, n, domain.one)
 
     @classmethod
     def from_cols(cls, domain, cols, rows):

@@ -119,10 +119,14 @@ class FpModule:
 
     @classmethod
     def from_relations(cls, domain, rows, ambient=None):
+        """Relation rows, one per ambient generator; no rows present a free module."""
         if ambient is None:
             ambient = len(rows)
-        cols = len(rows[0]) if rows else 0
-        return cls(domain, ambient, Mat(domain, rows, ambient, cols))
+        if not rows:
+            return cls(domain, ambient, Mat.zero(domain, ambient, 0))
+        if len(rows) != ambient:
+            raise ValueError(f"relations: {len(rows)} rows but ambient is {ambient}")
+        return cls(domain, ambient, Mat(domain, rows, ambient, len(rows[0])))
 
     @classmethod
     def free(cls, domain, rank):
@@ -314,9 +318,7 @@ class FpModule:
             raise ValueError("module must be an object")
         if "relations" in doc:
             rows = [[domain.elem_from_json(a) for a in row] for row in doc["relations"]]
-            ambient = _nonnegative(doc, "ambient", len(rows))
-            cols = len(rows[0]) if rows else 0
-            return cls(domain, ambient, Mat(domain, rows, ambient, cols))
+            return cls.from_relations(domain, rows, _nonnegative(doc, "ambient", len(rows)))
         rank = _nonnegative(doc, "rank", 0)
         factors = [domain.elem_from_json(d) for d in doc.get("factors", [])]
         return cls.from_invariants(domain, rank, factors)
@@ -443,16 +445,29 @@ def loc_tensor(module, x, n):
     if not n.is_torsion():
         raise DomainViolation("localized tensor needs a torsion module")
     base = module.tensor(n)
-    extra = []
-    for idx, d in enumerate(base.factors):
-        t = D.exact_div(d, D.saturate_part(d, x))
-        col = [D.zero] * (len(base.factors) + base.rank)
-        col[idx] = t
-        extra.append(base._from_dec.mul_vec(col))
-    if not extra:
+    extra = torsion_gens(base, x)
+    if not extra.cols:
         return base
-    add = Mat.from_cols(D, extra, base.ambient)
-    return FpModule(D, base.ambient, base.relations.hstack(add))
+    return FpModule(D, base.ambient, base.relations.hstack(extra))
+
+
+def torsion_gens(module, g):
+    """Ambient columns generating the elements killed by a power of ``g != 0``.
+
+    Each invariant factor ``d`` whose part ``s`` supported on the primes of
+    ``g`` is not a unit contributes its summand generator times ``d / s``.
+    """
+    D = module.domain
+    dim = len(module.factors) + module.rank
+    cols = []
+    for idx, d in enumerate(module.factors):
+        s = D.saturate_part(d, g)
+        if D.is_unit(s):
+            continue
+        col = [D.zero] * dim
+        col[idx] = D.exact_div(d, s)
+        cols.append(module._from_dec.mul_vec(col))
+    return Mat.from_cols(D, cols, module.ambient)
 
 
 class HomSpace:
@@ -550,17 +565,11 @@ def hom(m, n):
     return HomSpace(m, n)
 
 
-def _hom_induced_full(f, n):
-    hl = HomSpace(f.target, n)
-    hk = HomSpace(f.source, n)
-    cols = [hk.coords(g.compose(f)) for g in hl.generators()]
-    mat = Mat.from_cols(f.source.domain, cols, len(hk.pairs))
-    return hl, hk, Morphism(hl.module, hk.module, mat)
-
-
 def hom_induced(f, n):
     """Precomposition ``Hom(L, N) -> Hom(K, N)`` for ``f : K -> L``."""
-    return _hom_induced_full(f, n)[2]
+    hl, hk = HomSpace(f.target, n), HomSpace(f.source, n)
+    cols = [hk.coords(g.compose(f)) for g in hl.generators()]
+    return Morphism(hl.module, hk.module, Mat.from_cols(f.source.domain, cols, len(hk.pairs)))
 
 
 def sub_contains(ambient_mod, g1, g2):

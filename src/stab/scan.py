@@ -7,7 +7,8 @@ and reports whether the observed sequence is eventually constant within the
 horizon.  Detection is honest about its finite window: the theorems this
 machinery probes guarantee existence of a stabilization index but give no
 bound, so a sequence that keeps moving is reported as
-``not-stable-within-horizon`` (or as periodic when an exact period fits).
+``not-stable-within-horizon`` (or as periodic when an exact period fits a
+long enough tail).
 """
 
 from __future__ import annotations
@@ -151,8 +152,10 @@ def detect(ns, values, window):
     """Verdict for a finite observation window.
 
     Stable requires the last ``window`` values to agree; the reported index
-    is the start of the maximal constant tail.  Otherwise the smallest exact
-    period of the whole observed sequence is reported, if one exists.
+    is the start of the maximal constant tail.  Otherwise the verdict is
+    periodic with the smallest start, then the smallest period ``k >= 2``,
+    whose periodic tail covers at least ``max(window, 2k)`` observations; the
+    start is reported only when it is not the first index.
     """
     count = len(values)
     if count < window:
@@ -163,10 +166,20 @@ def detect(ns, values, window):
         while i > 0 and values[i - 1] == values[-1]:
             i -= 1
         return "stable", ns[i], None
+    best = None
     for k in range(2, count // 2 + 1):
-        if all(values[i] == values[i + k] for i in range(count - k)):
-            return f"oscillating-with-period-{k}", None, k
-    return "not-stable-within-horizon", None, None
+        # Walk back from the end while the period still holds.
+        s = count - k
+        while s > 0 and values[s - 1] == values[s - 1 + k]:
+            s -= 1
+        if count - s >= max(window, 2 * k) and (best is None or s < best[0]):
+            best = (s, k)
+            if s == 0:
+                break  # no longer period can start earlier
+    if best is None:
+        return "not-stable-within-horizon", None, None
+    s, k = best
+    return f"oscillating-with-period-{k}", ns[s] if s else None, k
 
 
 class ScanRow(NamedTuple):

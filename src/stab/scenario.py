@@ -24,7 +24,7 @@ from .modules import FpModule, Morphism, Ideal, NotWellDefined
 from .invariants import CmcSet, DEPTH_INF
 from .functors import (IdentityFunctor, HomFrom, CoherentFunctor, ComplexHomology,
                        GammaFunctor, ModGamma, TauFunctor, ModTau,
-                       MiddleFiniteComplex, MiddleFiniteFunctor, EndSummand,
+                       MiddleFiniteFunctor, EndSummand,
                        OscillatingFunctor, ExponentSet, ext_functor, tor_functor)
 from .scan import (QuotientPowers, Layers, GradedLayers, SubquotientFamily,
                    KwHomology, scan_rows, artin_rees_probe)
@@ -260,7 +260,7 @@ def _middle_finite(env, doc, path):
     d_b = _mat(env.domain, doc.get("d_b", []), f"{path}.d_b", expect_rows=c_dim) \
         if doc.get("d_b") else Mat.zero(env.domain, c_dim, b.ambient)
     try:
-        return MiddleFiniteFunctor(MiddleFiniteComplex(a_ends, b, c_ends, d_a, d_b))
+        return MiddleFiniteFunctor(a_ends, b, c_ends, d_a, d_b)
     except ValueError as exc:
         raise ScenarioError(path, str(exc)) from exc
 

@@ -1,13 +1,16 @@
-"""Independent brute-force oracles used by the tests.
+"""Independent brute-force oracles and reference constructions used by the tests.
 
-Everything here works from first principles (trial division, exhaustive
-enumeration) and deliberately avoids the library's own factorization and
-decomposition paths, so agreement is meaningful.
+The oracles work from first principles (trial division, exhaustive
+enumeration) and deliberately avoid the library's own factorization and
+decomposition paths, so agreement is meaningful.  The reference
+constructions keep the direct, separately built forms of code the library
+now shares, and differential tests compare the two.
 """
 
 from itertools import product
 
 from stab.matrices import Mat
+from stab.modules import FpModule, Morphism, tensor_mor
 
 
 def int_is_prime_trial(n):
@@ -249,3 +252,48 @@ def decomposition_reference(module):
     order = torsion + free
     return (len(free), tuple(diag[i] for i in torsion),
             u.take_rows(order), u.inverse().take_cols(order))
+
+
+# Reference constructions in their earlier, separately built forms: the
+# localized tensor with one extra relation per invariant factor (units
+# included), complex homology read per index, and the periodic-tail verdict
+# by trying every start and period in order.  Differential tests compare the
+# shared library bodies against them up to isomorphism.
+
+def loc_tensor_reference(module, x, n):
+    """``(module[1/x]) (x) N`` with one extra relation per invariant factor."""
+    D = n.domain
+    base = module.tensor(n)
+    extra = []
+    for idx, d in enumerate(base.factors):
+        col = [D.zero] * (len(base.factors) + base.rank)
+        col[idx] = D.exact_div(d, D.saturate_part(d, x))
+        extra.append(base._from_dec.mul_vec(col))
+    if not extra:
+        return base
+    add = Mat.from_cols(D, extra, base.ambient)
+    return FpModule(D, base.ambient, base.relations.hstack(add))
+
+
+def complex_homology_reference(d2, d1, index, n):
+    """``H_index(P (x) N)``: a cokernel for 0, a kernel for 2, else ker/im."""
+    ident = Morphism.identity(n)
+    t2, t1 = tensor_mor(d2, ident), tensor_mor(d1, ident)
+    if index == 0:
+        return t1.cokernel()[0]
+    if index == 2:
+        return t2.kernel()[0]
+    k, incl = t1.kernel()
+    image = t2.factor_through(incl)
+    return FpModule(k.domain, k.ambient, k.relations.hstack(image.mat))
+
+
+def periodic_tail_reference(values, window):
+    """``(start, k)`` of the first periodic tail covering ``max(window, 2k)``."""
+    count = len(values)
+    for s in range(count):
+        for k in range(2, count + 1):
+            if count - s >= max(window, 2 * k) and all(
+                    values[i] == values[i + k] for i in range(s, count - k)):
+                return s, k
+    return None

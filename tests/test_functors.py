@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stab.domains import ZZ, poly_ring
 from stab.matrices import Mat
@@ -8,15 +9,17 @@ from stab.modules import FpModule, Morphism, Ideal, HomSpace, DomainViolation
 from stab.invariants import CmcSet, ass, ann, gamma, ann_contains
 from stab.functors import (IdentityFunctor, HomFrom, CoherentFunctor,
                            ComplexHomology, GammaFunctor, ModGamma, TauFunctor,
-                           ModTau, MiddleFiniteComplex, MiddleFiniteFunctor,
+                           ModTau, MiddleFiniteFunctor,
                            EndSummand, OscillatingFunctor, ExponentSet,
                            ext_functor, tor_functor, gamma_as_middle_finite,
                            skeleton, skeleton_pairs, SkeletonFormError,
                            presentation_map)
-from stab.laws import check_functor_laws, random_torsion_module
-from oracles import cyclic_hom_oracle, cyclic_ext_oracle
+from stab.laws import (check_functor_laws, random_module, random_morphism,
+                       random_torsion_module)
+from oracles import cyclic_hom_oracle, cyclic_ext_oracle, complex_homology_reference
 
 F2 = poly_ring(2)
+F5 = poly_ring(5)
 R = FpModule.free(ZZ, 1)
 I2 = Ideal(ZZ, 2)
 
@@ -178,6 +181,38 @@ def test_complex_homology_indices():
             assert v.decompose() == (0, [2])
         else:
             assert v.is_zero()
+    # With a nonzero head, H_2 is the kernel of the head tensored with N.
+    head = ComplexHomology(Morphism.mult_by(2, R), Morphism.zero_map(R, FpModule.zero(ZZ)), 2)
+    assert head(cyc(6)).decompose() == (0, [2])
+
+
+@st.composite
+def complexes(draw):
+    """``(d2, d1, N)``: ``d2`` maps onto part of the kernel of a random ``d1``."""
+    domain = draw(st.sampled_from([ZZ, F2, F5]))
+    rng = draw(st.randoms(use_true_random=False))
+    p1, p0 = random_module(domain, rng), random_module(domain, rng)
+    d1 = random_morphism(p1, p0, rng)
+    k, incl = d1.kernel()
+    d2 = incl.compose(random_morphism(random_module(domain, rng), k, rng))
+    return d2, d1, random_module(domain, rng)
+
+
+@given(complexes())
+@settings(max_examples=60, deadline=None)
+def test_complex_homology_matches_per_index_reference(case):
+    d2, d1, n = case
+    for i in (0, 1, 2):
+        got = ComplexHomology(d2, d1, i)(n)
+        assert got.is_isomorphic_to(complex_homology_reference(d2, d1, i, n)), i
+
+
+@pytest.mark.parametrize("index", [0, 2])
+def test_complex_homology_end_indices_laws(index):
+    pres = presentation_map(cyc(4).direct_sum(R))
+    functor = ComplexHomology(Morphism.zero_map(FpModule.zero(ZZ), pres.source), pres, index)
+    rng = random.Random(5 + index)
+    assert check_functor_laws(functor, ZZ, rng, trials=15) == []
 
 
 def test_complex_rejects_nonzero_composite():
@@ -216,33 +251,31 @@ def test_middle_finite_rejects_non_torsion():
 
 
 def test_middle_finite_zero_middle():
-    sigma = MiddleFiniteComplex([], FpModule.zero(ZZ), [],
-                                Mat.zero(ZZ, 0, 0), Mat.zero(ZZ, 0, 0))
-    f = MiddleFiniteFunctor(sigma)
+    f = MiddleFiniteFunctor([], FpModule.zero(ZZ), [],
+                            Mat.zero(ZZ, 0, 0), Mat.zero(ZZ, 0, 0))
     assert f(cyc(12)).is_zero()
 
 
 def test_middle_finite_composite_check():
     # R --2--> R --1--> R (no localization) has nonzero composite
     with pytest.raises(ValueError):
-        MiddleFiniteComplex([EndSummand(R, None)], R, [EndSummand(R, None)],
+        MiddleFiniteFunctor([EndSummand(R, None)], R, [EndSummand(R, None)],
                             Mat(ZZ, [[2]]), Mat(ZZ, [[1]]))
     # same shape but C = R[1/2] still has nonzero composite (2 is not
     # 2-power torsion in R)
     with pytest.raises(ValueError):
-        MiddleFiniteComplex([EndSummand(R, None)], R, [EndSummand(R, 2)],
+        MiddleFiniteFunctor([EndSummand(R, None)], R, [EndSummand(R, 2)],
                             Mat(ZZ, [[2]]), Mat(ZZ, [[1]]))
     # mapping into the 2-power torsion part of R/8 localized at 2 is fine
-    MiddleFiniteComplex([EndSummand(R, None)], R, [EndSummand(cyc(8), 2)],
+    MiddleFiniteFunctor([EndSummand(R, None)], R, [EndSummand(cyc(8), 2)],
                         Mat(ZZ, [[2]]), Mat(ZZ, [[1]]))
 
 
 def test_middle_finite_nonzero_head_laws():
     b = R.direct_sum(cyc(8))
-    sigma = MiddleFiniteComplex(
+    functor = MiddleFiniteFunctor(
         [EndSummand(R, None)], b, [EndSummand(R, 2)],
         Mat(ZZ, [[0], [2]]), Mat(ZZ, [[1, 0]]))
-    functor = MiddleFiniteFunctor(sigma)
     rng = random.Random(71)
     failures = check_functor_laws(functor, ZZ, rng, trials=15, torsion_only=True)
     assert failures == []

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from stab.domains import ZZ, poly_ring
 from stab.matrices import Mat
 from stab.modules import FpModule, Ideal
-from stab.invariants import (PrimeIdeal, AssSet, CmcSet, DEPTH_INF,
+from stab.invariants import (AssSet, CmcSet, DEPTH_INF,
                              ass, ann, depth, gamma, tau, NotCmc, ann_contains)
 from oracles import ass_oracle
 
@@ -19,10 +19,21 @@ def cyc(*ds):
 
 
 def prime_set(*ps):
-    out = []
-    for p in ps:
-        out.append(PrimeIdeal.zero_ideal(ZZ) if p == 0 else PrimeIdeal(ZZ, p))
-    return AssSet(out)
+    return AssSet([Ideal(ZZ, p) for p in ps])
+
+
+def test_ass_set_order_and_json_with_zero_ideal():
+    a = ass(cyc(5, 30).direct_sum(R))
+    assert list(a) == [Ideal(ZZ, 0), Ideal(ZZ, 2), Ideal(ZZ, 3), Ideal(ZZ, 5)]
+    assert a.to_json() == ["(0)", "(2)", "(3)", "(5)"]
+    assert repr(a) == "{(0), (2), (3), (5)}"
+    # Construction sorts and drops repeats; the zero ideal lies in V((0)) only.
+    assert AssSet([Ideal(ZZ, 5), Ideal(ZZ, -3), Ideal(ZZ, 0), Ideal(ZZ, 2), Ideal(ZZ, 5)]) == a
+    assert a.restrict_to_v(Ideal(ZZ, 0)) == a
+    assert a.remove_v(Ideal(ZZ, 6)).to_json() == ["(0)", "(5)"]
+    x = (0, 1)
+    m = FpModule.free(F2, 1).direct_sum(FpModule.cyclic(F2, F2.mul(x, (1, 1))))
+    assert ass(m).to_json() == ["(0)", "(x)", "(x+1)"]
 
 
 def test_ass_examples():

@@ -10,7 +10,9 @@ from stab.modules import (FpModule, Morphism, Ideal,
                           hom, hom_induced, loc_tensor, tensor_mor,
                           NotWellDefined, SubmoduleError, DomainViolation,
                           sub_equal, sub_intersect)
-from oracles import hom_count_oracle, elementary_divisors, decomposition_reference
+from stab.laws import random_module, random_torsion_module
+from oracles import (hom_count_oracle, elementary_divisors, decomposition_reference,
+                     loc_tensor_reference)
 
 F2 = poly_ring(2)
 F5 = poly_ring(5)
@@ -304,6 +306,38 @@ def test_loc_tensor_poly():
     n = FpModule.from_invariants(F2, 0, [F2.mul((0, 1, 1), x)])  # x^2(x+1)
     val = loc_tensor(rp, x, n)
     assert val.decompose() == (0, [(1, 1)])
+
+
+@st.composite
+def loc_tensor_cases(draw):
+    """``(M, x, N)`` with ``x`` nonzero, a unit or sharing primes with ``N``."""
+    domain = draw(st.sampled_from([ZZ, F2, F5]))
+    rng = draw(st.randoms(use_true_random=False))
+    if domain is ZZ:
+        x = draw(st.integers(-24, 24).filter(bool))
+    else:
+        coeffs = st.lists(st.integers(0, domain.p - 1), min_size=1, max_size=3)
+        x = domain.elem_from_json(draw(coeffs.filter(any)))
+    return random_module(domain, rng), x, random_torsion_module(domain, rng)
+
+
+@given(loc_tensor_cases())
+@settings(max_examples=100, deadline=None)
+def test_loc_tensor_matches_per_factor_reference(case):
+    module, x, n = case
+    assert loc_tensor(module, x, n).is_isomorphic_to(loc_tensor_reference(module, x, n))
+
+
+def test_free_module_from_empty_relations():
+    for m in (FpModule.from_relations(ZZ, [], 2),
+              FpModule.from_json(ZZ, {"relations": [], "ambient": 2}),
+              FpModule.from_json(F5, {"relations": [], "ambient": 2})):
+        assert m.decompose() == (2, []) and m.relations.cols == 0
+    assert FpModule.from_relations(ZZ, []).is_zero()
+    with pytest.raises(ValueError, match="relations: 1 rows but ambient is 2"):
+        FpModule.from_relations(ZZ, [[2]], 2)
+    with pytest.raises(ValueError, match="relations: 2 rows but ambient is 1"):
+        FpModule.from_json(ZZ, {"relations": [[2], [3]], "ambient": 1})
 
 
 def test_iso_test_is_rank_and_factors():

@@ -1,14 +1,16 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stab.domains import ZZ, poly_ring
 from stab.matrices import Mat
 from stab.modules import FpModule, Morphism, Ideal
-from stab.invariants import DEPTH_INF, AssSet, PrimeIdeal
+from stab.invariants import DEPTH_INF, AssSet
 from stab.functors import (CoherentFunctor, OscillatingFunctor,
                            ExponentSet, tor_functor)
 from stab.scan import (QuotientPowers, Layers, GradedLayers, SubquotientFamily,
                        KwHomology, detect, scan_ass, scan_depth, scan_rows,
                        artin_rees_probe, AnnihilatorViolation)
+from oracles import periodic_tail_reference
 
 F2 = poly_ring(2)
 R = FpModule.free(ZZ, 1)
@@ -76,7 +78,7 @@ def test_kw_homology_validates_shift_containment():
 
 
 def _ass_of(*ps):
-    return AssSet([PrimeIdeal(ZZ, p) for p in ps])
+    return AssSet([Ideal(ZZ, p) for p in ps])
 
 
 def test_detect_stable():
@@ -95,6 +97,57 @@ def test_detect_periodic():
     values = [_ass_of(2) if i % 2 == 0 else AssSet([]) for i in range(12)]
     status, n0, period = detect(list(range(1, 13)), values, 4)
     assert status == "oscillating-with-period-2" and period == 2
+
+
+def test_detect_periodic_after_transient():
+    a, b, c, d, x, y = (_ass_of(p) for p in (3, 5, 7, 11, 2, 13))
+    values = [a, b, c, d] + [x, y] * 18
+    assert detect(list(range(1, 41)), values, 10) == ("oscillating-with-period-2", 5, 2)
+    # A period that holds from the first index keeps n0 null.
+    assert detect(list(range(1, 37)), [x, y] * 18, 10) == ("oscillating-with-period-2", None, 2)
+    # Period 3 after a one-value transient; its multiple 6 also fits but is longer.
+    values = [a] + [x, y, AssSet([])] * 5
+    assert detect(list(range(4, 20)), values, 6) == ("oscillating-with-period-3", 5, 3)
+
+
+def test_detect_periodic_tail_must_cover_window_and_two_periods():
+    first = [_ass_of(p) for p in (3, 5, 7, 11, 13, 17, 19, 23)]
+    x, y = _ass_of(2), AssSet([])
+    # Tail of 8 alternating values: enough for window 8, not for window 9.
+    assert detect(list(range(16)), first + [x, y] * 4, 8)[0] == "oscillating-with-period-2"
+    assert detect(list(range(16)), first + [x, y] * 4, 9)[0] == "not-stable-within-horizon"
+    # Period 5 needs ten observations even under a shorter window.
+    five = [_ass_of(p) for p in (29, 31, 37, 41, 43)]
+    assert detect(list(range(17)), first[:7] + five * 2, 4) == ("oscillating-with-period-5", 7, 5)
+    assert detect(list(range(16)), first[:7] + five + five[:4], 4)[0] == \
+        "not-stable-within-horizon"
+
+
+@st.composite
+def transient_then_pattern(draw):
+    transient = draw(st.lists(st.integers(0, 3), max_size=6))
+    pattern = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+    return transient + pattern * draw(st.integers(1, 8))
+
+
+@given(st.one_of(st.lists(st.integers(0, 2), min_size=4, max_size=30),
+                 transient_then_pattern()),
+       st.integers(2, 8))
+@settings(max_examples=300, deadline=None)
+def test_detect_periodic_matches_exhaustive_reference(values, window):
+    if window > len(values):
+        return
+    ns = list(range(1, len(values) + 1))
+    status, n0, period = detect(ns, values, window)
+    if status == "stable":
+        assert len(set(values[-window:])) == 1
+        return
+    found = periodic_tail_reference(values, window)
+    if found is None:
+        assert (status, n0, period) == ("not-stable-within-horizon", None, None)
+    else:
+        s, k = found
+        assert (status, n0, period) == (f"oscillating-with-period-{k}", ns[s] if s else None, k)
 
 
 def test_detect_window_validation():

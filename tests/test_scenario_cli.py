@@ -302,10 +302,17 @@ def test_cli_compute_bad_input_exit_1(tmp_path):
              "module: ambient"),
             ("eval", '{"functor": {"kind": "identity"}, "argument": {"rank": -1}}',
              "argument: rank"),
-            ("hom", '{"source": {"factors": []}, "target": {"relations": 5}}', "target")]:
+            ("hom", '{"source": {"factors": []}, "target": {"relations": 5}}', "target"),
+            ("ass", '{"module": {"relations": [[2]], "ambient": 2}}', "module: relations")]:
         proc = _run_cli(["compute", sub, arg], tmp_path)
         assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
         assert proc.stderr.startswith(f"error: {prefix}: "), proc.stderr
+
+
+def test_cli_compute_ass_of_free_module_without_relations(tmp_path):
+    proc = _run_cli(["compute", "ass", '{"module": {"relations": [], "ambient": 2}}'], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["ass"] == ["(0)"]
 
 
 def test_cli_compute_poly_backend(tmp_path):
