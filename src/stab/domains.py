@@ -12,6 +12,10 @@ Element representations are plain hashable Python values:
                   ``()`` for the zero polynomial.  The arithmetic expects
                   its inputs in this form and returns results in it.
 
+In both representations zero (``0`` or ``()``) is the only falsy element,
+so callers may test ``if a:`` for "``a`` is nonzero"; the matrix
+eliminations skip zero entries that way.
+
 Canonical associates are positive integers and monic polynomials, so ideal
 and invariant-factor equality reduce to element equality.
 
@@ -22,6 +26,11 @@ coefficient carries), multiplies once and unpacks; a constant operand is
 scaled directly, and only characteristics too large for 8-byte slots fall
 back to the schoolbook loop.  ``gcd`` is plain remainder Euclid made monic,
 without the Bezout cofactors that ``gcd_ext`` carries.
+
+``saturate_part(d, g)``, the part of ``d`` supported on the primes of ``g``,
+is ``gcd(d, g^k mod d)`` with ``k`` the bit length of ``d`` over ``Z`` and
+its coefficient count over GF(p)[x], both at least any multiplicity in ``d``:
+``O(log k)`` modular squarings, not one division per prime factor removed.
 
 Factorization is desk-scale by design: trial division plus Brent's rho for
 integers, whose cost grows with the square root of the second-largest prime
@@ -183,20 +192,12 @@ class _Backend:
     """Operations written once over each backend's primitives."""
 
     def saturate_part(self, d, g):
-        """The divisor of ``d`` supported on primes dividing ``g``, canonical."""
+        """The divisor of ``d`` supported on primes dividing ``g``, canonical:
+        ``gcd(d, g^k mod d)`` for ``k`` at least every multiplicity in ``d``
+        (Bernstein, J. Algorithms 54, 2005)."""
         if self.is_zero(d):
             raise ZeroInputError("saturate_part of zero")
-        # Every prime of h divides g, and every prime of g that divides c
-        # divides h, so c is coprime to g exactly when h becomes a unit.
-        c = d
-        h = self.gcd(c, g)
-        while not self.is_unit(h):
-            q, r = self.divmod(c, h)
-            while self.is_zero(r):
-                c = q
-                q, r = self.divmod(c, h)
-            h = self.gcd(c, h)
-        return self.canon(self.exact_div(d, c))[0]
+        return self.gcd(d, self._powmod(g, self._mult_bound(d), d))
 
 
 class Integers(_Backend):
@@ -224,6 +225,13 @@ class Integers(_Backend):
 
     def pow(self, a, n):
         return a**n
+
+    def _powmod(self, a, n, modulus):
+        return pow(a, n, modulus)
+
+    def _mult_bound(self, d):
+        # A prime power p^e dividing d has e <= log2 |d| < bit length.
+        return abs(d).bit_length()
 
     def divmod(self, a, b):
         if b == 0:
@@ -352,11 +360,17 @@ class PolyOverFp(_Backend):
         return len(a) - 1
 
     def add(self, a, b):
+        if not b:
+            return a
+        if not a:
+            return b
         p = self.p
         out = [(x + y) % p for x, y in zip_longest(a, b, fillvalue=0)]
         return tuple(out) if len(a) != len(b) else _ptrim(out)
 
     def sub(self, a, b):
+        if not b:
+            return a
         p = self.p
         out = [(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)]
         return tuple(out) if len(a) != len(b) else _ptrim(out)
@@ -400,12 +414,12 @@ class PolyOverFp(_Backend):
 
     def pow(self, a, n):
         result = self.one
-        base = a
         while n:
             if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                result = self.mul(result, a)
             n >>= 1
+            if n:
+                a = self.mul(a, a)
         return result
 
     def divmod(self, a, b):
@@ -543,14 +557,19 @@ class PolyOverFp(_Backend):
             out.append((rest, self.deg(rest)))
         return out
 
+    def _mult_bound(self, d):
+        # A factor f^e of d has e <= deg d < len(d).
+        return len(d)
+
     def _powmod(self, a, n, modulus):
         result = self.one
         base = self.divmod(a, modulus)[1]
         while n:
             if n & 1:
                 result = self.divmod(self.mul(result, base), modulus)[1]
-            base = self.divmod(self.mul(base, base), modulus)[1]
             n >>= 1
+            if n:
+                base = self.divmod(self.mul(base, base), modulus)[1]
         return result
 
     def _equal_degree(self, f, d, rng):

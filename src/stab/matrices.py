@@ -38,12 +38,12 @@ class Mat:
     __slots__ = ("domain", "rows", "cols", "data")
 
     def __init__(self, domain, data, rows=None, cols=None):
-        data = tuple(tuple(r) for r in data)
+        data = tuple(map(tuple, data))
         if rows is None:
             rows = len(data)
         if cols is None:
             cols = len(data[0]) if data else 0
-        if len(data) != rows or any(len(r) != cols for r in data):
+        if tuple(map(len, data)) != (cols,) * rows:
             raise ValueError("ragged matrix data")
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "rows", rows)
@@ -111,16 +111,19 @@ class Mat:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         D = self.domain
+        add, mul = D.add, D.mul
         z = D.zero
+        # Columns of other, each as its nonzero (index, entry) pairs.
+        cols = [[(k, b) for k, b in enumerate(col) if b]
+                for col in zip(*other.data)] if other.rows else [[]] * other.cols
         out = []
-        for i in range(self.rows):
+        for a in self.data:
             row = []
-            a = self.data[i]
-            for j in range(other.cols):
+            for col in cols:
                 acc = z
-                for k in range(self.cols):
-                    if not D.is_zero(a[k]):
-                        acc = D.add(acc, D.mul(a[k], other.data[k][j]))
+                for k, b in col:
+                    if a[k]:
+                        acc = add(acc, mul(a[k], b))
                 row.append(acc)
             out.append(row)
         return Mat(D, out, self.rows, other.cols)
@@ -210,6 +213,7 @@ class Mat:
 
     def _compute_hnf(self):
         D = self.domain
+        sub, mul = D.sub, D.mul
         m, n = self.rows, self.cols
         H = [list(r) for r in self.data]
         U = [[D.one if i == j else D.zero for j in range(n)] for i in range(n)]
@@ -223,21 +227,23 @@ class Mat:
                 r[j1], r[j2] = r[j2], r[j1]
 
         def col_sub(j, jsrc, q):
-            # column j -= q * column jsrc
-            if D.is_zero(q):
+            # column j -= q * column jsrc, skipping zero entries of jsrc
+            if not q:
                 return
             for r in H:
-                r[j] = D.sub(r[j], D.mul(q, r[jsrc]))
+                if r[jsrc]:
+                    r[j] = sub(r[j], mul(q, r[jsrc]))
             for r in U:
-                r[j] = D.sub(r[j], D.mul(q, r[jsrc]))
+                if r[jsrc]:
+                    r[j] = sub(r[j], mul(q, r[jsrc]))
 
         def col_scale(j, u):
             if u == D.one:
                 return
             for r in H:
-                r[j] = D.mul(u, r[j])
+                r[j] = mul(u, r[j])
             for r in U:
-                r[j] = D.mul(u, r[j])
+                r[j] = mul(u, r[j])
 
         col = 0
         for row in range(m):
@@ -284,6 +290,7 @@ class Mat:
 
     def _compute_snf(self):
         D = self.domain
+        add, sub, mul = D.add, D.sub, D.mul
         m, n = self.rows, self.cols
         A = [list(r) for r in self.data]
         U = [[D.one if i == j else D.zero for j in range(m)] for i in range(m)]
@@ -307,30 +314,34 @@ class Mat:
                 r[j1], r[j2] = r[j2], r[j1]
 
         def row_sub(i, isrc, q):
-            # row i -= q * row isrc;  Uinv column isrc += q * column i
-            if D.is_zero(q):
+            # row i -= q * row isrc;  Uinv column isrc += q * column i;
+            # zero source entries change nothing and are skipped
+            if not q:
                 return
-            A[i] = [D.sub(a, D.mul(q, b)) for a, b in zip(A[i], A[isrc])]
-            U[i] = [D.sub(a, D.mul(q, b)) for a, b in zip(U[i], U[isrc])]
+            A[i] = [sub(a, mul(q, b)) if b else a for a, b in zip(A[i], A[isrc])]
+            U[i] = [sub(a, mul(q, b)) if b else a for a, b in zip(U[i], U[isrc])]
             for r in Uinv:
-                r[isrc] = D.add(r[isrc], D.mul(q, r[i]))
+                if r[i]:
+                    r[isrc] = add(r[isrc], mul(q, r[i]))
 
         def col_sub(j, jsrc, q):
-            if D.is_zero(q):
+            if not q:
                 return
             for r in A:
-                r[j] = D.sub(r[j], D.mul(q, r[jsrc]))
+                if r[jsrc]:
+                    r[j] = sub(r[j], mul(q, r[jsrc]))
             for r in V:
-                r[j] = D.sub(r[j], D.mul(q, r[jsrc]))
+                if r[jsrc]:
+                    r[j] = sub(r[j], mul(q, r[jsrc]))
 
         def row_scale(i, u):
             if u == D.one:
                 return
             uinv = D.unit_inv(u)
-            A[i] = [D.mul(u, a) for a in A[i]]
-            U[i] = [D.mul(u, a) for a in U[i]]
+            A[i] = [mul(u, a) for a in A[i]]
+            U[i] = [mul(u, a) for a in U[i]]
             for r in Uinv:
-                r[i] = D.mul(uinv, r[i])
+                r[i] = mul(uinv, r[i])
 
         t = 0
         while True:
@@ -388,10 +399,10 @@ class Mat:
                         break
                 if offender is None:
                     break
-                A[t] = [D.add(a, b) for a, b in zip(A[t], A[offender])]
-                U[t] = [D.add(a, b) for a, b in zip(U[t], U[offender])]
+                A[t] = [add(a, b) for a, b in zip(A[t], A[offender])]
+                U[t] = [add(a, b) for a, b in zip(U[t], U[offender])]
                 for r in Uinv:
-                    r[offender] = D.sub(r[offender], r[t])
+                    r[offender] = sub(r[offender], r[t])
             c, u = D.canon(A[t][t])
             row_scale(t, u)
             t += 1
@@ -419,13 +430,16 @@ class Mat:
             prow = next((i for i in range(self.rows) if not D.is_zero(H.data[i][j])), None)
             if prow is not None:
                 pivots.append((prow, j))
+        sub, mul = D.sub, D.mul
         ys = []
         for rhs in b.columns():
             y = [D.zero] * self.cols
             for k, (prow, j) in enumerate(pivots):
                 acc = rhs[prow]
+                hrow = H.data[prow]
                 for _, j2 in pivots[:k]:
-                    acc = D.sub(acc, D.mul(H.data[prow][j2], y[j2]))
+                    if hrow[j2] and y[j2]:
+                        acc = sub(acc, mul(hrow[j2], y[j2]))
                 q, r = D.divmod(acc, H.data[prow][j])
                 if not D.is_zero(r):
                     return None

@@ -398,6 +398,9 @@ class Morphism:
 
     def kernel(self):
         """``(K, include)`` with ``include`` the inclusion of the kernel."""
+        if not self.target.ambient:
+            # Everything maps into the zero module: the kernel is the source.
+            return self.source, Morphism.identity(self.source)
         return self.source.submodule(self.mat.preimage(self.target.relations))
 
     def cokernel(self):
@@ -418,6 +421,11 @@ class Morphism:
         image of ``self``; returns ``f' : source -> S`` with
         ``include . f' == self``.
         """
+        S = include.source
+        if S.relations == self.target.relations and \
+                include.mat == Mat.identity(S.domain, S.ambient):
+            # ``include`` is the identity of the target: ``self`` already factors.
+            return Morphism(self.source, S, self.mat, check=False)
         sol = include.mat.hstack(self.target.relations).solve(self.mat)
         if sol is None:
             raise SubmoduleError("morphism does not factor through the submodule")

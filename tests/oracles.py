@@ -7,6 +7,7 @@ constructions keep the direct, separately built forms of code the library
 now shares, and differential tests compare the two.
 """
 
+import math
 from itertools import product
 
 from stab.matrices import Mat
@@ -149,6 +150,12 @@ def poly_mul_schoolbook(p, a, b):
     return _trim(tuple(out))
 
 
+def poly_add_reference(p, a, b):
+    n = max(len(a), len(b))
+    a, b = a + (0,) * (n - len(a)), b + (0,) * (n - len(b))
+    return _trim(tuple((x + y) % p for x, y in zip(a, b)))
+
+
 def poly_sub_reference(p, a, b):
     n = max(len(a), len(b))
     a, b = a + (0,) * (n - len(a)), b + (0,) * (n - len(b))
@@ -189,6 +196,31 @@ def poly_saturate_part_reference(p, d, g):
         h = poly_gcd_reference(p, c, g)
     s = poly_divmod_reference(p, d, c)[0]
     return poly_mul_schoolbook(p, (pow(s[-1], p - 2, p),), s)
+
+
+def int_saturate_part_reference(d, g):
+    """Divide out one gcd with ``g`` at a time until none is left."""
+    c = abs(d)
+    h = math.gcd(c, g)
+    while h != 1:
+        c //= h
+        h = math.gcd(c, g)
+    return abs(d) // c
+
+
+def matmul_reference(a, b):
+    """``a @ b`` summing every product, zero terms included."""
+    D = a.domain
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = D.zero
+            for k in range(a.cols):
+                acc = D.add(acc, D.mul(a[i, k], b[k, j]))
+            row.append(acc)
+        out.append(row)
+    return Mat(D, out, a.rows, b.cols)
 
 
 # Reference linear algebra by the direct routes: one right-hand side at a

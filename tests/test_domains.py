@@ -261,8 +261,14 @@ def test_poly_arithmetic_matches_reference(pab):
     p, a, b = pab
     F = poly_ring(p)
     assert F.mul(a, b) == oracles.poly_mul_schoolbook(p, a, b)
+    assert F.add(a, b) == oracles.poly_add_reference(p, a, b)
     assert F.sub(a, b) == oracles.poly_sub_reference(p, a, b)
-    assert F.sub(a, a) == ()
+    assert F.sub(a, a) == F.add(a, F.sub((), a)) == ()
+    assert F.add(a, ()) == F.add((), a) == F.sub(a, ()) == a
+    # c agrees with a from x^k up, so a - c cancels its top coefficients.
+    k = min(len(a), len(b))
+    c = F.elem_from_json(list(b[:k]) + list(a[k:]))
+    assert F.sub(a, c) == oracles.poly_sub_reference(p, a, c)
     if b:
         assert F.divmod(a, b) == oracles.poly_divmod_reference(p, a, b)
     assert F.gcd(a, b) == oracles.poly_gcd_reference(p, a, b) == F.gcd_ext(a, b)[0]
@@ -310,3 +316,43 @@ def test_saturate_part_of_power_matches_reference(case):
     if not d:
         return
     assert F.saturate_part(d, g) == oracles.poly_saturate_part_reference(p, d, g)
+
+
+@given(st.one_of(ints.map(lambda a: (ZZ, a)),
+                 *[poly_elems(F, 5).map(lambda a, F=F: (F, a))
+                   for F in (F2, F5, poly_ring(131))]))
+def test_zero_is_the_only_falsy_element(case):
+    D, a = case
+    assert bool(a) == (not D.is_zero(a))
+    assert not D.zero and D.one
+
+
+SATURATE_EDGES = [1, -1, 2**60 * 3**5, -(2**60) * 3**5]
+# High multiplicities, where too small a power in saturate_part shows.
+smooth_ints = st.builds(lambda e2, e3, e5, u: 2**e2 * 3**e3 * 5**e5 * u,
+                        *[st.integers(0, 120)] * 3, st.integers(1, 10**6))
+
+
+@given(st.one_of(st.integers(-10**30, 10**30), st.sampled_from(SATURATE_EDGES), smooth_ints),
+       st.one_of(ints, st.sampled_from([0, 1, -1, 2, 3, 5, 6, 7, 10, 14, 15, 30])))
+@settings(max_examples=300)
+def test_saturate_part_int_matches_reference(d, g):
+    if d == 0:
+        return
+    assert ZZ.saturate_part(d, g) == oracles.int_saturate_part_reference(d, g)
+    # Every prime of d divides a multiple of d.
+    assert ZZ.saturate_part(d, 7 * d) == abs(d)
+
+
+def test_saturate_part_edge_cases():
+    d = 2**60 * 3**5
+    assert [ZZ.saturate_part(d, g) for g in (2, 3, 6, 5, 1, 0)] == [2**60, 3**5, d, 1, 1, d]
+    assert ZZ.saturate_part(1, 6) == ZZ.saturate_part(-1, 0) == 1
+    for F in (F2, F5):
+        x = (0, 1)
+        d = F.mul(F.pow(x, 60), F.pow((1, 1), 5))
+        assert F.saturate_part(d, x) == F.pow(x, 60)
+        assert F.saturate_part(d, F.one) == F.one
+        assert F.saturate_part(F.one, x) == F.one
+        assert F.saturate_part(d, F.mul(d, (1, 0, 1))) == F.canon(d)[0]
+        assert F.saturate_part(d, ()) == F.canon(d)[0]

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from stab import matrices
 from stab.domains import ZZ, poly_ring
 from stab.matrices import Mat, NF_MEMO_BOUND
-from oracles import kernel_reference, preimage_reference, solve_vector_reference
+from oracles import (kernel_reference, matmul_reference, preimage_reference,
+                     solve_vector_reference)
 
 F2 = poly_ring(2)
 F5 = poly_ring(5)
@@ -311,3 +312,40 @@ def test_preimage_matches_reference(system):
     assert a.kernel() == kernel_reference(a)
     # Every generator lands in the span of b.
     assert b.solve(a @ pre) is not None
+
+
+# -- elimination on mostly-zero matrices ---------------------------------------
+# The eliminations and the product skip zero source entries; these check the
+# transform identities, and the product against one that sums every term.
+
+def sparse_elems(domain):
+    """Zero four times in five; nonzero polynomials reach degree 20."""
+    if domain is ZZ:
+        nonzero = st.integers(-10**6, 10**6)
+    else:
+        nonzero = st.lists(st.integers(0, domain.p - 1), min_size=1, max_size=21).map(
+            domain.elem_from_json)
+    return st.integers(0, 4).flatmap(lambda k: nonzero if k == 0 else st.just(domain.zero))
+
+
+@st.composite
+def sparse_mats(draw, domain, rows, cols):
+    return Mat(domain, draw(st.lists(st.lists(sparse_elems(domain), min_size=cols,
+                                              max_size=cols),
+                                     min_size=rows, max_size=rows)), rows, cols)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_sparse_normal_forms_and_product(data):
+    domain = data.draw(st.sampled_from([ZZ, F2, F5]))
+    rows, cols, k = (data.draw(st.integers(0, 5)) for _ in range(3))
+    a = data.draw(sparse_mats(domain, rows, cols))
+    b = data.draw(sparse_mats(domain, cols, k))
+    assert a @ b == matmul_reference(a, b)
+    h, u = a.hnf()
+    assert matmul_reference(a, u) == h
+    d, u, v, uinv = a._snf_full()
+    assert matmul_reference(matmul_reference(u, a), v) == d
+    assert matmul_reference(u, uinv) == Mat.identity(domain, rows)
+    assert all(d[i, j] == domain.zero for i in range(rows) for j in range(cols) if i != j)

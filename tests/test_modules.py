@@ -148,6 +148,16 @@ def test_factor_through_rejects_an_image_outside_the_submodule():
         Morphism(r2, r2, Mat(ZZ, [[3, 0], [0, 1]])).factor_through(include)
 
 
+def test_factor_through_an_identity_matrix():
+    z4 = cyc(4)
+    f = Morphism(cyc(2), z4, Mat(ZZ, [[2]]))
+    assert f.factor_through(Morphism.identity(z4)).mat == f.mat
+    # The projection Z -> Z/4 also has the identity matrix, but only a map
+    # into Z factors through it; the identity of Z/4 does not.
+    with pytest.raises((NotWellDefined, SubmoduleError)):
+        Morphism.identity(z4).factor_through(Morphism(R, z4, Mat(ZZ, [[1]])))
+
+
 def test_kernel_cokernel_image_examples():
     f = Morphism(R, R, Mat(ZZ, [[2]]))
     k, _ = f.kernel()
