@@ -17,20 +17,24 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .domains import ZZ, domain_from_descriptor
-from .modules import Ideal, DomainViolation, NotWellDefined
+from .domains import ZZ
+from .modules import DomainViolation, HomSpace
 from .invariants import ass, depth
-from .modules import HomSpace
 from .functors import OscillatingFunctor, ExponentSet
 from .laws import check_functor_laws
 from .scenario import (ScenarioError, parse_scenario, run_scenario, scan_range,
-                       report_csv, report_json, build_functor, _Env, _mat, _elem,
-                       _depth_str)
+                       report_csv, report_json, read_backend, build_functor,
+                       _Env, _mat, _require, _depth_str)
 
 
 def _fail_parse(message):
     print(f"error: {message}", file=sys.stderr)
     return 1
+
+
+def _fail_domain(exc):
+    print(f"domain violation: {exc}", file=sys.stderr)
+    return 2
 
 
 def _load_json(text, filename):
@@ -51,15 +55,11 @@ def _cmd_run(args):
         return _fail_parse(err)
     try:
         sc = parse_scenario(doc)
-    except ScenarioError as exc:
-        return _fail_parse(f"{path}: {exc}")
-    try:
         outcome = run_scenario(sc, args.horizon, args.window)
     except ScenarioError as exc:
         return _fail_parse(f"{path}: {exc}")
     except DomainViolation as exc:
-        print(f"domain violation: {exc}", file=sys.stderr)
-        return 2
+        return _fail_domain(exc)
     _write_reports(Path(args.out) if args.out else Path(doc.get("out", ".")), sc, outcome)
     print(_summary_line(sc, outcome))
     if sc.expect is not None and not outcome.expect_ok:
@@ -97,58 +97,44 @@ def _cmd_compute(args):
                           "<args>")
     if err:
         return _fail_parse(err)
-    if not isinstance(doc, dict):
-        return _fail_parse("<args>: expected a JSON object")
     try:
-        domain = domain_from_descriptor(doc.get("backend", {"kind": "integers"}))
-    except (ValueError, KeyError) as exc:
+        out = _compute(args.sub, read_backend(doc), doc)
+    except ScenarioError as exc:
         return _fail_parse(str(exc))
-    try:
-        out = _compute(args.sub, domain, doc)
-    except (ScenarioError, ValueError, KeyError, NotWellDefined) as exc:
-        return _fail_parse(str(exc))
+    except DomainViolation as exc:
+        return _fail_domain(exc)
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0
 
 
 def _compute(sub, domain, doc):
-    def need(key):
-        if key not in doc:
-            raise ScenarioError(key, "missing required field")
-        return doc[key]
+    env = _Env(domain, doc)
 
-    def module_arg(key):
-        # An empty scenario environment anchors module errors at ``key``.
-        return _Env(domain, {}).module(need(key), key)
+    def arg(key, kind):
+        return env.ref(doc, key, "$", kind)
 
     def mat_json(m):
         return [[domain.elem_to_json(a) for a in row] for row in m.data]
 
     if sub == "snf":
-        d, u, v = _mat(domain, need("matrix"), "matrix").snf()
+        d, u, v = _mat(domain, _require(doc, "matrix", "$"), "matrix").snf()
         return {"d": mat_json(d), "u": mat_json(u), "v": mat_json(v),
                 "diagonal": [domain.elem_to_json(a) for a in d.diagonal()
                              if not domain.is_zero(a)]}
     if sub == "hnf":
-        h, u = _mat(domain, need("matrix"), "matrix").hnf()
+        h, u = _mat(domain, _require(doc, "matrix", "$"), "matrix").hnf()
         return {"h": mat_json(h), "u": mat_json(u)}
     if sub == "ass":
-        module = module_arg("module")
-        return {"ass": ass(module).to_json()}
+        return {"ass": ass(arg("module", "modules")).to_json()}
     if sub == "depth":
-        module = module_arg("module")
-        ideal = Ideal(domain, _elem(domain, need("ideal"), "ideal"))
-        return {"depth": _depth_str(depth(ideal, module))}
+        module = arg("module", "modules")
+        return {"depth": _depth_str(depth(arg("ideal", "ideals"), module))}
     if sub == "hom":
-        source = module_arg("source")
-        target = module_arg("target")
+        source, target = arg("source", "modules"), arg("target", "modules")
         return {"module": HomSpace(source, target).module.dec_module().to_json()}
     if sub == "eval":
-        env = _Env(domain, doc)
-        functor = build_functor(env, need("functor"))
-        argument = env.module(need("argument"), "argument")
-        value = functor(argument)
-        return {"value": value.dec_module().to_json()}
+        functor = build_functor(env, _require(doc, "functor", "$"))
+        return {"value": functor(arg("argument", "modules")).dec_module().to_json()}
     raise ScenarioError("sub", f"unknown compute subcommand {sub!r}")
 
 
@@ -220,9 +206,6 @@ def main(argv=None):
 
     p_run = sub.add_parser("run", help="run one scenario file")
     p_run.add_argument("file")
-    p_run.add_argument("--horizon", type=int, default=None)
-    p_run.add_argument("--window", type=int, default=None)
-    p_run.add_argument("--out", default=None)
     p_run.set_defaults(func=_cmd_run)
 
     p_compute = sub.add_parser("compute", help="one-shot computation")
@@ -231,11 +214,12 @@ def main(argv=None):
     p_compute.set_defaults(func=_cmd_compute)
 
     p_suite = sub.add_parser("suite", help="run the packaged scenario corpus")
-    p_suite.add_argument("--horizon", type=int, default=None)
-    p_suite.add_argument("--window", type=int, default=None)
-    p_suite.add_argument("--out", default=None)
-    p_suite.add_argument("--seed", type=int, default=0)
     p_suite.set_defaults(func=_cmd_suite)
+    for p in (p_run, p_suite):
+        p.add_argument("--horizon", type=int, default=None)
+        p.add_argument("--window", type=int, default=None)
+        p.add_argument("--out", default=None)
+    p_suite.add_argument("--seed", type=int, default=0)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -679,6 +679,17 @@ def poly_ring(p):
     return _POLY_CACHE[p]
 
 
+def int_in_range(value, least=None, most=None, what=None):
+    """``value`` if it is an integer (a bool is not) in ``[least, most]``."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or least is not None and value < least or most is not None and value > most):
+        span = (f" from {least} to {most}" if most is not None
+                else f" >= {least}" if least is not None else "")
+        raise ValueError(f"{what + ': ' if what else ''}expected an integer{span}, "
+                         f"got {value!r}")
+    return value
+
+
 def domain_from_descriptor(desc):
     """Build a backend from its serialized descriptor."""
     if not isinstance(desc, dict):
@@ -687,5 +698,5 @@ def domain_from_descriptor(desc):
     if kind == "integers":
         return ZZ
     if kind == "poly":
-        return poly_ring(int(desc["characteristic"]))
+        return poly_ring(int_in_range(desc.get("characteristic"), 2, what="characteristic"))
     raise ValueError(f"unknown backend kind {kind!r}")

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .domains import int_in_range
 from .matrices import Mat
 from .modules import (FpModule, Morphism, Ideal, HomSpace,
                       _diag_module, hom_induced, loc_tensor, tensor_mor,
@@ -267,14 +268,21 @@ class MiddleFiniteFunctor(TensoredHomology):
     summand by summand, up to the localization (an element of ``C[1/x]`` is
     zero iff it is x-power torsion in ``C``).  The tensored maps are checked
     on every evaluation, because maps of localized ends may not descend.
+    A map given as ``None`` is zero.
     """
 
     def __init__(self, a_ends, b, c_ends, d_a, d_b):
         self.a_ends = tuple(a_ends)
         self.middle = b
         self.c_ends = tuple(c_ends)
+        for side, ends in (("a", self.a_ends), ("c", self.c_ends)):
+            for i, summand in enumerate(ends):
+                if summand.invert is not None and b.domain.is_zero(summand.invert):
+                    raise ValueError(f"{side}[{i}].invert: cannot invert zero")
         a_dim = sum(s.module.ambient for s in self.a_ends)
         c_dim = sum(s.module.ambient for s in self.c_ends)
+        d_a = Mat.zero(b.domain, b.ambient, a_dim) if d_a is None else d_a
+        d_b = Mat.zero(b.domain, c_dim, b.ambient) if d_b is None else d_b
         if d_a.rows != b.ambient or d_a.cols != a_dim:
             raise ValueError("d_a has the wrong shape")
         if d_b.rows != c_dim or d_b.cols != b.ambient:
@@ -319,8 +327,7 @@ def gamma_as_middle_finite(ideal):
     """``Gamma_(g)`` as homology of ``0 -> R -> R[1/g]``."""
     D = ideal.domain
     r = FpModule.free(D, 1)
-    return MiddleFiniteFunctor([], r, [EndSummand(r, ideal.gen)],
-                               Mat.zero(D, 1, 0), Mat.identity(D, 1))
+    return MiddleFiniteFunctor([], r, [EndSummand(r, ideal.gen)], None, Mat.identity(D, 1))
 
 
 class ExponentSet:
@@ -329,15 +336,9 @@ class ExponentSet:
     __slots__ = ("members", "progressions")
 
     def __init__(self, members=(), progressions=()):
-        members = frozenset(int(e) for e in members)
-        if any(e < 1 for e in members):
-            raise ValueError("exponents must be positive")
-        progs = []
-        for a, b in progressions:
-            a, b = int(a), int(b)
-            if a < 1 or b < 1:
-                raise ValueError("progressions need a >= 1 and step >= 1")
-            progs.append((a, b))
+        members = frozenset(int_in_range(e, 1, what="members") for e in members)
+        progs = [(int_in_range(a, 1, what="progression start"),
+                  int_in_range(b, 1, what="progression step")) for a, b in progressions]
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "progressions", tuple(progs))
 
@@ -448,6 +449,8 @@ class OscillatingFunctor(Functor):
         self.domain = domain
         canon_rules = {}
         for p, exps in rules.items():
+            if domain.is_zero(p):
+                raise ValueError("0 is not prime")
             c = domain.canon(p)[0]
             fac = domain.factor(c)
             if len(fac) != 1 or fac[0][1] != 1:

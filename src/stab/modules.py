@@ -21,7 +21,7 @@ True
 
 from __future__ import annotations
 
-from .domains import BackendMismatch, _ptrim
+from .domains import BackendMismatch, _ptrim, int_in_range
 from .matrices import Mat
 
 
@@ -317,10 +317,12 @@ class FpModule:
         if not isinstance(doc, dict):
             raise ValueError("module must be an object")
         if "relations" in doc:
-            rows = [[domain.elem_from_json(a) for a in row] for row in doc["relations"]]
-            return cls.from_relations(domain, rows, _nonnegative(doc, "ambient", len(rows)))
-        rank = _nonnegative(doc, "rank", 0)
-        factors = [domain.elem_from_json(d) for d in doc.get("factors", [])]
+            rows = [[domain.elem_from_json(a) for a in _array(row, "relations")]
+                    for row in _array(doc["relations"], "relations")]
+            ambient = int_in_range(doc.get("ambient", len(rows)), 0, MAX_GENERATORS, "ambient")
+            return cls.from_relations(domain, rows, ambient)
+        rank = int_in_range(doc.get("rank", 0), 0, MAX_GENERATORS, "rank")
+        factors = [domain.elem_from_json(d) for d in _array(doc.get("factors", []), "factors")]
         return cls.from_invariants(domain, rank, factors)
 
     def __repr__(self):
@@ -329,10 +331,14 @@ class FpModule:
         return " + ".join(parts) if parts else "0"
 
 
-def _nonnegative(doc, key, default):
-    value = doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{key}: expected a nonnegative integer, got {value!r}")
+# The most ambient generators a serialized module may have.  ``{"rank": r}``
+# costs a document a few bytes, but every dense matrix over ``R^r`` is r-by-r.
+MAX_GENERATORS = 1024
+
+
+def _array(value, key):
+    if not isinstance(value, list):
+        raise ValueError(f"{key}: expected an array, got {value!r}")
     return value
 
 

@@ -196,6 +196,18 @@ class ScanResult(NamedTuple):
     ann_checks: int
 
 
+def scan_range_fault(start, horizon, window):
+    """``None`` when ``window >= 2`` fits in ``[start, horizon]``, else the
+    offending field (``"window"`` or ``"horizon"``) and a message."""
+    if window < 2:
+        return "window", f"need window >= 2, got {window}"
+    least = start + window - 1
+    if horizon < least:
+        return "horizon", (f"need horizon >= {least} for window {window} "
+                           f"from n={start}, got {horizon}")
+    return None
+
+
 def scan_rows(family, functor=None, depth_ideal=None, horizon=50, window=10):
     """Evaluate a family through a functor across ``[start, horizon]``.
 
@@ -206,12 +218,10 @@ def scan_rows(family, functor=None, depth_ideal=None, horizon=50, window=10):
     """
     if functor is None:
         functor = IdentityFunctor()
-    if window < 2:
-        raise ValueError("window must be at least 2")
-    start = family.scan_start
-    if horizon < start + window - 1:
-        raise ValueError("horizon too small for the requested window")
-    ns = list(range(start, horizon + 1))
+    fault = scan_range_fault(family.scan_start, horizon, window)
+    if fault:
+        raise ValueError(": ".join(fault))
+    ns = list(range(family.scan_start, horizon + 1))
 
     def evaluate(n):
         source = family.generate(n)

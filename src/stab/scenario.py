@@ -16,18 +16,19 @@ reports.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from typing import NamedTuple, Optional
 
-from .domains import domain_from_descriptor
+from .domains import domain_from_descriptor, int_in_range
 from .matrices import Mat
-from .modules import FpModule, Morphism, Ideal, NotWellDefined
+from .modules import FpModule, Morphism, Ideal
 from .invariants import CmcSet, DEPTH_INF
 from .functors import (IdentityFunctor, HomFrom, CoherentFunctor, ComplexHomology,
                        GammaFunctor, ModGamma, TauFunctor, ModTau,
                        MiddleFiniteFunctor, EndSummand,
                        OscillatingFunctor, ExponentSet, ext_functor, tor_functor)
 from .scan import (QuotientPowers, Layers, GradedLayers, SubquotientFamily,
-                   KwHomology, scan_rows, artin_rees_probe)
+                   KwHomology, scan_rows, scan_range_fault, artin_rees_probe)
 
 
 class ScenarioError(ValueError):
@@ -38,6 +39,26 @@ class ScenarioError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+# What a library constructor raises for an input it rejects.
+_INPUT_ERRORS = (ValueError, TypeError)
+
+
+@contextmanager
+def _at(path):
+    """Anchor a library input error raised in the block at ``path``; an inner
+    :class:`ScenarioError` already carries its own path and passes through."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except _INPUT_ERRORS as exc:
+        raise ScenarioError(path, str(exc)) from exc
+
+
+def _join(path, key):
+    return key if path == "$" else f"{path}.{key}"
+
+
 def _require(doc, key, path, kind=None):
     if not isinstance(doc, dict):
         raise ScenarioError(path, "expected an object")
@@ -45,45 +66,39 @@ def _require(doc, key, path, kind=None):
         raise ScenarioError(path, f"missing required field {key!r}")
     value = doc[key]
     if kind is not None and not isinstance(value, kind):
-        raise ScenarioError(f"{path}.{key}", f"expected {kind.__name__}")
+        raise ScenarioError(_join(path, key), f"expected {kind.__name__}")
     return value
 
 
-def _int(value, path):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(path, f"expected an integer, got {value!r}")
-    return value
-
-
-def _section(doc, key):
-    """The object of named definitions under ``key``, empty when absent."""
-    value = doc.get(key, {})
-    if not isinstance(value, dict):
-        raise ScenarioError(key, "expected an object of named definitions")
-    return value
+def _int(value, path, least=None):
+    with _at(path):
+        return int_in_range(value, least)
 
 
 def _elem(domain, value, path):
+    # Runs once per matrix entry, so it converts errors inline rather than via _at.
     try:
         return domain.elem_from_json(value)
-    except (ValueError, TypeError) as exc:
+    except _INPUT_ERRORS as exc:
         raise ScenarioError(path, str(exc)) from exc
 
 
-def _mat(domain, rows, path, expect_rows=None, expect_cols=None):
+def _mat(domain, rows, path, cols=0):
+    """A nested row-major array; ``cols`` is the width of one with no rows."""
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise ScenarioError(path, "matrix must be a nested array, row-major")
     data = [[_elem(domain, a, f"{path}[{i}][{j}]") for j, a in enumerate(row)]
             for i, row in enumerate(rows)]
-    if expect_rows is not None and len(data) != expect_rows:
-        raise ScenarioError(path, f"expected {expect_rows} rows, got {len(data)}")
-    width = len(data[0]) if data else (expect_cols or 0)
-    if any(len(r) != width for r in data):
-        raise ScenarioError(path, "ragged matrix")
-    if expect_cols is not None and width != expect_cols:
-        raise ScenarioError(path, f"expected {expect_cols} columns, got {width}")
-    nrows = len(data) if expect_rows is None else expect_rows
-    return Mat(domain, data, nrows, width)
+    with _at(path):
+        return Mat(domain, data, len(data), len(data[0]) if data else cols)
+
+
+def read_backend(doc):
+    """The backend a scenario or ``compute`` document names; integers by default."""
+    if not isinstance(doc, dict):
+        raise ScenarioError("$", "expected a JSON object")
+    with _at("backend"):
+        return domain_from_descriptor(doc.get("backend", {"kind": "integers"}))
 
 
 class Scenario(NamedTuple):
@@ -100,134 +115,104 @@ class Scenario(NamedTuple):
 
 
 class _Env:
-    """Named definitions plus resolution helpers for one scenario document."""
+    """The named definitions of one document, and the one resolver of
+    references to them."""
 
     def __init__(self, domain, doc):
         self.domain = domain
-        self.modules = {}
-        self.ideals = {}
-        self.submodules = {}
-        self.morphisms = {}
-        for name, mdoc in _section(doc, "modules").items():
-            try:
-                self.modules[name] = FpModule.from_json(domain, mdoc)
-            except (ValueError, TypeError) as exc:
-                raise ScenarioError(f"modules.{name}", str(exc)) from exc
-        for name, idoc in _section(doc, "ideals").items():
-            self.ideals[name] = Ideal(domain, _elem(domain, idoc, f"ideals.{name}"))
-        for name, sdoc in _section(doc, "submodules").items():
-            self.submodules[name] = _mat(domain, sdoc, f"submodules.{name}")
-        for name, fdoc in _section(doc, "morphisms").items():
-            self.morphisms[name] = self.morphism(fdoc, f"morphisms.{name}")
+        self.named = {}
+        # In this order, so that morphisms can name the modules defined above.
+        for kind in ("modules", "ideals", "submodules", "morphisms"):
+            self.named[kind] = {}
+            section = doc.get(kind, {})
+            if not isinstance(section, dict):
+                raise ScenarioError(kind, "expected an object of named definitions")
+            for name, value in section.items():
+                self.named[kind][name] = self._build(kind, value, f"{kind}.{name}")
 
-    def module(self, ref, path):
-        if isinstance(ref, str):
-            if ref not in self.modules:
-                raise ScenarioError(path, f"unknown module {ref!r}")
-            return self.modules[ref]
-        if isinstance(ref, dict):
-            try:
-                return FpModule.from_json(self.domain, ref)
-            except (ValueError, TypeError) as exc:
-                raise ScenarioError(path, str(exc)) from exc
-        raise ScenarioError(path, "module reference must be a name or an inline object")
-
-    def ideal(self, ref, path):
-        if isinstance(ref, str) and ref in self.ideals:
-            return self.ideals[ref]
-        return Ideal(self.domain, _elem(self.domain, ref, path))
-
-    def submodule(self, ref, module, path):
-        if isinstance(ref, str):
-            if ref not in self.submodules:
-                raise ScenarioError(path, f"unknown submodule {ref!r}")
-            gens = self.submodules[ref]
+    def ref(self, doc, key, path, kind, rows=None):
+        """``doc[key]`` as a ``kind`` definition: a defined name, or an inline
+        definition (for ``ideals``, an element).  Submodule generators must
+        have ``rows`` rows when it is given."""
+        value = _require(doc, key, path)
+        path = _join(path, key)
+        named = self.named[kind]
+        if isinstance(value, str) and (value in named or kind != "ideals"):
+            if value not in named:
+                raise ScenarioError(path, f"unknown {kind[:-1]} {value!r}")
+            found = named[value]
         else:
-            gens = _mat(self.domain, ref, path)
-        if gens.rows != module.ambient:
+            found = self._build(kind, value, path)
+        if rows is not None and found.rows != rows:
             raise ScenarioError(path, "generator rows do not match the ambient rank")
-        return gens
+        return found
 
-    def morphism(self, ref, path):
-        if isinstance(ref, str):
-            if ref not in self.morphisms:
-                raise ScenarioError(path, f"unknown morphism {ref!r}")
-            return self.morphisms[ref]
-        if not isinstance(ref, dict):
-            raise ScenarioError(path, "morphism must be a name or an inline object")
-        source = self.module(_require(ref, "source", path), f"{path}.source")
-        target = self.module(_require(ref, "target", path), f"{path}.target")
-        mat = _mat(self.domain, _require(ref, "matrix", path, list),
-                   f"{path}.matrix", expect_rows=target.ambient,
-                   expect_cols=source.ambient)
-        try:
-            return Morphism(source, target, mat)
-        except NotWellDefined as exc:
-            raise ScenarioError(path, str(exc)) from exc
+    def _build(self, kind, value, path):
+        D = self.domain
+        with _at(path):
+            if kind == "modules":
+                return FpModule.from_json(D, value)
+            if kind == "ideals":
+                return Ideal(D, _elem(D, value, path))
+            if kind == "submodules":
+                return _mat(D, value, path)
+            source = self.ref(value, "source", path, "modules")
+            target = self.ref(value, "target", path, "modules")
+            return Morphism(source, target, _mat(D, _require(value, "matrix", path),
+                                                 f"{path}.matrix", source.ambient))
 
-    def cmc_set(self, doc, path):
-        if not isinstance(doc, dict):
-            raise ScenarioError(path, "set must be an object")
-        if "elements" in doc:
-            elems = [_elem(self.domain, e, f"{path}.elements[{i}]")
-                     for i, e in enumerate(_require(doc, "elements", path, list))]
-            return CmcSet.explicit(self.domain, elems)
-        if "closure" in doc:
-            gens = [_elem(self.domain, e, f"{path}.closure[{i}]")
-                    for i, e in enumerate(_require(doc, "closure", path, list))]
-            return CmcSet.closure(self.domain, gens)
-        raise ScenarioError(path, "set needs 'elements' or 'closure'")
+
+def _cmc_set(domain, doc, path):
+    for key, make in (("elements", CmcSet.explicit), ("closure", CmcSet.closure)):
+        if isinstance(doc, dict) and key in doc:
+            elems = [_elem(domain, e, f"{path}.{key}[{i}]")
+                     for i, e in enumerate(_require(doc, key, path, list))]
+            with _at(path):
+                return make(domain, elems)
+    raise ScenarioError(path, "set must be an object with 'elements' or 'closure'")
 
 
 def _exponent_set(doc, path):
     if not isinstance(doc, dict):
         raise ScenarioError(path, "exponent set must be an object")
     if "parity" in doc:
-        if doc["parity"] == "even":
-            return ExponentSet(progressions=[(2, 2)])
-        if doc["parity"] == "odd":
-            return ExponentSet(progressions=[(1, 2)])
-        raise ScenarioError(path, "parity must be 'even' or 'odd'")
-    try:
-        return ExponentSet(doc.get("members", ()),
-                           [tuple(p) for p in doc.get("progressions", ())])
-    except (ValueError, TypeError) as exc:
-        raise ScenarioError(path, str(exc)) from exc
+        if doc["parity"] not in ("even", "odd"):
+            raise ScenarioError(path, "parity must be 'even' or 'odd'")
+        return ExponentSet(progressions=[(2 if doc["parity"] == "even" else 1, 2)])
+    with _at(path):
+        return ExponentSet(doc.get("members", ()), doc.get("progressions", ()))
+
+
+# Functor kinds built from one referenced definition: key, kind, constructor.
+_ONE_REF_FUNCTORS = {
+    "hom_from": ("module", "modules", HomFrom),
+    "ext1": ("module", "modules", lambda m: ext_functor(m, 1)),
+    "tor1": ("module", "modules", lambda m: tor_functor(m, 1)),
+    "coherent": ("morphism", "morphisms", CoherentFunctor),
+    "gamma": ("ideal", "ideals", GammaFunctor),
+    "mod_gamma": ("ideal", "ideals", ModGamma),
+}
 
 
 def build_functor(env, doc, path="functor"):
     kind = _require(doc, "kind", path, str)
-    if kind == "identity":
-        return IdentityFunctor()
-    if kind == "hom_from":
-        return HomFrom(env.module(_require(doc, "module", path), f"{path}.module"))
-    if kind == "ext1":
-        return ext_functor(env.module(_require(doc, "module", path), f"{path}.module"), 1)
-    if kind == "tor1":
-        return tor_functor(env.module(_require(doc, "module", path), f"{path}.module"), 1)
-    if kind == "coherent":
-        return CoherentFunctor(env.morphism(_require(doc, "morphism", path),
-                                            f"{path}.morphism"))
-    if kind == "gamma":
-        return GammaFunctor(env.ideal(_require(doc, "ideal", path), f"{path}.ideal"))
-    if kind == "mod_gamma":
-        return ModGamma(env.ideal(_require(doc, "ideal", path), f"{path}.ideal"))
-    if kind == "tau":
-        return TauFunctor(env.cmc_set(_require(doc, "set", path), f"{path}.set"))
-    if kind == "mod_tau":
-        return ModTau(env.cmc_set(_require(doc, "set", path), f"{path}.set"))
-    if kind == "complex":
-        d2 = env.morphism(_require(doc, "d2", path), f"{path}.d2")
-        d1 = env.morphism(_require(doc, "d1", path), f"{path}.d1")
-        index = doc.get("index", 1)
-        try:
-            return ComplexHomology(d2, d1, index)
-        except ValueError as exc:
-            raise ScenarioError(path, str(exc)) from exc
-    if kind == "middle_finite":
-        return _middle_finite(env, doc, path)
-    if kind == "oscillating":
-        return _oscillating(env, doc, path)
+    with _at(path):
+        if kind == "identity":
+            return IdentityFunctor()
+        if kind in _ONE_REF_FUNCTORS:
+            key, ref_kind, make = _ONE_REF_FUNCTORS[kind]
+            return make(env.ref(doc, key, path, ref_kind))
+        if kind in ("tau", "mod_tau"):
+            cmc = _cmc_set(env.domain, _require(doc, "set", path), f"{path}.set")
+            return TauFunctor(cmc) if kind == "tau" else ModTau(cmc)
+        if kind == "complex":
+            return ComplexHomology(env.ref(doc, "d2", path, "morphisms"),
+                                   env.ref(doc, "d1", path, "morphisms"),
+                                   _int(doc.get("index", 1), f"{path}.index"))
+        if kind == "middle_finite":
+            return _middle_finite(env, doc, path)
+        if kind == "oscillating":
+            return _oscillating(env, doc, path)
     raise ScenarioError(path, f"unknown functor kind {kind!r}")
 
 
@@ -236,125 +221,94 @@ def _end_summands(env, docs, path):
         raise ScenarioError(path, "expected list")
     out = []
     for i, item in enumerate(docs):
-        if isinstance(item, dict) and "module" in item:
-            module = env.module(item["module"], f"{path}[{i}].module")
-            invert = item.get("invert")
-            if invert is not None:
-                invert = _elem(env.domain, invert, f"{path}[{i}].invert")
-                if env.domain.is_zero(invert):
-                    raise ScenarioError(f"{path}[{i}].invert", "cannot invert zero")
-            out.append(EndSummand(module, invert))
-        else:
-            out.append(EndSummand(env.module(item, f"{path}[{i}]"), None))
+        # A summand is a module reference, or an object naming one and what to invert.
+        if not (isinstance(item, dict) and "module" in item):
+            item = {"module": item}
+        module = env.ref(item, "module", f"{path}[{i}]", "modules")
+        invert = item.get("invert")
+        if invert is not None:
+            invert = _elem(env.domain, invert, f"{path}[{i}].invert")
+        out.append(EndSummand(module, invert))
     return out
 
 
 def _middle_finite(env, doc, path):
     a_ends = _end_summands(env, doc.get("a", []), f"{path}.a")
-    b = env.module(_require(doc, "b", path), f"{path}.b")
+    b = env.ref(doc, "b", path, "modules")
     c_ends = _end_summands(env, doc.get("c", []), f"{path}.c")
-    a_dim = sum(s.module.ambient for s in a_ends)
-    c_dim = sum(s.module.ambient for s in c_ends)
-    d_a = _mat(env.domain, doc.get("d_a", []), f"{path}.d_a", expect_rows=b.ambient) \
-        if doc.get("d_a") else Mat.zero(env.domain, b.ambient, a_dim)
-    d_b = _mat(env.domain, doc.get("d_b", []), f"{path}.d_b", expect_rows=c_dim) \
-        if doc.get("d_b") else Mat.zero(env.domain, c_dim, b.ambient)
-    try:
-        return MiddleFiniteFunctor(a_ends, b, c_ends, d_a, d_b)
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from exc
+    d_a, d_b = (_mat(env.domain, doc[key], f"{path}.{key}") if doc.get(key) else None
+                for key in ("d_a", "d_b"))
+    return MiddleFiniteFunctor(a_ends, b, c_ends, d_a, d_b)
 
 
 def _oscillating(env, doc, path):
-    rules = {}
     if "rules" in doc:
-        for i, rule in enumerate(_require(doc, "rules", path, list)):
-            p = _elem(env.domain, _require(rule, "prime", f"{path}.rules[{i}]"),
-                      f"{path}.rules[{i}].prime")
-            rules[p] = _exponent_set(_require(rule, "set", f"{path}.rules[{i}]"),
-                                     f"{path}.rules[{i}].set")
+        rules = [(f"{path}.rules[{i}]", rule)
+                 for i, rule in enumerate(_require(doc, "rules", path, list))]
     else:
-        p = _elem(env.domain, _require(doc, "prime", path), f"{path}.prime")
-        rules[p] = _exponent_set(_require(doc, "set", path), f"{path}.set")
-    try:
-        return OscillatingFunctor(env.domain, rules)
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from exc
+        rules = [(path, doc)]
+    return OscillatingFunctor(env.domain, {
+        _elem(env.domain, _require(rule, "prime", at), f"{at}.prime"):
+            _exponent_set(_require(rule, "set", at), f"{at}.set")
+        for at, rule in rules})
 
 
-def build_family(env, doc, path="family"):
+def build_family(env, doc, scan, path="family"):
+    """The family of a document.  ``scan`` is the document's ``(horizon,
+    window)``; a shifted homology family is checked against it before its
+    constructor raises the ideal to the shift offset."""
     kind = _require(doc, "kind", path, str)
-    ideal = env.ideal(_require(doc, "ideal", path), f"{path}.ideal")
-    if kind in ("quotient_powers", "layers"):
-        module = env.module(_require(doc, "module", path), f"{path}.module")
-        cls = QuotientPowers if kind == "quotient_powers" else Layers
-        return cls(module, ideal)
-    if kind == "graded_layers":
-        module = env.module(_require(doc, "module", path), f"{path}.module")
-        gens = env.submodule(_require(doc, "submodule", path), module,
-                             f"{path}.submodule")
-        return GradedLayers(module, gens, ideal)
-    if kind == "subquotient":
-        module = env.module(_require(doc, "module", path), f"{path}.module")
-        u = env.submodule(_require(doc, "u", path), module, f"{path}.u")
-        v = env.submodule(_require(doc, "v", path), module, f"{path}.v")
-        w = env.submodule(_require(doc, "w", path), module, f"{path}.w")
-        try:
-            return SubquotientFamily(module, u, v, w, ideal)
-        except ValueError as exc:
-            raise ScenarioError(path, str(exc)) from exc
-    if kind == "kw_homology":
-        alpha = env.morphism(_require(doc, "alpha", path), f"{path}.alpha")
-        beta = env.morphism(_require(doc, "beta", path), f"{path}.beta")
-        l_sub = env.submodule(_require(doc, "l_sub", path), alpha.source, f"{path}.l_sub")
-        m_sub = env.submodule(_require(doc, "m_sub", path), alpha.target, f"{path}.m_sub")
-        n_sub = env.submodule(_require(doc, "n_sub", path), beta.target, f"{path}.n_sub")
-        shift = None
-        if "shift" in doc:
-            sdoc = doc["shift"]
-            l1 = env.submodule(_require(sdoc, "l1", f"{path}.shift"), alpha.source,
-                               f"{path}.shift.l1")
-            l2 = env.submodule(_require(sdoc, "l2", f"{path}.shift"), alpha.source,
-                               f"{path}.shift.l2")
-            c = _int(_require(sdoc, "c", f"{path}.shift"), f"{path}.shift.c")
-            shift = (l1, l2, c)
-        try:
+    ideal = env.ref(doc, "ideal", path, "ideals")
+
+    def sub(key, rows, where=doc, at=path):
+        return env.ref(where, key, at, "submodules", rows)
+
+    with _at(path):
+        if kind in ("quotient_powers", "layers", "graded_layers", "subquotient"):
+            module = env.ref(doc, "module", path, "modules")
+            if kind == "graded_layers":
+                return GradedLayers(module, sub("submodule", module.ambient), ideal)
+            if kind == "subquotient":
+                u, v, w = (sub(key, module.ambient) for key in ("u", "v", "w"))
+                return SubquotientFamily(module, u, v, w, ideal)
+            return (QuotientPowers if kind == "quotient_powers" else Layers)(module, ideal)
+        if kind == "kw_homology":
+            alpha = env.ref(doc, "alpha", path, "morphisms")
+            beta = env.ref(doc, "beta", path, "morphisms")
+            l_sub = sub("l_sub", alpha.source.ambient)
+            m_sub = sub("m_sub", alpha.target.ambient)
+            n_sub = sub("n_sub", beta.target.ambient)
+            shift = None
+            if "shift" in doc:
+                spath = f"{path}.shift"
+                shift = (sub("l1", alpha.source.ambient, doc["shift"], spath),
+                         sub("l2", alpha.source.ambient, doc["shift"], spath),
+                         _int(_require(doc["shift"], "c", spath), f"{spath}.c", least=0))
+                _check_scan_range(max(1, shift[2]), *scan)
             return KwHomology(alpha, beta, l_sub, m_sub, n_sub, ideal, shift)
-        except ValueError as exc:
-            raise ScenarioError(path, str(exc)) from exc
     raise ScenarioError(path, f"unknown family kind {kind!r}")
 
 
 def parse_scenario(doc):
     """Validate a scenario document and resolve every reference."""
-    if not isinstance(doc, dict):
-        raise ScenarioError("$", "scenario must be a JSON object")
-    backend = doc.get("backend", {"kind": "integers"})
-    try:
-        domain = domain_from_descriptor(backend)
-    except (ValueError, KeyError) as exc:
-        raise ScenarioError("backend", str(exc)) from exc
+    domain = read_backend(doc)
     env = _Env(domain, doc)
-    family = build_family(env, _require(doc, "family", "$", dict))
-    functor_doc = doc.get("functor", {"kind": "identity"})
-    functor = build_functor(env, functor_doc)
-    depth_ideal = None
-    if "depth_ideal" in doc:
-        depth_ideal = env.ideal(doc["depth_ideal"], "depth_ideal")
     horizon = _int(doc.get("horizon", 50), "horizon")
     window = _int(doc.get("window", 10), "window")
+    family = build_family(env, _require(doc, "family", "$", dict), (horizon, window))
+    functor_doc = doc.get("functor", {"kind": "identity"})
+    functor = build_functor(env, functor_doc)
+    depth_ideal = env.ref(doc, "depth_ideal", "$", "ideals") if "depth_ideal" in doc else None
     artin = None
     if "artin_rees" in doc:
         adoc = doc["artin_rees"]
-        artin = {
-            "beta": env.morphism(_require(adoc, "beta", "artin_rees"), "artin_rees.beta"),
-            "n_prime": None,
-            "ideal": env.ideal(adoc.get("ideal", _require(doc, "family", "$", dict)
-                                        .get("ideal")), "artin_rees.ideal"),
-            "horizon": _int(adoc.get("horizon", 10), "artin_rees.horizon"),
-        }
-        artin["n_prime"] = env.submodule(_require(adoc, "n_prime", "artin_rees"),
-                                         artin["beta"].target, "artin_rees.n_prime")
+        beta = env.ref(adoc, "beta", "artin_rees", "morphisms")
+        artin = {"beta": beta,
+                 "n_prime": env.ref(adoc, "n_prime", "artin_rees", "submodules",
+                                    beta.target.ambient),
+                 "ideal": (env.ref(adoc, "ideal", "artin_rees", "ideals") if "ideal" in adoc
+                           else family.ideal),
+                 "horizon": _int(adoc.get("horizon", 10), "artin_rees.horizon", least=0)}
     expect = doc.get("expect")
     if expect is not None:
         _check_expect_doc(expect)
@@ -400,8 +354,8 @@ class RunOutcome(NamedTuple):
     artin_d: Optional[int]
     expect_ok: bool
     expect_failures: tuple
-    horizon: int = 50
-    window: int = 10
+    horizon: int
+    window: int
 
 
 def _depth_str(v):
@@ -412,18 +366,18 @@ def _depth_str(v):
     return str(int(v))
 
 
+def _check_scan_range(start, horizon, window):
+    fault = scan_range_fault(start, horizon, window)
+    if fault:
+        raise ScenarioError(*fault)
+
+
 def scan_range(sc, horizon=None, window=None):
     """``(horizon, window)`` with any overrides applied, checked by the one
-    rule for file values and command-line values alike: ``window >= 2``, and
-    the window fits between the family's first index and ``horizon``."""
+    scan-range rule for file values and command-line values alike."""
     horizon = sc.horizon if horizon is None else horizon
     window = sc.window if window is None else window
-    if window < 2:
-        raise ScenarioError("window", f"need window >= 2, got {window}")
-    least = sc.family.scan_start + window - 1
-    if horizon < least:
-        raise ScenarioError("horizon", f"need horizon >= {least} for window {window} "
-                                       f"from n={sc.family.scan_start}, got {horizon}")
+    _check_scan_range(sc.family.scan_start, horizon, window)
     return horizon, window
 
 
@@ -474,14 +428,18 @@ def _check_expect(sc, result, artin_d):
     return failures
 
 
+def _row_cells(D, row):
+    """A report row's invariant factors (a ``"0"`` per free summand) and depth."""
+    factors = ["0"] * row.value.rank + [D.elem_str(d) for d in row.value.factors]
+    return factors, _depth_str(row.depth_value)
+
+
 def report_csv(sc, outcome):
     lines = ["n,invariant_factors,ass,depth"]
-    D = sc.domain
     for row in outcome.result.rows:
-        rank, factors = row.value.rank, row.value.factors
-        cell = ";".join(["0"] * rank + [D.elem_str(d) for d in factors])
+        factors, depth = _row_cells(sc.domain, row)
         ass_cell = ";".join(repr(p) for p in row.ass_set)
-        lines.append(f"{row.n},{cell},{ass_cell},{_depth_str(row.depth_value)}")
+        lines.append(f"{row.n},{';'.join(factors)},{ass_cell},{depth}")
     return "\n".join(lines) + "\n"
 
 
@@ -496,13 +454,9 @@ def report_json(sc, outcome):
     D = sc.domain
     rows = []
     for row in outcome.result.rows:
-        rows.append({
-            "n": row.n,
-            "invariant_factors": (["0"] * row.value.rank
-                                  + [D.elem_str(d) for d in row.value.factors]),
-            "ass": row.ass_set.to_json(),
-            "depth": _depth_str(row.depth_value),
-        })
+        factors, depth = _row_cells(D, row)
+        rows.append({"n": row.n, "invariant_factors": factors,
+                     "ass": row.ass_set.to_json(), "depth": depth})
     doc = {
         "name": sc.name,
         "backend": D.descriptor(),

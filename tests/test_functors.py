@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -269,6 +270,28 @@ def test_middle_finite_composite_check():
     # mapping into the 2-power torsion part of R/8 localized at 2 is fine
     MiddleFiniteFunctor([EndSummand(R, None)], R, [EndSummand(cyc(8), 2)],
                         Mat(ZZ, [[2]]), Mat(ZZ, [[1]]))
+
+
+def test_middle_finite_rejects_inverting_zero_and_defaults_to_zero_maps():
+    for a_ends, c_ends, where in (([EndSummand(R, 0)], [], "a[0]"),
+                                  ([], [EndSummand(R, None), EndSummand(R, 0)], "c[1]")):
+        with pytest.raises(ValueError, match=rf"{re.escape(where)}.invert: cannot invert zero"):
+            MiddleFiniteFunctor(a_ends, R, c_ends, None, None)
+    f = MiddleFiniteFunctor([EndSummand(R, None)], R, [EndSummand(R, None)], None, None)
+    assert f.d_a == Mat.zero(ZZ, 1, 1) and f.d_b == Mat.zero(ZZ, 1, 1)
+
+
+def test_input_rules_reject_zero_primes_and_non_integer_exponents():
+    for bad in ([1.5], [True], ["1"], [0]):
+        with pytest.raises(ValueError, match="members: expected an integer >= 1"):
+            ExponentSet(members=bad)
+    with pytest.raises(ValueError, match="progression start"):
+        ExponentSet(progressions=[("1", 2)])
+    with pytest.raises(ValueError, match="progression step"):
+        ExponentSet(progressions=[(1, 2.0)])
+    for domain, zero in ((ZZ, 0), (F5, F5.zero)):
+        with pytest.raises(ValueError, match="0 is not prime"):
+            OscillatingFunctor(domain, {zero: ExponentSet(members=[1])})
 
 
 def test_middle_finite_nonzero_head_laws():

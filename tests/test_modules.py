@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from stab import matrices
 from stab.domains import ZZ, BoundedMemo, poly_ring
 from stab.matrices import Mat, NF_MEMO_BOUND
-from stab.modules import (FpModule, Morphism, Ideal,
+from stab.modules import (FpModule, Morphism, Ideal, MAX_GENERATORS,
                           hom, hom_induced, loc_tensor, tensor_mor,
                           NotWellDefined, SubmoduleError, DomainViolation,
                           sub_equal, sub_intersect)
@@ -348,6 +348,20 @@ def test_free_module_from_empty_relations():
         FpModule.from_relations(ZZ, [[2]], 2)
     with pytest.raises(ValueError, match="relations: 2 rows but ambient is 1"):
         FpModule.from_json(ZZ, {"relations": [[2], [3]], "ambient": 1})
+
+
+def test_module_json_rejects_mistyped_and_oversized_fields():
+    # ``rank`` and ``ambient`` cost a document a few bytes each, so they are bounded.
+    assert FpModule.from_json(ZZ, {"rank": MAX_GENERATORS}).rank == MAX_GENERATORS
+    for doc, message in (({"rank": MAX_GENERATORS + 1}, "rank: expected an integer from 0"),
+                         ({"rank": 2**70}, "rank: expected an integer from 0"),
+                         ({"relations": [], "ambient": MAX_GENERATORS + 1},
+                          "ambient: expected an integer from 0"),
+                         ({"factors": "12"}, "factors: expected an array"),
+                         ({"relations": "12"}, "relations: expected an array"),
+                         ({"relations": ["12"]}, "relations: expected an array")):
+        with pytest.raises(ValueError, match=message):
+            FpModule.from_json(ZZ, doc)
 
 
 def test_iso_test_is_rank_and_factors():

@@ -170,13 +170,36 @@ MALFORMED = [
     ("window", {"window": 1}),
     ("horizon", {"horizon": 3}),
     ("horizon", {"family": KW_SHIFTED}),
-    ("functor.c[0].invert", {"functor": {"kind": "middle_finite", "b": "R", "d_b": [["1"]],
+    ("functor: c[0].invert", {"functor": {"kind": "middle_finite", "b": "R", "d_b": [["1"]],
                                          "c": [{"module": "R", "invert": "0"}]}}),
     ("modules.M: rank", {"modules": dict(BASE["modules"], M={"rank": 1.5, "factors": ["8"]})}),
     ("modules.M: rank", {"modules": dict(BASE["modules"], M={"rank": True, "factors": ["8"]})}),
     ("modules.M: rank", {"modules": dict(BASE["modules"], M={"rank": -2, "factors": ["8"]})}),
     ("modules.M: ambient", {"modules": dict(BASE["modules"],
                                             M={"relations": [["8", "0"]], "ambient": -1})}),
+    # Inputs that escaped as tracebacks.
+    ("functor.set", {"functor": {"kind": "tau", "set": {"elements": []}}}),
+    ("functor.set", {"functor": {"kind": "tau", "set": {"closure": ["0"]}}}),
+    ("functor.index", {"functor": {"kind": "complex", "d1": "beta4", "index": 1.0,
+                                   "d2": {"source": {"rank": 0}, "target": "R",
+                                          "matrix": [[]]}}}),
+    ("functor", {"functor": {"kind": "oscillating", "prime": "0",
+                             "set": {"parity": "even"}}}),
+    ("modules.M: rank", {"modules": dict(BASE["modules"], M={"rank": 2**70, "factors": ["8"]})}),
+    ("backend: characteristic", {"backend": {"kind": "poly", "characteristic": None}}),
+    # Inputs that were silently coerced.
+    ("functor.set: members", {"functor": {"kind": "oscillating", "prime": "2",
+                                          "set": {"members": [1.5]}}}),
+    ("functor.set: members", {"functor": {"kind": "oscillating", "prime": "2",
+                                          "set": {"members": [True]}}}),
+    ("functor.set: progression start", {"functor": {"kind": "oscillating", "prime": "2",
+                                                    "set": {"progressions": [["1", "2"]]}}}),
+    ("modules.M: factors", {"modules": dict(BASE["modules"], M={"rank": 1, "factors": "12"})}),
+    ("functor.index", {"functor": {"kind": "complex", "d1": "beta4", "index": True,
+                                   "d2": {"source": {"rank": 0}, "target": "R",
+                                          "matrix": [[]]}}}),
+    ("artin_rees.horizon", {"artin_rees": dict(BASE["artin_rees"], horizon=-1)}),
+    ("backend: characteristic", {"backend": {"kind": "poly", "characteristic": "5"}}),
 ]
 
 
@@ -303,10 +326,21 @@ def test_cli_compute_bad_input_exit_1(tmp_path):
             ("eval", '{"functor": {"kind": "identity"}, "argument": {"rank": -1}}',
              "argument: rank"),
             ("hom", '{"source": {"factors": []}, "target": {"relations": 5}}', "target"),
-            ("ass", '{"module": {"relations": [[2]], "ambient": 2}}', "module: relations")]:
+            ("ass", '{"module": {"relations": [[2]], "ambient": 2}}', "module: relations"),
+            ("eval", '{"functor": {"kind": "oscillating", "prime": "0", "set": {"parity": "odd"}},'
+                     ' "argument": {"factors": [4]}}', "functor")]:
         proc = _run_cli(["compute", sub, arg], tmp_path)
         assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
         assert proc.stderr.startswith(f"error: {prefix}: "), proc.stderr
+
+
+def test_cli_compute_domain_violation_exit_2(tmp_path):
+    # An oscillating functor is defined on torsion modules only.
+    args = {"functor": {"kind": "oscillating", "prime": "2", "set": {"parity": "even"}},
+            "argument": {"rank": 1}}
+    proc = _run_cli(["compute", "eval", json.dumps(args)], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("domain violation: ") and proc.stdout == ""
 
 
 def test_cli_compute_ass_of_free_module_without_relations(tmp_path):
