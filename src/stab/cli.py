@@ -4,7 +4,7 @@
 ``stab compute <sub> <json>`` does a one-shot computation printed as JSON;
 ``stab suite`` runs the packaged scenario corpus plus a seeded law check.
 
-Exit codes: 0 success (and expectation match), 1 parse or validation error,
+Exit codes: 0 success (and expectation match), 1 parse, validation or write error,
 2 runtime domain violation, 3 verdict mismatch against an expectation block.
 """
 
@@ -55,12 +55,16 @@ def _cmd_run(args):
         return _fail_parse(err)
     try:
         sc = parse_scenario(doc)
+        # Checked before --out is made, so that a bad override writes nothing.
+        scan_range(sc, args.horizon, args.window)
+        outdir = Path(args.out or doc.get("out", "."))
+        outdir.mkdir(parents=True, exist_ok=True)
         outcome = run_scenario(sc, args.horizon, args.window)
     except ScenarioError as exc:
         return _fail_parse(f"{path}: {exc}")
     except DomainViolation as exc:
         return _fail_domain(exc)
-    _write_reports(Path(args.out) if args.out else Path(doc.get("out", ".")), sc, outcome)
+    _write_reports(outdir, sc, outcome)
     print(_summary_line(sc, outcome))
     if sc.expect is not None and not outcome.expect_ok:
         for failure in outcome.expect_failures:
@@ -70,7 +74,6 @@ def _cmd_run(args):
 
 
 def _write_reports(outdir, sc, outcome):
-    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / f"{sc.name}.csv").write_text(report_csv(sc, outcome))
     (outdir / f"{sc.name}.json").write_text(report_json(sc, outcome))
 
@@ -163,6 +166,8 @@ def _cmd_suite(args):
                 scan_range(sc, args.horizon, args.window)
             except ScenarioError as exc:
                 return _fail_parse(f"{name}: {exc}")
+    if args.out:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     failures = 0
     count = 0
     for name, sc, err in parsed:
@@ -222,7 +227,10 @@ def main(argv=None):
     p_suite.add_argument("--seed", type=int, default=0)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # an --out or a report that cannot be written
+        return _fail_parse(f"{exc.filename}: {exc.strerror}")
 
 
 if __name__ == "__main__":

@@ -378,14 +378,8 @@ def skeleton(n):
     the skeleton presentation is ``diag(p1^e1, ..., pj^ej)`` ordered by prime
     then exponent.
     """
-    if not n.is_torsion():
-        raise DomainViolation("skeleton is defined for torsion modules only")
     D = n.domain
-    pairs = []
-    for idx, d in enumerate(n.factors):
-        for p, e in D.factor(d):
-            pairs.append((p, e, idx))
-    pairs.sort(key=lambda t: (D.prime_key(t[0]), t[1], t[2]))
+    pairs = _prime_power_pairs(n)
     dim = len(n.factors)
     skel_cols = []
     split = [[D.zero] * dim for _ in range(len(pairs))]
@@ -406,6 +400,16 @@ def skeleton(n):
     to_skel = Morphism(n, skel, split_m @ n._to_dec)
     from_skel = Morphism(skel, n, n._from_dec @ crt_m)
     return skel, to_skel, from_skel
+
+
+def _prime_power_pairs(n):
+    """``(p, e, factor index)`` per prime power of ``n``, in skeleton order."""
+    if not n.is_torsion():
+        raise DomainViolation("skeleton is defined for torsion modules only")
+    D = n.domain
+    pairs = [(p, e, idx) for idx, d in enumerate(n.factors) for p, e in D.factor(d)]
+    pairs.sort(key=lambda t: (D.prime_key(t[0]), t[1], t[2]))
+    return pairs
 
 
 def skeleton_pairs(module):
@@ -486,8 +490,9 @@ class OscillatingFunctor(Functor):
         return Morphism(fa, fb, Mat(D, out, len(tkeep), len(skeep)))
 
     def __call__(self, n):
-        skel, _, _ = skeleton(n)
-        return self.eval_skeleton(skel)
+        # eval_skeleton of the skeleton, without its transforms.
+        return _diag_module(self.domain, [p for p, e, _ in _prime_power_pairs(n)
+                                          if e in self.exponents_of(p)])
 
     def map(self, g):
         _, to_a, from_a = skeleton(g.source)

@@ -79,10 +79,14 @@ def ass(m):
     primes = []
     if m.rank > 0:
         primes.append(Ideal(D, D.zero))
-    if m.factors:
-        # Largest invariant factor is divisible by all the others.
-        for p, _ in D.factor(m.factors[-1]):
-            primes.append(Ideal(D, p))
+    # The quotients d1, d2/d1, ... of the chain have together exactly the
+    # primes of the largest factor, and each is cheaper to factor than it.
+    prev = D.one
+    for d in m.factors:
+        q = D.exact_div(d, prev)
+        if not D.is_unit(q):
+            primes.extend(Ideal(D, p) for p, _ in D.factor(q))
+        prev = d
     return AssSet(primes)
 
 

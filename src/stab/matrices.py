@@ -12,10 +12,11 @@ takes a matrix of right-hand sides and answers every column at once, and
 ``preimage`` gives the canonical generators of ``{x : A @ x in span(B)}``,
 with ``kernel`` the preimage of zero.
 
-``Mat`` is immutable and hashed by content, so the Hermite and Smith forms
-are memoized per process on the matrix itself: equal matrices built by
-different routes share one computation.  The memos are bounded, because a
-form can be much larger than its input.
+``Mat`` is immutable and hashed by content, so the Hermite form, the Smith
+form and the transform-free Smith diagonal are memoized per process on the
+matrix itself: equal matrices built by different routes share one
+computation.  The memos are bounded, because a form can be much larger than
+its input.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ NF_MEMO_BOUND = 32
 
 _HNF_MEMO = BoundedMemo(NF_MEMO_BOUND)
 _SNF_MEMO = BoundedMemo(NF_MEMO_BOUND)
+_DIAG_MEMO = BoundedMemo(NF_MEMO_BOUND)
 
 
 class Mat:
@@ -288,14 +290,34 @@ class Mat:
         """Smith form plus the inverse of the row transform: ``(D, U, V, U^-1)``."""
         return _SNF_MEMO.get(self, self._compute_snf)
 
+    def smith_diagonal(self):
+        """The Smith diagonal: from the memoized full form, else without transforms."""
+        full = _SNF_MEMO.entries.get(self)
+        if full is not None:
+            return tuple(full[0].diagonal())
+        return _DIAG_MEMO.get(self, self._compute_diagonal)
+
+    def _compute_diagonal(self):
+        A = self._smith(False)[0]
+        return tuple(A[i][i] for i in range(min(self.rows, self.cols)))
+
     def _compute_snf(self):
+        D, m, n = self.domain, self.rows, self.cols
+        A, U, V, Uinv = self._smith(True)
+        return (Mat(D, A, m, n), Mat(D, U, m, m), Mat(D, V, n, n), Mat(D, Uinv, m, m))
+
+    def _smith(self, transforms):
+        # Without transforms, U, V and U^-1 start as empty slices of the
+        # identity (m x 0, 0 x n and 0 x m): every operation still applies to
+        # them at no cost, so the diagonal is exactly that of the full form.
         D = self.domain
         add, sub, mul = D.add, D.sub, D.mul
         m, n = self.rows, self.cols
         A = [list(r) for r in self.data]
-        U = [[D.one if i == j else D.zero for j in range(m)] for i in range(m)]
-        Uinv = [[D.one if i == j else D.zero for j in range(m)] for i in range(m)]
-        V = [[D.one if i == j else D.zero for j in range(n)] for i in range(n)]
+        k, l = (m, n) if transforms else (0, 0)
+        U = [[D.one if i == j else D.zero for j in range(k)] for i in range(m)]
+        Uinv = [[D.one if i == j else D.zero for j in range(m)] for i in range(k)]
+        V = [[D.one if i == j else D.zero for j in range(n)] for i in range(l)]
 
         def row_swap(i1, i2):
             if i1 == i2:
@@ -406,8 +428,7 @@ class Mat:
             c, u = D.canon(A[t][t])
             row_scale(t, u)
             t += 1
-        return (Mat(D, A, m, n), Mat(D, U, m, m), Mat(D, V, n, n),
-                Mat(D, Uinv, m, m))
+        return A, U, V, Uinv
 
     def diagonal(self):
         return [self.data[i][i] for i in range(min(self.rows, self.cols))]

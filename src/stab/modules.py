@@ -5,10 +5,11 @@ given by generator matrices inside an ambient presentation; everything
 (membership, kernels, subquotients) routes through exact solving and syzygy
 computation on augmented matrices.
 
-The invariant-factor decomposition is computed on first read of ``rank``,
-``factors`` or the decomposition transforms, via the Smith normal form of the
-relations, so kernels and carriers that only serve as presentations never
-pay for one.  Isomorphism testing reduces to comparing
+``rank`` and ``factors`` are computed on first read from the Smith diagonal
+of the relations, without transforms; the decomposition transforms run the
+full Smith form on their own first read.  So kernels and carriers that only
+serve as presentations pay for neither, and invariant-only reads never pay
+for the transforms.  Isomorphism testing reduces to comparing
 ``(rank, invariant factors)``.
 
 >>> from stab.domains import ZZ
@@ -93,27 +94,35 @@ class FpModule:
         raise AttributeError("FpModule is immutable")
 
     def __getattr__(self, name):
-        # Reached only for unset slots: the decomposition is filled in on first read.
-        if name not in ("rank", "factors", "_to_dec", "_from_dec"):
+        # Reached only for unset slots: the invariants and the transforms are
+        # each filled in on first read.
+        if name in ("rank", "factors"):
+            self._set_invariants(self.relations.smith_diagonal())
+        elif name in ("_to_dec", "_from_dec"):
+            self._decompose()
+        else:
             raise AttributeError(name)
-        self._decompose()
         return object.__getattribute__(self, name)
 
     def _decompose(self):
-        D = self.domain
         dmat, u, _, uinv = self.relations._snf_full()
-        diag = dmat.diagonal()
-        torsion_rows = [i for i, d in enumerate(diag)
-                        if not D.is_zero(d) and not D.is_unit(d)]
-        free_rows = [i for i in range(self.ambient)
-                     if i >= len(diag) or D.is_zero(diag[i])]
-        order = torsion_rows + free_rows
-        object.__setattr__(self, "rank", len(free_rows))
-        object.__setattr__(self, "factors", tuple(diag[i] for i in torsion_rows))
+        order = self._set_invariants(dmat.diagonal())
         # Rows with unit diagonal entries present generators that vanish, so
         # dropping them from the transforms is an isomorphism.
         object.__setattr__(self, "_to_dec", u.take_rows(order))
         object.__setattr__(self, "_from_dec", uinv.take_cols(order))
+
+    def _set_invariants(self, diag):
+        # Sets rank and factors from the Smith diagonal; returns the rows
+        # that carry them, torsion rows first.
+        D = self.domain
+        torsion_rows = [i for i, d in enumerate(diag)
+                        if not D.is_zero(d) and not D.is_unit(d)]
+        free_rows = [i for i in range(self.ambient)
+                     if i >= len(diag) or D.is_zero(diag[i])]
+        object.__setattr__(self, "rank", len(free_rows))
+        object.__setattr__(self, "factors", tuple(diag[i] for i in torsion_rows))
+        return torsion_rows + free_rows
 
     # -- constructors -------------------------------------------------------
 
@@ -471,6 +480,8 @@ def torsion_gens(module, g):
     Each invariant factor ``d`` whose part ``s`` supported on the primes of
     ``g`` is not a unit contributes its summand generator times ``d / s``.
     """
+    # Read before the invariants, so that one full Smith form gives both.
+    frommat = module._from_dec
     D = module.domain
     dim = len(module.factors) + module.rank
     cols = []
@@ -480,7 +491,7 @@ def torsion_gens(module, g):
             continue
         col = [D.zero] * dim
         col[idx] = D.exact_div(d, s)
-        cols.append(module._from_dec.mul_vec(col))
+        cols.append(frommat.mul_vec(col))
     return Mat.from_cols(D, cols, module.ambient)
 
 

@@ -10,8 +10,9 @@ now shares, and differential tests compare the two.
 import math
 from itertools import product
 
+from stab.invariants import AssSet
 from stab.matrices import Mat
-from stab.modules import FpModule, Morphism, tensor_mor
+from stab.modules import FpModule, Ideal, Morphism, tensor_mor
 
 
 def int_is_prime_trial(n):
@@ -89,6 +90,18 @@ def ass_oracle(domain, factors):
             if elem_is_prime_trial(domain, a):
                 out.add(a)
     return out
+
+
+def ass_reference(m):
+    """Associated primes from one full factorization of the largest factor."""
+    D = m.domain
+    primes = []
+    if m.rank > 0:
+        primes.append(Ideal(D, D.zero))
+    if m.factors:
+        for p, _ in D.factor(m.factors[-1]):
+            primes.append(Ideal(D, p))
+    return AssSet(primes)
 
 
 def hom_count_oracle(module, target):

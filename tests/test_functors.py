@@ -4,8 +4,9 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stab.domains import ZZ, poly_ring
-from stab.matrices import Mat
+from stab import matrices
+from stab.domains import ZZ, BoundedMemo, poly_ring
+from stab.matrices import Mat, NF_MEMO_BOUND
 from stab.modules import FpModule, Morphism, Ideal, HomSpace, DomainViolation
 from stab.invariants import CmcSet, ass, ann, gamma, ann_contains
 from stab.functors import (IdentityFunctor, HomFrom, CoherentFunctor,
@@ -343,6 +344,22 @@ def test_oscillating_object_rule():
     assert reprs == [[], ["(2)"], [], ["(2)"], []]
     # unlisted primes die
     assert osc(cyc(9)).is_zero()
+
+
+def test_oscillating_object_rule_runs_no_smith_transforms(monkeypatch):
+    monkeypatch.setattr(matrices, "_SNF_MEMO", BoundedMemo(NF_MEMO_BOUND))
+    computed = []
+    compute = Mat._compute_snf
+    monkeypatch.setattr(Mat, "_compute_snf", lambda a: computed.append(a) or compute(a))
+    osc = OscillatingFunctor(ZZ, {2: ExponentSet(members=[1, 3]),
+                                  3: ExponentSet(members=[1])})
+    n = FpModule.from_relations(ZZ, [[24, 6], [0, 18]])
+    value = osc(n)
+    assert computed == []
+    # The same presentation as the skeleton route gives.
+    skel, _, _ = skeleton(n)
+    assert value.relations == osc.eval_skeleton(skel).relations
+    assert value.decompose() == (0, [2, 6])  # n = Z/6 (+) Z/72
 
 
 def test_oscillating_morphism_block_rule():

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,9 +9,10 @@ from stab.matrices import Mat
 from stab.modules import FpModule, Ideal
 from stab.invariants import (AssSet, CmcSet, DEPTH_INF,
                              ass, ann, depth, gamma, tau, NotCmc, ann_contains)
-from oracles import ass_oracle
+from oracles import ass_oracle, ass_reference
 
 F2 = poly_ring(2)
+F5 = poly_ring(5)
 R = FpModule.free(ZZ, 1)
 
 
@@ -67,6 +69,47 @@ def test_ass_oracle_poly_backend():
         m = FpModule.from_invariants(F2, 0, factors)
         chain = list(m.factors)
         assert {p.gen for p in ass(m)} == ass_oracle(F2, chain)
+
+
+# Primes (some of them non-canonical associates) of each backend.
+PRIME_POOLS = {ZZ: [2, 3, -5, 7],
+               F2: [(0, 1), (1, 1), (1, 1, 1)],
+               F5: [(0, 1), (2, 1), (4, 2), (2, 0, 1)]}
+
+
+@st.composite
+def quotient_chains(draw):
+    """``(domain, rank, quotients)``: each quotient a product of 0 to 3 pool
+    primes, repeats allowed, so some quotients are units."""
+    domain = draw(st.sampled_from([ZZ, F2, F5]))
+    pool = st.sampled_from(PRIME_POOLS[domain])
+    quotients = []
+    for primes in draw(st.lists(st.lists(pool, max_size=3), max_size=4)):
+        q = domain.one
+        for p in primes:
+            q = domain.mul(q, p)
+        quotients.append(q)
+    return domain, draw(st.integers(0, 2)), quotients
+
+
+@given(quotient_chains())
+@settings(max_examples=200, deadline=None)
+def test_ass_factors_only_the_successive_quotients(chain):
+    domain, rank, quotients = chain
+    factors, d = [], domain.one
+    for q in quotients:
+        d = domain.mul(d, q)
+        factors.append(d)
+    m = FpModule.from_invariants(domain, rank, factors)
+    expected = ass_reference(m)
+    factored = []
+    real = type(domain).factor
+    with mock.patch.object(type(domain), "factor",
+                           lambda self, a: factored.append(a) or real(self, a)):
+        got = ass(m)
+    assert got == expected
+    canon = [domain.canon(q)[0] for q in quotients]
+    assert factored == [q for q in canon if not domain.is_unit(q)]
 
 
 def test_ann_examples():

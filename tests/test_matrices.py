@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stab import matrices
-from stab.domains import ZZ, poly_ring
+from stab.domains import ZZ, BoundedMemo, poly_ring
 from stab.matrices import Mat, NF_MEMO_BOUND
 from oracles import (kernel_reference, matmul_reference, preimage_reference,
                      solve_vector_reference)
@@ -216,9 +216,11 @@ def test_normal_form_memos_hold_exactly_their_bound():
     for k in range(NF_MEMO_BOUND + 5):
         a = Mat(ZZ, [[k + 2, 3], [5, 7 * k + 1]])
         a.hnf()
+        a.smith_diagonal()
         a.snf()
     assert len(matrices._HNF_MEMO.entries) == NF_MEMO_BOUND
     assert len(matrices._SNF_MEMO.entries) == NF_MEMO_BOUND
+    assert len(matrices._DIAG_MEMO.entries) == NF_MEMO_BOUND
     assert Mat(ZZ, [[2, 3], [5, 1]]) not in matrices._HNF_MEMO.entries
 
 
@@ -349,3 +351,32 @@ def test_sparse_normal_forms_and_product(data):
     assert matmul_reference(matmul_reference(u, a), v) == d
     assert matmul_reference(u, uinv) == Mat.identity(domain, rows)
     assert all(d[i, j] == domain.zero for i in range(rows) for j in range(cols) if i != j)
+
+
+# -- the Smith diagonal without transforms ---------------------------------------
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_smith_diagonal_matches_full_form(data):
+    domain = data.draw(st.sampled_from([ZZ, F2, F5]))
+    rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 5))
+    a = data.draw(st.one_of(sparse_mats(domain, rows, cols),
+                            st.just(Mat.zero(domain, rows, cols))))
+    # Computed before the full form, so that it runs without transforms.
+    matrices._SNF_MEMO.entries.pop(a, None)
+    diag = a.smith_diagonal()
+    assert diag == tuple(a._snf_full()[0].diagonal())
+    assert len(diag) == min(rows, cols)
+
+
+def test_smith_diagonal_reads_a_memoized_full_form(monkeypatch):
+    monkeypatch.setattr(matrices, "_SNF_MEMO", BoundedMemo(NF_MEMO_BOUND))
+    monkeypatch.setattr(matrices, "_DIAG_MEMO", BoundedMemo(NF_MEMO_BOUND))
+    runs = []
+    smith = Mat._smith
+    monkeypatch.setattr(Mat, "_smith", lambda a, t: runs.append(t) or smith(a, t))
+    a, b = Mat(ZZ, [[4, 6], [10, 8]]), Mat(ZZ, [[4, 6], [10, 9]])
+    a._snf_full()
+    assert a.smith_diagonal() == (2, 14)
+    assert b.smith_diagonal() == b.smith_diagonal() == (1, 24)
+    assert runs == [True, False]

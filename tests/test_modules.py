@@ -402,8 +402,9 @@ def test_tensor_mor_matches_indexing():
 # -- lazy decomposition ---------------------------------------------------------
 
 def test_presentation_only_modules_run_no_smith_form(monkeypatch):
-    # A fresh memo, so that every decomposition read below is a computation.
+    # Fresh memos, so that every decomposition read below is a computation.
     monkeypatch.setattr(matrices, "_SNF_MEMO", BoundedMemo(NF_MEMO_BOUND))
+    monkeypatch.setattr(matrices, "_DIAG_MEMO", BoundedMemo(NF_MEMO_BOUND))
     computed = []
     compute = Mat._compute_snf
     monkeypatch.setattr(Mat, "_compute_snf", lambda a: computed.append(a) or compute(a))
@@ -417,10 +418,13 @@ def test_presentation_only_modules_run_no_smith_form(monkeypatch):
     inside = carrier.factor_through(incl)
     quotient = FpModule(ZZ, k.ambient, k.relations.hstack(inside.mat))
     assert computed == []
-    # The first read decomposes once; later reads of any part reuse it.
+    # The invariants come from the Smith diagonal alone; the first read of a
+    # transform runs the full form once, and the other transform reuses it.
     assert quotient.decompose() == (0, [2])
+    assert computed == []
     assert quotient._to_dec is not None and quotient._from_dec is not None
     assert computed == [quotient.relations]
+    assert quotient.decompose() == (0, [2])
 
 
 @st.composite

@@ -246,6 +246,21 @@ def test_cli_scan_range_override_exit_1(tmp_path, argv, prefix):
         == ["work", "work/k.json", "work/s.json"]
 
 
+@pytest.mark.parametrize("argv, name, message", [
+    (["run", "s.json", "--out", "reports"], "a" * 300, "File name too long"),
+    (["run", "s.json", "--out", "taken"], "demo", "taken: File exists"),
+    (["suite", "--out", "taken"], "demo", "taken: File exists"),
+], ids=["run-name-too-long", "run-out-is-a-file", "suite-out-is-a-file"])
+def test_cli_report_write_error_exit_1(tmp_path, argv, name, message):
+    (tmp_path / "s.json").write_text(json.dumps(scenario(name=name)))
+    (tmp_path / "taken").write_text("")
+    proc = _run_cli(argv, tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.endswith(f"{message}\n"), \
+        proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 def test_cli_domain_violation_exit_2(tmp_path):
     doc = scenario()
     del doc["expect"]
@@ -401,3 +416,15 @@ def test_packaged_scenarios_roundtrip():
         assert name == f"{sc.name}.json"
         names.append(name)
     assert len(names) >= 25
+
+
+def test_packaged_period_after_transient():
+    # {1} and the even exponents from 4: n = 3 already fits the tail (odd n
+    # give no prime), so the period-2 tail starts at 3, after the transient
+    # at n = 1, 2.
+    from stab.cli import _iter_packaged_scenarios
+    text = dict(_iter_packaged_scenarios())["osc_period2_after_transient.json"]
+    outcome = run_scenario(parse_scenario(json.loads(text)))
+    report = outcome.result.ass_report
+    assert (report.status, report.period, report.n0) == ("oscillating-with-period-2", 2, 3)
+    assert outcome.expect_ok, outcome.expect_failures
