@@ -495,7 +495,7 @@ class OscillatingFunctor(Functor):
                                           if e in self.exponents_of(p)])
 
     def map(self, g):
-        _, to_a, from_a = skeleton(g.source)
+        _, _, from_a = skeleton(g.source)
         _, to_b, _ = skeleton(g.target)
         conj = to_b.compose(g).compose(from_a)
         return self.map_skeleton(conj)

@@ -68,7 +68,6 @@ class Mat:
 
     @classmethod
     def from_cols(cls, domain, cols, rows):
-        z = domain.zero
         if not cols:
             return cls.zero(domain, rows, 0)
         return cls(domain, [[c[i] for c in cols] for i in range(rows)], rows, len(cols))
@@ -269,7 +268,7 @@ class Mat:
                 if clean:
                     break
                 nz = [j for j in range(col, n) if not D.is_zero(H[row][j])]
-            c, u = D.canon(H[row][col])
+            _, u = D.canon(H[row][col])
             col_scale(col, u)
             for j in range(col):
                 q, _ = D.divmod(H[row][j], H[row][col])
@@ -425,7 +424,7 @@ class Mat:
                 U[t] = [add(a, b) for a, b in zip(U[t], U[offender])]
                 for r in Uinv:
                     r[offender] = sub(r[offender], r[t])
-            c, u = D.canon(A[t][t])
+            _, u = D.canon(A[t][t])
             row_scale(t, u)
             t += 1
         return A, U, V, Uinv

@@ -5,6 +5,14 @@ given by generator matrices inside an ambient presentation; everything
 (membership, kernels, subquotients) routes through exact solving and syzygy
 computation on augmented matrices.
 
+The constructor prunes the presentation: a relation matrix in which no
+column has two nonzero entries (``[diag(d) | g^n I]`` from
+:meth:`FpModule.power_quotient`, the Kronecker blocks of a tensor of diagonal
+modules) is replaced by one column per occupied row holding the gcd of that
+row, which spans the same relations over a PID.  Any other matrix is kept as
+given.  Generators, morphism matrices and invariants are unchanged; every
+later normal form runs on the smaller matrix.
+
 ``rank`` and ``factors`` are computed on first read from the Smith diagonal
 of the relations, without transforms; the decomposition transforms run the
 full Smith form on their own first read.  So kernels and carriers that only
@@ -88,7 +96,7 @@ class FpModule:
             raise BackendMismatch("relations over wrong backend")
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "relations", _pruned(relations))
 
     def __setattr__(self, name, value):
         raise AttributeError("FpModule is immutable")
@@ -571,6 +579,31 @@ class HomSpace:
             coords = [D.one if t == k else D.zero for t in range(n)]
             outs.append(self.realize(coords))
         return outs
+
+
+def _pruned(rel):
+    """One gcd column per occupied row when no column of ``rel`` has two
+    nonzero entries (see the module docstring); otherwise, or when ``rel``
+    is already in that shape, ``rel`` itself."""
+    D = rel.domain
+    gcds = {}
+    for col in zip(*rel.data):
+        nonzero = [*filter(None, col)]
+        if len(nonzero) > 1:
+            return rel
+        if nonzero:
+            a = nonzero[0]
+            # Zero is the only falsy element, so ``a`` occurs once in ``col``.
+            i = col.index(a)
+            gcds[i] = D.gcd(gcds[i], a) if i in gcds else a
+    # As many occupied rows as columns: no zero column and no shared row.
+    if len(gcds) == rel.cols:
+        return rel
+    rows = sorted(gcds)
+    data = [[D.zero] * len(rows) for _ in range(rel.rows)]
+    for j, i in enumerate(rows):
+        data[i][j] = gcds[i]
+    return Mat(D, data, rel.rows, len(rows))
 
 
 def _diag_module(domain, anns):

@@ -108,7 +108,7 @@ class KwHomology(Family):
         if not sub_contains(nmod, n_sub, beta.mat @ m_sub):
             raise ValueError("beta does not map M' into N'")
         if shift is not None:
-            l1, l2, c = shift
+            _, l2, c = shift
             if c < 0:
                 raise ValueError("shift offset must be nonnegative")
             g_c = ideal.power_gen(c)

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -460,3 +461,79 @@ def test_module_stays_immutable_before_and_after_decomposition():
         assert m.decompose() == (0, [2])
     with pytest.raises(AttributeError):
         m.no_such_attribute
+
+
+def _nonzero_elems(domain):
+    # Units and non-canonical associates included: negative integers, and
+    # polynomials that are not monic over GF(5).
+    if domain is ZZ:
+        return st.integers(-12, 12).filter(bool)
+    coeffs = st.integers(0, domain.p - 1)
+    return st.lists(coeffs, min_size=1, max_size=3).map(domain.elem_from_json).filter(bool)
+
+
+@st.composite
+def monomial_relations(draw, extra_nonzero=False):
+    """Relation matrices in which each column has at most one nonzero entry.
+
+    With ``extra_nonzero``, one column gets a second nonzero entry.
+    """
+    domain = draw(st.sampled_from([ZZ, F2, F5]))
+    elems = _nonzero_elems(domain)
+    rows = draw(st.integers(2 if extra_nonzero else 0, 4))
+    cols = draw(st.integers(1 if extra_nonzero else 0, 6))
+    data = [[domain.zero] * cols for _ in range(rows)]
+    for j in range(cols):
+        i = draw(st.none() | st.integers(0, rows - 1)) if rows else None
+        if i is not None:
+            data[i][j] = draw(elems)
+    if extra_nonzero:
+        j = draw(st.integers(0, cols - 1))
+        i1, i2 = draw(st.lists(st.integers(0, rows - 1), min_size=2, max_size=2,
+                               unique=True))
+        data[i1][j], data[i2][j] = draw(elems), draw(elems)
+    return Mat(domain, data, rows, cols)
+
+
+def _invariants(domain, rows, rel):
+    # From the given matrix itself, not from a module built on it.
+    presentation = SimpleNamespace(domain=domain, ambient=rows, relations=rel)
+    return decomposition_reference(presentation)[:2]
+
+
+@given(monomial_relations())
+@settings(max_examples=300, deadline=None)
+def test_monomial_relations_reduce_to_one_gcd_per_row(rel):
+    D = rel.domain
+    m = FpModule(D, rel.rows, rel)
+    new = m.relations
+    assert m.ambient == new.rows == rel.rows
+    assert new.span_basis() == rel.span_basis()
+    # One nonzero per column, and at most one column per row.
+    assert all(sum(map(bool, col)) == 1 for col in new.columns())
+    assert all(sum(map(bool, row)) <= 1 for row in new.data)
+    occupied = [i for i, row in enumerate(rel.data) if any(row)]
+    assert new.cols == len(occupied)
+    if rel.cols == len(occupied):
+        assert new is rel  # already reduced
+    assert (m.rank, m.factors) == _invariants(D, rel.rows, rel)
+
+
+@given(monomial_relations(extra_nonzero=True))
+@settings(max_examples=100, deadline=None)
+def test_non_monomial_relations_are_kept_as_given(rel):
+    m = FpModule(rel.domain, rel.rows, rel)
+    assert m.relations is rel
+    assert (m.rank, m.factors) == _invariants(rel.domain, rel.rows, rel)
+
+
+def test_constructions_on_diagonal_modules_keep_one_column_per_generator():
+    # [diag(d) | g^n I] and the Kronecker blocks of a tensor product reduce to
+    # a diagonal presentation.
+    x_plus_1, x_squared = F5.elem_from_json([1, 1]), F5.elem_from_json([0, 0, 1])
+    for D, factors, gen in ((ZZ, [2, 12], 6), (F5, [x_plus_1], x_squared)):
+        m = FpModule.from_invariants(D, 1, factors)
+        for built in (m.power_quotient(Ideal(D, gen), 3), m.tensor(m),
+                      m.tensor(m).power_quotient(Ideal(D, gen), 2)):
+            assert built.relations.cols <= built.ambient
+    assert cyc(4).tensor(cyc(6)).relations == Mat(ZZ, [[2]])
