@@ -191,6 +191,20 @@ def _factor_int(n):
 class _Backend:
     """Operations written once over each backend's primitives."""
 
+    def is_zero(self, a):
+        return not a
+
+    def exact_div(self, a, b):
+        q, r = self.divmod(a, b)
+        if r:
+            raise ValueError(f"{self.elem_str(b)} does not divide {self.elem_str(a)}")
+        return q
+
+    def lcm(self, a, b):
+        if not a or not b:
+            return self.zero
+        return self.canon(self.exact_div(self.mul(a, b), self.gcd(a, b)))[0]
+
     def saturate_part(self, d, g):
         """The divisor of ``d`` supported on primes dividing ``g``, canonical:
         ``gcd(d, g^k mod d)`` for ``k`` at least every multiplicity in ``d``
@@ -207,9 +221,6 @@ class Integers(_Backend):
     characteristic = None
     zero = 0
     one = 1
-
-    def is_zero(self, a):
-        return a == 0
 
     def is_unit(self, a):
         return a == 1 or a == -1
@@ -237,12 +248,6 @@ class Integers(_Backend):
         if b == 0:
             raise ZeroInputError("division by zero")
         return divmod(a, b)
-
-    def exact_div(self, a, b):
-        q, r = self.divmod(a, b)
-        if r != 0:
-            raise ValueError(f"{b} does not divide {a}")
-        return q
 
     def divides(self, a, b):
         if a == 0:
@@ -273,11 +278,6 @@ class Integers(_Backend):
 
     def gcd(self, a, b):
         return math.gcd(a, b)
-
-    def lcm(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        return abs(a * b) // self.gcd(a, b)
 
     def factor(self, a):
         """Factor ``a`` into a sorted list of ``(prime, multiplicity)`` pairs."""
@@ -344,14 +344,11 @@ class PolyOverFp(_Backend):
             raise ValueError(f"characteristic {p} is not prime")
         self.p = p
         self.characteristic = p
-        self.one = (1 % p,) if p > 1 else ()
+        self.one = (1,)
         self._mod_byte = bytes(i % p for i in range(256))
 
     def const(self, c):
         return _ptrim([c % self.p])
-
-    def is_zero(self, a):
-        return a == ()
 
     def is_unit(self, a):
         return len(a) == 1
@@ -451,12 +448,6 @@ class PolyOverFp(_Backend):
         # The top quotient coefficient is nonzero, so only the remainder trims.
         return tuple(q), _ptrim([c % p for c in rem[:db]])
 
-    def exact_div(self, a, b):
-        q, r = self.divmod(a, b)
-        if r != ():
-            raise ValueError("inexact polynomial division")
-        return q
-
     def divides(self, a, b):
         if not a:
             return not b
@@ -496,11 +487,6 @@ class PolyOverFp(_Backend):
         while b:
             a, b = b, self.divmod(a, b)[1]
         return self.canon(a)[0]
-
-    def lcm(self, a, b):
-        if not a or not b:
-            return ()
-        return self.canon(self.exact_div(self.mul(a, b), self.gcd(a, b)))[0]
 
     def _derivative(self, a):
         p = self.p

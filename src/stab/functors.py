@@ -29,7 +29,7 @@ from .domains import int_in_range
 from .matrices import Mat
 from .modules import (FpModule, Morphism, Ideal, HomSpace,
                       _diag_module, hom_induced, loc_tensor, tensor_mor,
-                      sub_contains, DomainViolation)
+                      sub_contains, DomainViolation, NotWellDefined)
 from .invariants import gamma, tau
 
 
@@ -314,7 +314,7 @@ class MiddleFiniteFunctor(TensoredHomology):
         try:
             f = Morphism(a_n, b_n, self.d_a.kron(ident))
             h = Morphism(b_n, c_n, self.d_b.kron(ident))
-        except Exception as exc:
+        except NotWellDefined as exc:
             raise DomainViolation(f"maps do not descend to localizations: {exc}") from exc
         return f, h
 

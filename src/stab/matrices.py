@@ -7,6 +7,13 @@ unimodular) and presentations compose directly with cokernels.
 Pivots are chosen by minimal norm to limit coefficient growth; arithmetic
 is exact, so blow-up is a speed concern only.
 
+Each normal form eliminates on one stacked list of rows (Cohen, GTM 138,
+2.4): column operations turn ``[A; I]`` into ``[H; U]``; the Smith loop
+runs column operations on ``[A; V]`` and row operations on ``[A | U]``, the
+inverses of those on ``U^-1``.  A Hermite form's nonzero columns lead with
+strictly increasing pivot rows, which ``_pivots`` reads for ``solve``,
+``preimage`` and ``span_basis``.
+
 Linear algebra goes through two calls, each on one Hermite form: ``solve``
 takes a matrix of right-hand sides and answers every column at once, and
 ``preimage`` gives the canonical generators of ``{x : A @ x in span(B)}``,
@@ -28,6 +35,55 @@ NF_MEMO_BOUND = 32
 _HNF_MEMO = BoundedMemo(NF_MEMO_BOUND)
 _SNF_MEMO = BoundedMemo(NF_MEMO_BOUND)
 _DIAG_MEMO = BoundedMemo(NF_MEMO_BOUND)
+
+
+def _eye(D, rows, cols):
+    return [[D.one if i == j else D.zero for j in range(cols)] for i in range(rows)]
+
+
+def _col_swap(W, j1, j2):
+    if j1 != j2:
+        for r in W:
+            r[j1], r[j2] = r[j2], r[j1]
+
+
+def _col_sub(W, j, jsrc, q, op, mul):
+    """Column ``j = op(column j, q * column jsrc)``, skipping zero entries of ``jsrc``."""
+    if q:
+        for r in W:
+            if r[jsrc]:
+                r[j] = op(r[j], mul(q, r[jsrc]))
+
+
+def _clear_row(W, i, t, n, D):
+    """Reduce row ``i`` right of column ``t`` (up to ``n``) by column
+    operations with column ``t``; true when every remainder is zero."""
+    row, sub, mul = W[i], D.sub, D.mul
+    clean = True
+    for j in range(t + 1, n):
+        if row[j]:
+            q, r = D.divmod(row[j], row[t])
+            _col_sub(W, j, t, q, sub, mul)
+            if r:
+                clean = False
+    return clean
+
+
+def _pivots(H):
+    """The pivot row of each nonzero column of a Hermite form ``H``.
+
+    Those columns lead and their pivot rows strictly increase, so one
+    downward pass finds them all; their count is the rank.
+    """
+    rows, i = [], 0
+    for j in range(H.cols):
+        while i < H.rows and not H.data[i][j]:
+            i += 1
+        if i == H.rows:
+            break
+        rows.append(i)
+        i += 1
+    return rows
 
 
 class Mat:
@@ -213,68 +269,31 @@ class Mat:
         return _HNF_MEMO.get(self, self._compute_hnf)
 
     def _compute_hnf(self):
+        # Column operations on [A; I] leave [H; U].
         D = self.domain
-        sub, mul = D.sub, D.mul
+        norm, mul = D.norm, D.mul
         m, n = self.rows, self.cols
-        H = [list(r) for r in self.data]
-        U = [[D.one if i == j else D.zero for j in range(n)] for i in range(n)]
-
-        def col_swap(j1, j2):
-            if j1 == j2:
-                return
-            for r in H:
-                r[j1], r[j2] = r[j2], r[j1]
-            for r in U:
-                r[j1], r[j2] = r[j2], r[j1]
-
-        def col_sub(j, jsrc, q):
-            # column j -= q * column jsrc, skipping zero entries of jsrc
-            if not q:
-                return
-            for r in H:
-                if r[jsrc]:
-                    r[j] = sub(r[j], mul(q, r[jsrc]))
-            for r in U:
-                if r[jsrc]:
-                    r[j] = sub(r[j], mul(q, r[jsrc]))
-
-        def col_scale(j, u):
-            if u == D.one:
-                return
-            for r in H:
-                r[j] = mul(u, r[j])
-            for r in U:
-                r[j] = mul(u, r[j])
-
+        W = [list(r) for r in self.data] + _eye(D, n, n)
         col = 0
         for row in range(m):
             if col >= n:
                 break
-            nz = [j for j in range(col, n) if not D.is_zero(H[row][j])]
-            if not nz:
+            r = W[row]
+            if not any(r[col:]):
                 continue
             while True:
-                j0 = min(nz, key=lambda j: (D.norm(H[row][j]), j))
-                col_swap(col, j0)
-                clean = True
-                for j in range(col + 1, n):
-                    a = H[row][j]
-                    if D.is_zero(a):
-                        continue
-                    q, r = D.divmod(a, H[row][col])
-                    col_sub(j, col, q)
-                    if not D.is_zero(r):
-                        clean = False
-                if clean:
+                _col_swap(W, col, min((j for j in range(col, n) if r[j]),
+                                      key=lambda j: (norm(r[j]), j)))
+                if _clear_row(W, row, col, n, D):
                     break
-                nz = [j for j in range(col, n) if not D.is_zero(H[row][j])]
-            _, u = D.canon(H[row][col])
-            col_scale(col, u)
+            _, u = D.canon(r[col])
+            if u != D.one:
+                for w in W:
+                    w[col] = mul(u, w[col])
             for j in range(col):
-                q, _ = D.divmod(H[row][j], H[row][col])
-                col_sub(j, col, q)
+                _col_sub(W, j, col, D.divmod(r[j], r[col])[0], D.sub, mul)
             col += 1
-        return (Mat(D, H, m, n), Mat(D, U, n, n))
+        return (Mat(D, W[:m], m, n), Mat(D, W[m:], n, n))
 
     def snf(self):
         """Smith normal form: ``(D, U, V)`` with ``U @ self @ V == D``.
@@ -297,137 +316,89 @@ class Mat:
         return _DIAG_MEMO.get(self, self._compute_diagonal)
 
     def _compute_diagonal(self):
-        A = self._smith(False)[0]
-        return tuple(A[i][i] for i in range(min(self.rows, self.cols)))
+        W = self._smith(False)[0]
+        return tuple(W[i][i] for i in range(min(self.rows, self.cols)))
 
     def _compute_snf(self):
         D, m, n = self.domain, self.rows, self.cols
-        A, U, V, Uinv = self._smith(True)
-        return (Mat(D, A, m, n), Mat(D, U, m, m), Mat(D, V, n, n), Mat(D, Uinv, m, m))
+        W, Uinv = self._smith(True)
+        return (Mat(D, [r[:n] for r in W[:m]], m, n), Mat(D, [r[n:] for r in W[:m]], m, m),
+                Mat(D, W[m:], n, n), Mat(D, Uinv, m, m))
 
     def _smith(self, transforms):
-        # Without transforms, U, V and U^-1 start as empty slices of the
-        # identity (m x 0, 0 x n and 0 x m): every operation still applies to
-        # them at no cost, so the diagonal is exactly that of the full form.
+        # Column operations act on [A; V] and row operations on [A | U], all
+        # in one list of rows [A | U; V]; U^-1 takes the inverse column
+        # operations.  Without transforms, U, V and U^-1 are empty (m x 0,
+        # 0 x n and 0 x m): every operation still applies to them at no
+        # cost, so the diagonal is exactly that of the full form.
         D = self.domain
-        add, sub, mul = D.add, D.sub, D.mul
+        add, sub, mul, norm, divides = D.add, D.sub, D.mul, D.norm, D.divides
         m, n = self.rows, self.cols
-        A = [list(r) for r in self.data]
-        k, l = (m, n) if transforms else (0, 0)
-        U = [[D.one if i == j else D.zero for j in range(k)] for i in range(m)]
-        Uinv = [[D.one if i == j else D.zero for j in range(m)] for i in range(k)]
-        V = [[D.one if i == j else D.zero for j in range(n)] for i in range(l)]
-
-        def row_swap(i1, i2):
-            if i1 == i2:
-                return
-            A[i1], A[i2] = A[i2], A[i1]
-            U[i1], U[i2] = U[i2], U[i1]
-            for r in Uinv:
-                r[i1], r[i2] = r[i2], r[i1]
-
-        def col_swap(j1, j2):
-            if j1 == j2:
-                return
-            for r in A:
-                r[j1], r[j2] = r[j2], r[j1]
-            for r in V:
-                r[j1], r[j2] = r[j2], r[j1]
-
-        def row_sub(i, isrc, q):
-            # row i -= q * row isrc;  Uinv column isrc += q * column i;
-            # zero source entries change nothing and are skipped
-            if not q:
-                return
-            A[i] = [sub(a, mul(q, b)) if b else a for a, b in zip(A[i], A[isrc])]
-            U[i] = [sub(a, mul(q, b)) if b else a for a, b in zip(U[i], U[isrc])]
-            for r in Uinv:
-                if r[i]:
-                    r[isrc] = add(r[isrc], mul(q, r[i]))
-
-        def col_sub(j, jsrc, q):
-            if not q:
-                return
-            for r in A:
-                if r[jsrc]:
-                    r[j] = sub(r[j], mul(q, r[jsrc]))
-            for r in V:
-                if r[jsrc]:
-                    r[j] = sub(r[j], mul(q, r[jsrc]))
-
-        def row_scale(i, u):
-            if u == D.one:
-                return
-            uinv = D.unit_inv(u)
-            A[i] = [mul(u, a) for a in A[i]]
-            U[i] = [mul(u, a) for a in U[i]]
-            for r in Uinv:
-                r[i] = mul(uinv, r[i])
-
+        W = [list(a) for a in self.data]
+        Uinv = []
+        if transforms:
+            for r, u in zip(W, _eye(D, m, m)):
+                r += u
+            W += _eye(D, n, n)
+            Uinv = _eye(D, m, m)
         t = 0
         while True:
-            pivot = None
             best = None
             for i in range(t, m):
+                row = W[i]
                 for j in range(t, n):
-                    a = A[i][j]
-                    if not D.is_zero(a):
-                        key = (D.norm(a), i, j)
+                    if row[j]:
+                        key = (norm(row[j]), i, j)
                         if best is None or key < best:
                             best = key
-                            pivot = (i, j)
-            if pivot is None:
+            if best is None:
                 break
-            row_swap(t, pivot[0])
-            col_swap(t, pivot[1])
+            _, i0, j0 = best
+            W[t], W[i0] = W[i0], W[t]
+            _col_swap(Uinv, t, i0)
+            _col_swap(W, t, j0)
             while True:
                 dirty = False
                 for i in range(t + 1, m):
-                    a = A[i][t]
-                    if D.is_zero(a):
+                    a = W[i][t]
+                    if not a:
                         continue
-                    q, r = D.divmod(a, A[t][t])
-                    row_sub(i, t, q)
-                    if not D.is_zero(r):
+                    q, r = D.divmod(a, W[t][t])
+                    if q:
+                        # row i -= q * row t;  U^-1 column t += q * column i
+                        W[i] = [sub(a, mul(q, b)) if b else a for a, b in zip(W[i], W[t])]
+                        _col_sub(Uinv, t, i, q, add, mul)
+                    if r:
                         dirty = True
                 if dirty:
-                    i0 = min((i for i in range(t, m) if not D.is_zero(A[i][t])),
-                             key=lambda i: (D.norm(A[i][t]), i))
-                    row_swap(t, i0)
+                    i0 = min((i for i in range(t, m) if W[i][t]),
+                             key=lambda i: (norm(W[i][t]), i))
+                    W[t], W[i0] = W[i0], W[t]
+                    _col_swap(Uinv, t, i0)
                     continue
-                dirty = False
-                for j in range(t + 1, n):
-                    a = A[t][j]
-                    if D.is_zero(a):
-                        continue
-                    q, r = D.divmod(a, A[t][t])
-                    col_sub(j, t, q)
-                    if not D.is_zero(r):
-                        dirty = True
-                if dirty:
-                    j0 = min((j for j in range(t, n) if not D.is_zero(A[t][j])),
-                             key=lambda j: (D.norm(A[t][j]), j))
-                    col_swap(t, j0)
+                if not _clear_row(W, t, t, n, D):
+                    _col_swap(W, t, min((j for j in range(t, n) if W[t][j]),
+                                        key=lambda j: (norm(W[t][j]), j)))
                     continue
-                # Pivot must divide the whole remaining block.
-                offender = None
+                # Pivot must divide the whole remaining block; the first row
+                # with an entry it does not divide is added to row t.
+                p = W[t][t]
                 for i in range(t + 1, m):
-                    for j in range(t + 1, n):
-                        if not D.divides(A[t][t], A[i][j]):
-                            offender = i
-                            break
-                    if offender is not None:
+                    if not all(divides(p, a) for a in W[i][t + 1:n]):
                         break
-                if offender is None:
+                else:
                     break
-                A[t] = [add(a, b) for a, b in zip(A[t], A[offender])]
-                U[t] = [add(a, b) for a, b in zip(U[t], U[offender])]
+                W[t] = [add(a, b) for a, b in zip(W[t], W[i])]
                 for r in Uinv:
-                    r[offender] = sub(r[offender], r[t])
-            _, u = D.canon(A[t][t])
-            row_scale(t, u)
+                    r[i] = sub(r[i], r[t])
+            _, u = D.canon(W[t][t])
+            if u != D.one:
+                W[t] = [mul(u, a) for a in W[t]]
+                uinv = D.unit_inv(u)
+                for r in Uinv:
+                    r[t] = mul(uinv, r[t])
             t += 1
-        return A, U, V, Uinv
+        return W, Uinv
 
     def diagonal(self):
         return [self.data[i][i] for i in range(min(self.rows, self.cols))]
@@ -445,26 +416,23 @@ class Mat:
         if not b.cols:
             return Mat.zero(D, self.cols, 0)
         H, U = self.hnf()
-        pivots = []
-        for j in range(self.cols):
-            prow = next((i for i in range(self.rows) if not D.is_zero(H.data[i][j])), None)
-            if prow is not None:
-                pivots.append((prow, j))
         sub, mul = D.sub, D.mul
+        pivots = _pivots(H)
         ys = []
         for rhs in b.columns():
-            y = [D.zero] * self.cols
-            for k, (prow, j) in enumerate(pivots):
+            # H's nonzero columns lead: column k has its pivot in row pivots[k].
+            y = []
+            for prow in pivots:
                 acc = rhs[prow]
                 hrow = H.data[prow]
-                for _, j2 in pivots[:k]:
-                    if hrow[j2] and y[j2]:
-                        acc = sub(acc, mul(hrow[j2], y[j2]))
-                q, r = D.divmod(acc, H.data[prow][j])
-                if not D.is_zero(r):
+                for j, yj in enumerate(y):
+                    if hrow[j] and yj:
+                        acc = sub(acc, mul(hrow[j], yj))
+                q, r = D.divmod(acc, hrow[len(y)])
+                if r:
                     return None
-                y[j] = q
-            ys.append(y)
+                y.append(q)
+            ys.append(y + [D.zero] * (self.cols - len(y)))
         x = U @ Mat.from_cols(D, ys, self.cols)
         return x if self @ x == b else None
 
@@ -474,11 +442,9 @@ class Mat:
         One Hermite form of ``[self | b]``: the transform columns under its
         zero columns, cut to their first ``self.cols`` rows.
         """
-        D = self.domain
         big = self.hstack(b)
         H, U = big.hnf()
-        zero_cols = [j for j in range(big.cols)
-                     if all(D.is_zero(H.data[i][j]) for i in range(big.rows))]
+        zero_cols = range(len(_pivots(H)), big.cols)
         return U.take_cols(zero_cols).take_rows(range(self.cols)).span_basis()
 
     def kernel(self):
@@ -487,10 +453,8 @@ class Mat:
 
     def span_basis(self):
         """The nonzero columns of the Hermite form: canonical generators of the span."""
-        D = self.domain
         H, _ = self.hnf()
-        return H.take_cols([j for j in range(H.cols)
-                            if any(not D.is_zero(row[j]) for row in H.data)])
+        return H.take_cols(range(len(_pivots(H))))
 
     def inverse(self):
         """Exact inverse over the domain, or ``None`` if not unimodular."""

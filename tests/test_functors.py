@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stab import matrices
+from stab import functors, matrices
 from stab.domains import ZZ, BoundedMemo, poly_ring
 from stab.matrices import Mat, NF_MEMO_BOUND
 from stab.modules import FpModule, Morphism, Ideal, HomSpace, DomainViolation
@@ -280,6 +280,22 @@ def test_middle_finite_rejects_inverting_zero_and_defaults_to_zero_maps():
             MiddleFiniteFunctor(a_ends, R, c_ends, None, None)
     f = MiddleFiniteFunctor([EndSummand(R, None)], R, [EndSummand(R, None)], None, None)
     assert f.d_a == Mat.zero(ZZ, 1, 1) and f.d_b == Mat.zero(ZZ, 1, 1)
+
+
+def test_middle_finite_maps_that_do_not_descend_are_domain_violations(monkeypatch):
+    # Z/3 -> Z[1/2], 1 -> 1, passes the composite check (d_a is zero), but
+    # tensored with Z/9 it would send 3, which is zero in Z/3 (x) Z/9 = Z/3,
+    # to 3, which is not zero in Z/9[1/2] = Z/9.
+    f = MiddleFiniteFunctor([], cyc(3), [EndSummand(R, 2)], None, Mat(ZZ, [[1]]))
+    with pytest.raises(DomainViolation, match="maps do not descend"):
+        f(cyc(9))
+
+    # Any other error while the maps are built is not a domain violation.
+    def broken(*args):
+        raise ZeroDivisionError("not a descent failure")
+    monkeypatch.setattr(functors, "Morphism", broken)
+    with pytest.raises(ZeroDivisionError):
+        f(cyc(9))
 
 
 def test_input_rules_reject_zero_primes_and_non_integer_exponents():

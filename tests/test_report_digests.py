@@ -1,11 +1,22 @@
-"""Every packaged scenario's reports stay byte-identical.
+"""Every packaged scenario's reports and every pinned normal form stay byte-identical.
 
 ``tests/report_digests.json`` holds the SHA-256 of the CSV report, the JSON
 report and the summary line that ``stab run`` writes for each packaged
 scenario at the scenario file's own horizon.  A change that only makes the
 library faster must leave all three unchanged; a scenario added without a
-digest fails too.  When a change to the reports is intended, record the
-fixture again from the repository root:
+digest fails too.
+
+``tests/compute_digests.json`` holds the SHA-256 of the ``stab compute hnf``
+and ``stab compute snf`` answers, transforms included, for a seeded set of
+matrices over ``Z``, ``GF(2)[x]`` and ``GF(5)[x]``: 0x0 and every shape
+from 1x0 to 5x6 (JSON rows cannot give 0xn), with sparse, zero, unit and
+dense entries, dense ones non-canonical (negative integers, non-monic
+polynomials, coefficients out of range).  The forms themselves are
+canonical but their transforms are not, so a changed pivot choice or order
+of operations fails here while every identity the other tests check holds.
+
+When a change to either is intended, record both fixtures again from the
+repository root:
 
     PYTHONPATH=src python3 tests/test_report_digests.py
 """
@@ -14,14 +25,21 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import tempfile
 from pathlib import Path
 
 import stab
 import stab.cli
+import stab.scenario
 
 SCENARIOS = Path(stab.__file__).resolve().parent / "scenarios"
 FIXTURE = Path(__file__).resolve().parent / "report_digests.json"
+COMPUTE_FIXTURE = Path(__file__).resolve().parent / "compute_digests.json"
+BACKENDS = {"zz": {"kind": "integers"},
+            "gf2": {"kind": "poly", "characteristic": 2},
+            "gf5": {"kind": "poly", "characteristic": 5}}
+STYLES = ("sparse", "zero", "unit", "dense")
 
 
 def _sha256(data):
@@ -45,6 +63,40 @@ def current_digests():
                 for path in sorted(SCENARIOS.glob("*.json"))}
 
 
+def _entry(rng, desc, style):
+    """A JSON matrix entry; ``dense`` ones are often non-canonical."""
+    if style == "zero" or (style == "sparse" and rng.random() < 0.7):
+        return 0
+    p = desc.get("characteristic")
+    if style == "unit":
+        return rng.choice((-1, 0, 1)) if p is None else rng.randrange(p)
+    if p is None:
+        return rng.randint(-30, 30)
+    return [rng.randint(-3, 2 * p) for _ in range(rng.randint(1, 4))]
+
+
+def compute_cases():
+    """``(key, document)`` for every pinned ``compute`` matrix, three per shape."""
+    rng = random.Random(1313)
+    shapes = [(0, 0)] + [(r, c) for r in range(1, 6) for c in range(7)]
+    for tag, desc in BACKENDS.items():
+        for k in range(3 * len(shapes)):
+            rows, cols = shapes[k // 3]
+            style = STYLES[k % len(STYLES)]
+            matrix = [[_entry(rng, desc, style) for _ in range(cols)] for _ in range(rows)]
+            yield f"{tag}-{k:03d}", {"backend": desc, "matrix": matrix}
+
+
+def current_compute_digests():
+    out = {}
+    for key, doc in compute_cases():
+        domain = stab.scenario.read_backend(doc)
+        out[key] = {sub: _sha256(json.dumps(stab.cli._compute(sub, domain, doc),
+                                            indent=2, sort_keys=True).encode())
+                    for sub in ("hnf", "snf")}
+    return out
+
+
 def test_packaged_reports_match_their_digests():
     expected = json.loads(FIXTURE.read_text())
     actual = current_digests()
@@ -53,5 +105,15 @@ def test_packaged_reports_match_their_digests():
     assert not changed, f"reports changed: {changed}"
 
 
+def test_compute_normal_forms_match_their_digests():
+    expected = json.loads(COMPUTE_FIXTURE.read_text())
+    actual = current_compute_digests()
+    assert sorted(actual) == sorted(expected), "pinned matrices and digests differ"
+    changed = [key for key in actual if actual[key] != expected[key]]
+    assert not changed, f"normal forms changed: {changed}"
+
+
 if __name__ == "__main__":
     FIXTURE.write_text(json.dumps(current_digests(), indent=1, sort_keys=True) + "\n")
+    COMPUTE_FIXTURE.write_text(
+        json.dumps(current_compute_digests(), indent=1, sort_keys=True) + "\n")

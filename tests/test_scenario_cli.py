@@ -358,6 +358,16 @@ def test_cli_compute_domain_violation_exit_2(tmp_path):
     assert proc.stderr.startswith("domain violation: ") and proc.stdout == ""
 
 
+def test_cli_compute_eval_of_maps_that_do_not_descend_exit_2(tmp_path):
+    # Z/3 -> Z[1/2], 1 -> 1, does not descend to Z/3 (x) Z/9 -> Z/9[1/2].
+    args = {"functor": {"kind": "middle_finite", "b": {"rank": 0, "factors": [3]},
+                        "c": [{"module": {"rank": 1}, "invert": 2}], "d_b": [[1]]},
+            "argument": {"rank": 0, "factors": [9]}}
+    proc = _run_cli(["compute", "eval", json.dumps(args)], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("domain violation: maps do not descend") and proc.stdout == ""
+
+
 def test_cli_compute_ass_of_free_module_without_relations(tmp_path):
     proc = _run_cli(["compute", "ass", '{"module": {"relations": [], "ambient": 2}}'], tmp_path)
     assert proc.returncode == 0, proc.stderr
