@@ -460,6 +460,8 @@ class PolyOverFp(_Backend):
         """Return ``(c, u)`` with ``c = u*a`` monic."""
         if not a:
             return (), self.one
+        if a[-1] == 1:
+            return a, self.one
         u = self.const(pow(a[-1], self.p - 2, self.p))
         return self.mul(u, a), u
 

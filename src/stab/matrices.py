@@ -17,7 +17,13 @@ strictly increasing pivot rows, which ``_pivots`` reads for ``solve``,
 Linear algebra goes through two calls, each on one Hermite form: ``solve``
 takes a matrix of right-hand sides and answers every column at once, and
 ``preimage`` gives the canonical generators of ``{x : A @ x in span(B)}``,
-with ``kernel`` the preimage of zero.
+with ``kernel`` the preimage of zero.  A *monomial* ``A`` (at most one
+nonzero in each row and each column, as in diagonal presentations and their
+Kronecker blocks) needs no Hermite form: over a PID the system splits into
+one equation per entry.  ``solve`` divides entrywise, and ``preimage`` of a
+``B`` with no column of two nonzeros reads one gcd per row of ``B``; both
+give exactly the Hermite path's answer.  ``_support`` reads a matrix's
+nonzeros for this and for the one-gcd-per-row pruning of module relations.
 
 ``Mat`` is immutable and hashed by content, so the Hermite form, the Smith
 form and the transform-free Smith diagonal are memoized per process on the
@@ -67,6 +73,38 @@ def _clear_row(W, i, t, n, D):
             if r:
                 clean = False
     return clean
+
+
+def _support(M):
+    """The ``(row, col, entry)`` nonzeros of ``M`` in column order, or ``None``
+    when some column has two nonzero entries."""
+    out = []
+    for j, col in enumerate(zip(*M.data)):
+        nonzero = [*filter(None, col)]
+        if nonzero:
+            if len(nonzero) > 1:
+                return None
+            a = nonzero[0]
+            # Zero is the only falsy element, so ``a`` occurs once in ``col``.
+            out.append((col.index(a), j, a))
+    return out
+
+
+def _row_gcds(D, support):
+    """The gcd of the entries of each occupied row of a support, by row; a
+    row with one entry keeps that entry as it is."""
+    gcds = {}
+    for i, _, a in support:
+        gcds[i] = D.gcd(gcds[i], a) if i in gcds else a
+    return gcds
+
+
+def _monomial(M):
+    """The support of ``M`` when no row or column has two nonzeros, else ``None``."""
+    support = _support(M)
+    if support is None or len({i for i, _, _ in support}) < len(support):
+        return None
+    return support
 
 
 def _pivots(H):
@@ -406,8 +444,9 @@ class Mat:
     def solve(self, b):
         """A particular exact solution ``X`` of ``self @ X == b``, or ``None``.
 
-        ``b`` is a matrix of right-hand sides.  One Hermite form serves every
-        column, and one product checks the whole answer.
+        ``b`` is a matrix of right-hand sides, and one product checks the
+        whole answer.  A monomial ``self`` splits into one equation per
+        entry; any other takes one Hermite form for every column.
         """
         self._check_domain(b)
         if b.rows != self.rows:
@@ -415,6 +454,20 @@ class Mat:
         D = self.domain
         if not b.cols:
             return Mat.zero(D, self.cols, 0)
+        support = _monomial(self)
+        if support is not None:
+            # x[j] = b[i] / a_ij; zero columns of self give x = 0, and a zero
+            # row of self with nonzero b is left to the product check.
+            X = [[D.zero] * b.cols for _ in range(self.cols)]
+            for i, j, a in support:
+                xj = X[j]
+                for k, bik in enumerate(b.data[i]):
+                    if bik:
+                        xj[k], r = D.divmod(bik, a)
+                        if r:
+                            return None
+            x = Mat(D, X, self.cols, b.cols)
+            return x if self @ x == b else None
         H, U = self.hnf()
         sub, mul = D.sub, D.mul
         pivots = _pivots(H)
@@ -439,13 +492,39 @@ class Mat:
     def preimage(self, b):
         """Canonical generators of ``{x : self @ x in span(b)}``.
 
-        One Hermite form of ``[self | b]``: the transform columns under its
-        zero columns, cut to their first ``self.cols`` rows.
+        For a monomial ``self`` and a ``b`` with no column of two nonzeros,
+        ``span(b)`` is the sum of ``(g_i) e_i`` over the gcds ``g_i`` of the
+        nonzero rows of ``b``, so the preimage is a sum of ``(c_j) e_j``
+        read entrywise.  Otherwise one Hermite form of ``[self | b]``: the
+        transform columns under its zero columns, cut to their first
+        ``self.cols`` rows.
         """
-        big = self.hstack(b)
-        H, U = big.hnf()
-        zero_cols = range(len(_pivots(H)), big.cols)
-        return U.take_cols(zero_cols).take_rows(range(self.cols)).span_basis()
+        self._check_domain(b)
+        if b.rows != self.rows:
+            raise ValueError("right-hand side row count mismatch")
+        support = _monomial(self)
+        b_support = None if support is None else _support(b)
+        if b_support is None:
+            big = self.hstack(b)
+            H, U = big.hnf()
+            zero_cols = range(len(_pivots(H)), big.cols)
+            return U.take_cols(zero_cols).take_rows(range(self.cols)).span_basis()
+        D, n = self.domain, self.cols
+        gcds = _row_gcds(D, b_support)
+        # A zero column of self keeps e_j.  For an entry a in row i,
+        # a * x_j lies in (g_i) iff x_j lies in (g_i / gcd(a, g_i)), and only
+        # x_j = 0 lands in a zero row of b.
+        pivots = [D.one] * n
+        for i, j, a in support:
+            g = gcds.get(i)
+            pivots[j] = None if g is None else D.canon(D.exact_div(g, D.gcd(a, g)))[0]
+        gens = [(j, c) for j, c in enumerate(pivots) if c is not None]
+        # Canonical pivots in strictly increasing rows: already the Hermite
+        # form of the span.
+        data = [[D.zero] * len(gens) for _ in range(n)]
+        for k, (j, c) in enumerate(gens):
+            data[j][k] = c
+        return Mat(D, data, n, len(gens))
 
     def kernel(self):
         """Columns generating ``{x : self @ x == 0}``, in canonical Hermite form."""

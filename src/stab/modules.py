@@ -31,7 +31,7 @@ True
 from __future__ import annotations
 
 from .domains import BackendMismatch, _ptrim, int_in_range
-from .matrices import Mat
+from .matrices import Mat, _row_gcds, _support
 
 
 class NotWellDefined(ValueError):
@@ -586,16 +586,10 @@ def _pruned(rel):
     nonzero entries (see the module docstring); otherwise, or when ``rel``
     is already in that shape, ``rel`` itself."""
     D = rel.domain
-    gcds = {}
-    for col in zip(*rel.data):
-        nonzero = [*filter(None, col)]
-        if len(nonzero) > 1:
-            return rel
-        if nonzero:
-            a = nonzero[0]
-            # Zero is the only falsy element, so ``a`` occurs once in ``col``.
-            i = col.index(a)
-            gcds[i] = D.gcd(gcds[i], a) if i in gcds else a
+    support = _support(rel)
+    if support is None:
+        return rel
+    gcds = _row_gcds(D, support)
     # As many occupied rows as columns: no zero column and no shared row.
     if len(gcds) == rel.cols:
         return rel

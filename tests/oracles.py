@@ -11,7 +11,7 @@ import math
 from itertools import product
 
 from stab.invariants import AssSet
-from stab.matrices import Mat
+from stab.matrices import Mat, _pivots
 from stab.modules import FpModule, Ideal, Morphism, tensor_mor
 
 
@@ -279,6 +279,43 @@ def kernel_reference(a):
 def preimage_reference(a, b):
     """``{x : a @ x in span(b)}`` as the first rows of the kernel of ``[a | b]``."""
     return kernel_reference(a.hstack(b)).take_rows(range(a.cols)).span_basis()
+
+
+# The Hermite path of ``Mat.solve`` and ``Mat.preimage``, kept whole for
+# every input.  The library answers monomial systems entrywise instead, and a
+# differential test compares the two.
+
+def solve_hermite_reference(a, b):
+    """``a.solve(b)`` by back-substitution on the Hermite form of ``a``."""
+    D = a.domain
+    if not b.cols:
+        return Mat.zero(D, a.cols, 0)
+    H, U = a.hnf()
+    pivots = _pivots(H)
+    ys = []
+    for rhs in b.columns():
+        y = []
+        for prow in pivots:
+            acc = rhs[prow]
+            hrow = H.data[prow]
+            for j, yj in enumerate(y):
+                if hrow[j] and yj:
+                    acc = D.sub(acc, D.mul(hrow[j], yj))
+            q, r = D.divmod(acc, hrow[len(y)])
+            if r:
+                return None
+            y.append(q)
+        ys.append(y + [D.zero] * (a.cols - len(y)))
+    x = U @ Mat.from_cols(D, ys, a.cols)
+    return x if a @ x == b else None
+
+
+def preimage_hermite_reference(a, b):
+    """``a.preimage(b)`` from the Hermite form of ``[a | b]``."""
+    big = a.hstack(b)
+    H, U = big.hnf()
+    zero_cols = range(len(_pivots(H)), big.cols)
+    return U.take_cols(zero_cols).take_rows(range(a.cols)).span_basis()
 
 
 def decomposition_reference(module):

@@ -1,13 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stab import matrices
 from stab.domains import ZZ, BoundedMemo, poly_ring
 from stab.matrices import Mat, NF_MEMO_BOUND
-from oracles import (kernel_reference, matmul_reference, preimage_reference,
-                     solve_vector_reference)
+from oracles import (kernel_reference, matmul_reference, preimage_hermite_reference,
+                     preimage_reference, solve_hermite_reference, solve_vector_reference)
 
 F2 = poly_ring(2)
 F5 = poly_ring(5)
@@ -380,3 +380,95 @@ def test_smith_diagonal_reads_a_memoized_full_form(monkeypatch):
     assert a.smith_diagonal() == (2, 14)
     assert b.smith_diagonal() == b.smith_diagonal() == (1, 24)
     assert runs == [True, False]
+
+
+# -- monomial systems, answered entrywise ----------------------------------------
+# A matrix with at most one nonzero in each row and each column splits solve
+# and preimage into one equation per entry; these compare that path with the
+# Hermite path it replaces.
+
+UNITS = {ZZ: [1, -1], F2: [(1,)], F5: [(1,), (2,), (3,), (4,)]}
+
+
+def nonzero_elems(domain):
+    """Units and non-canonical entries: negative integers, non-monic polynomials."""
+    return st.one_of(st.sampled_from(UNITS[domain]), elems(domain).filter(bool))
+
+
+@st.composite
+def monomial_mats(draw, domain, rows, cols):
+    """Some distinct rows paired with distinct columns; the rest stay zero."""
+    cells = list(zip(draw(st.permutations(range(rows))), draw(st.permutations(range(cols)))))
+    data = [[domain.zero] * cols for _ in range(rows)]
+    for i, j in cells[:draw(st.integers(0, len(cells)))]:
+        data[i][j] = draw(nonzero_elems(domain))
+    return Mat(domain, data, rows, cols)
+
+
+@st.composite
+def monomial_systems(draw):
+    """``(a, b, gens)``: a monomial ``a``; right-hand sides ``b``, some in its
+    span and some perturbed; generators ``gens`` with at most one nonzero per
+    column, several on one row, and sometimes one column of two nonzeros."""
+    domain = draw(st.sampled_from([ZZ, F2, F5]))
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    a = draw(monomial_mats(domain, rows, cols))
+    rhs = []
+    for _ in range(draw(st.integers(0, 3))):
+        col = (a @ draw(mats(domain, cols, 1))).col(0)
+        if draw(st.booleans()):
+            col = [domain.add(c, e) for c, e in zip(col, draw(mats(domain, rows, 1)).col(0))]
+        rhs.append(col)
+    gens = []
+    for _ in range(draw(st.integers(0, 4))):
+        col = [domain.zero] * rows
+        if rows and draw(st.booleans()):
+            col[draw(st.integers(0, rows - 1))] = draw(nonzero_elems(domain))
+        gens.append(col)
+    if rows >= 2 and draw(st.booleans()):
+        i1, i2 = draw(st.permutations(range(rows)))[:2]
+        col = [domain.zero] * rows
+        col[i1], col[i2] = draw(nonzero_elems(domain)), draw(nonzero_elems(domain))
+        gens.insert(draw(st.integers(0, len(gens))), col)
+    return a, Mat.from_cols(domain, rhs, rows), Mat.from_cols(domain, gens, rows)
+
+
+@given(monomial_systems())
+@example((Mat(ZZ, [[-2, 0], [0, 0]]), Mat(ZZ, [[4, 3], [0, 0]]), Mat(ZZ, [[6, -4], [0, 0]])))
+@example((Mat(ZZ, [[0, 3]]), Mat(ZZ, [[6]]), Mat(ZZ, [[0, 2]])))
+@example((Mat(ZZ, [[2], [0]]), Mat(ZZ, [[2], [1]]), Mat(ZZ, [[4, 0, 6], [0, 5, 0]])))
+@example((Mat(F5, [[(0, 2)]]), Mat(F5, [[(0, 0, 3)]]), Mat(F5, [[(0, 0, 4), (3, 3)]])))
+@example((Mat(F2, [[(1, 1), ()], [(), ()]]), Mat(F2, [[(0, 1)], [()]]),
+          Mat(F2, [[(1, 1)], [(1,)]])))
+@example((Mat.zero(ZZ, 0, 3), Mat.zero(ZZ, 0, 2), Mat.zero(ZZ, 0, 1)))
+@example((Mat.zero(F5, 3, 0), Mat(F5, [[()], [(1,)], [()]]), Mat.zero(F5, 3, 2)))
+@settings(max_examples=300, deadline=None)
+def test_monomial_solve_and_preimage_match_the_hermite_path(system):
+    a, b, gens = system
+    assert a.solve(b) == solve_hermite_reference(a, b)
+    assert a.preimage(gens) == preimage_hermite_reference(a, gens)
+    assert a.kernel() == preimage_hermite_reference(a, Mat.zero(a.domain, a.rows, 0))
+
+
+def test_monomial_solve_and_preimage_compute_no_hermite_form(monkeypatch):
+    monkeypatch.setattr(matrices, "_HNF_MEMO", BoundedMemo(NF_MEMO_BOUND))
+    runs, products = [], []
+    hnf, matmul = Mat._compute_hnf, Mat.__matmul__
+    monkeypatch.setattr(Mat, "_compute_hnf", lambda m: runs.append(m) or hnf(m))
+    monkeypatch.setattr(Mat, "__matmul__", lambda m, o: products.append(m) or matmul(m, o))
+    a = Mat(ZZ, [[0, 0, -4], [6, 0, 0], [0, 0, 0]])
+    assert a.solve(Mat(ZZ, [[8, -4], [12, 0], [0, 0]])) == Mat(ZZ, [[2, 0], [0, 0], [-2, 1]])
+    assert a.preimage(Mat(ZZ, [[6, 0, 0], [0, 4, 10], [0, 0, 0]])) == Mat(ZZ, [[1, 0, 0],
+                                                                           [0, 1, 0],
+                                                                           [0, 0, 3]])
+    assert a.kernel() == Mat(ZZ, [[0], [1], [0]])
+    assert runs == []
+    # An entry that does not divide its right-hand side ends the solve before
+    # the product check.
+    products.clear()
+    assert a.solve(Mat(ZZ, [[8], [9], [0]])) is None
+    assert runs == [] and products == []
+    # A column of two nonzeros in the generators takes the Hermite path.
+    gens = Mat(ZZ, [[6], [4], [0]])
+    assert a.preimage(gens) == preimage_hermite_reference(a, gens)
+    assert a.hstack(gens) in runs
