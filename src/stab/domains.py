@@ -235,6 +235,8 @@ class Integers(_Backend):
         return a * b
 
     def pow(self, a, n):
+        if n < 0:
+            raise ValueError("negative exponent")
         return a**n
 
     def _powmod(self, a, n, modulus):
@@ -410,6 +412,8 @@ class PolyOverFp(_Backend):
         return tuple([c % p for c in memoryview(prod.to_bytes(size, sys.byteorder)).cast(code)])
 
     def pow(self, a, n):
+        if n < 0:
+            raise ValueError("negative exponent")
         result = self.one
         while n:
             if n & 1:

@@ -12,7 +12,9 @@ Each normal form eliminates on one stacked list of rows (Cohen, GTM 138,
 runs column operations on ``[A; V]`` and row operations on ``[A | U]``, the
 inverses of those on ``U^-1``.  A Hermite form's nonzero columns lead with
 strictly increasing pivot rows, which ``_pivots`` reads for ``solve``,
-``preimage`` and ``span_basis``.
+``preimage`` and ``span_basis``.  A matrix already in Smith form, as
+diagonal presentations mostly are, skips the Smith loop: ``_smith`` returns
+it with identity transforms, exactly what the loop would give.
 
 Linear algebra goes through two calls, each on one Hermite form: ``solve``
 takes a matrix of right-hand sides and answers every column at once, and
@@ -105,6 +107,18 @@ def _monomial(M):
     if support is None or len({i for i, _, _ in support}) < len(support):
         return None
     return support
+
+
+def _is_smith(M):
+    """True when ``M`` is its own Smith form: zero off the diagonal, with
+    canonical diagonal entries each dividing the next (so zeros trail)."""
+    D = M.domain
+    for i, row in enumerate(M.data):
+        if any(row[:i]) or any(row[i + 1:]):
+            return False
+    diag = M.diagonal()
+    return (all(D.canon(d)[1] == D.one for d in diag)
+            and all(map(D.divides, diag, diag[1:])))
 
 
 def _pivots(H):
@@ -364,11 +378,20 @@ class Mat:
                 Mat(D, W[m:], n, n), Mat(D, Uinv, m, m))
 
     def _smith(self, transforms):
-        # Column operations act on [A; V] and row operations on [A | U], all
-        # in one list of rows [A | U; V]; U^-1 takes the inverse column
-        # operations.  Without transforms, U, V and U^-1 are empty (m x 0,
-        # 0 x n and 0 x m): every operation still applies to them at no
-        # cost, so the diagonal is exactly that of the full form.
+        """The Smith loop on ``[A | U; V]``, returning it and ``U^-1``.
+
+        Column operations act on ``[A; V]``, row operations on ``[A | U]``,
+        and ``U^-1`` takes the inverse column operations.  Without
+        transforms, ``U``, ``V`` and ``U^-1`` are empty (m x 0, 0 x n and
+        0 x m): every operation still applies to them at no cost, so the
+        diagonal is exactly that of the full form.
+
+        An ``A`` already in Smith form is returned as built: there the loop
+        changes nothing.  Each minimal ``(norm, i, j)`` pivot is ``(t, t)``,
+        since ``d_t | d_k`` gives ``norm(d_t) <= norm(d_k)`` and the lower
+        row wins a tie; nothing needs clearing, the divisibility test passes
+        and the unit is 1.
+        """
         D = self.domain
         add, sub, mul, norm, divides = D.add, D.sub, D.mul, D.norm, D.divides
         m, n = self.rows, self.cols
@@ -379,6 +402,8 @@ class Mat:
                 r += u
             W += _eye(D, n, n)
             Uinv = _eye(D, m, m)
+        if _is_smith(self):
+            return W, Uinv
         t = 0
         while True:
             best = None

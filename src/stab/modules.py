@@ -49,7 +49,7 @@ class DomainViolation(ValueError):
 class Ideal:
     """A principal ideal, stored by its canonical generator (possibly zero)."""
 
-    __slots__ = ("domain", "gen")
+    __slots__ = ("domain", "gen", "_powers")
 
     def __init__(self, domain, gen):
         object.__setattr__(self, "domain", domain)
@@ -59,10 +59,23 @@ class Ideal:
         raise AttributeError("Ideal is immutable")
 
     def power_gen(self, n):
-        """Generator of the n-th power; ``I^0 = R`` even for the zero ideal."""
-        if n == 0:
-            return self.domain.one
-        return self.domain.pow(self.gen, n)
+        """Generator of the n-th power; ``I^0 = R`` even for the zero ideal.
+
+        The ideal keeps ``[1, g, g^2, ...]`` (outside equality and hashing)
+        and extends it by one product with ``g`` per missing power, so a scan
+        asking for ``g^1, g^2, ...`` in order pays one product per row.
+        """
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        try:
+            powers = self._powers
+        except AttributeError:
+            powers = [self.domain.one]
+            object.__setattr__(self, "_powers", powers)
+        mul, g = self.domain.mul, self.gen
+        while len(powers) <= n:
+            powers.append(mul(powers[-1], g))
+        return powers[n]
 
     def is_zero(self):
         return self.domain.is_zero(self.gen)

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from stab import matrices
 from stab.domains import ZZ, BoundedMemo, poly_ring
 from stab.matrices import Mat, NF_MEMO_BOUND
-from oracles import (kernel_reference, matmul_reference, preimage_hermite_reference,
+from stab.modules import FpModule
+from oracles import (decomposition_reference, kernel_reference, matmul_reference, preimage_hermite_reference,
                      preimage_reference, solve_hermite_reference, solve_vector_reference)
 
 F2 = poly_ring(2)
@@ -472,3 +474,74 @@ def test_monomial_solve_and_preimage_compute_no_hermite_form(monkeypatch):
     gens = Mat(ZZ, [[6], [4], [0]])
     assert a.preimage(gens) == preimage_hermite_reference(a, gens)
     assert a.hstack(gens) in runs
+
+
+# -- a matrix already in Smith form is read off -----------------------------------
+# Zero off the diagonal and canonical entries each dividing the next: the
+# Smith loop would change nothing, so it does not run.  Every step of the
+# loop swaps a pivot into place, so counting ``_col_swap`` calls counts it.
+
+def fresh_smith_memos_and_swap_log():
+    """Patches giving ``_smith`` empty memos and logging each ``_col_swap``."""
+    swaps, col_swap = [], matrices._col_swap
+    return swaps, mock.patch.multiple(
+        matrices, _SNF_MEMO=BoundedMemo(NF_MEMO_BOUND), _DIAG_MEMO=BoundedMemo(NF_MEMO_BOUND),
+        _col_swap=lambda W, j1, j2: swaps.append((j1, j2)) or col_swap(W, j1, j2))
+
+
+@st.composite
+def smith_forms(draw):
+    """``(a, diag)``: 0 to 5 rows, 0 to 6 columns, zero off the diagonal, and
+    a diagonal chain of canonical entries, repeats and units included, then
+    trailing zeros."""
+    domain = draw(st.sampled_from([ZZ, F2, F5]))
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    k = min(rows, cols)
+    diag, d = [], domain.one
+    for _ in range(draw(st.integers(0, k))):
+        d = domain.canon(domain.mul(d, draw(nonzero_elems(domain))))[0]
+        diag.append(d)
+    diag += [domain.zero] * (k - len(diag))
+    data = [[diag[i] if i == j else domain.zero for j in range(cols)] for i in range(rows)]
+    return Mat(domain, data, rows, cols), tuple(diag)
+
+
+@given(smith_forms())
+@example((Mat.zero(ZZ, 0, 0), ()))
+@example((Mat(F5, [[(1,), (), ()], [(), (4, 1), ()], [(), (), ()]]), ((1,), (4, 1), ())))
+@settings(max_examples=200, deadline=None)
+def test_a_matrix_in_smith_form_is_read_off(case):
+    a, diag = case
+    D = a.domain
+    swaps, patches = fresh_smith_memos_and_swap_log()
+    with patches:
+        assert a.smith_diagonal() == diag
+        eye_m, eye_n = Mat.identity(D, a.rows), Mat.identity(D, a.cols)
+        assert a._snf_full() == (a, eye_m, eye_n, eye_m)
+    assert swaps == []
+    module = FpModule(D, a.rows, a)
+    nonzero = [d for d in diag if d]
+    expected = (a.rows - len(nonzero), tuple(d for d in nonzero if not D.is_unit(d)))
+    assert (module.rank, module.factors) == decomposition_reference(module)[:2] == expected
+
+
+@pytest.mark.parametrize("a, diag", [
+    (Mat(ZZ, [[-2]]), (2,)),                                # not canonical
+    (Mat(F5, [[(1, 2)]]), ((3, 1),)),                       # not monic
+    (Mat(ZZ, [[4, 0], [0, 6]]), (2, 12)),                   # 4 does not divide 6
+    (Mat(ZZ, [[0, 0, 0], [0, 3, 0]]), (3, 0)),              # zero before nonzero
+    (Mat(ZZ, [[2, 0], [0, 4], [1, 0]]), (1, 4)),            # one entry off the diagonal
+    (Mat(F2, [[(1,), (0, 1)], [(), (0, 1)]]), ((1,), (0, 1))),
+])
+def test_a_near_miss_of_smith_form_runs_the_loop(a, diag):
+    D = a.domain
+    for full in (False, True):
+        swaps, patches = fresh_smith_memos_and_swap_log()
+        with patches:
+            if full:
+                d, u, v, uinv = a._snf_full()
+                assert tuple(d.diagonal()) == diag and u @ a @ v == d
+                assert u @ uinv == Mat.identity(D, a.rows)
+            else:
+                assert a.smith_diagonal() == diag
+        assert swaps

@@ -1,4 +1,6 @@
+import contextlib
 import random
+import signal
 from types import SimpleNamespace
 
 import pytest
@@ -537,3 +539,61 @@ def test_constructions_on_diagonal_modules_keep_one_column_per_generator():
                       m.tensor(m).power_quotient(Ideal(D, gen), 2)):
             assert built.relations.cols <= built.ambient
     assert cyc(4).tensor(cyc(6)).relations == Mat(ZZ, [[2]])
+
+
+# -- ideal powers --------------------------------------------------------------
+# An ideal keeps the powers of its generator it has computed; each missing one
+# is a product with the previous one.
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise ``TimeoutError`` in the block once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("D, gen", [(ZZ, 6), (F5, (2, 1))])
+def test_negative_exponents_raise(D, gen):
+    ideal = Ideal(D, gen)
+    with deadline(5):
+        for n in (-1, -3):
+            with pytest.raises(ValueError):
+                D.pow(ideal.gen, n)
+            with pytest.raises(ValueError):
+                ideal.power_gen(n)
+        # With powers kept, -1 must not read the last one.
+        ideal.power_gen(4)
+        with pytest.raises(ValueError):
+            ideal.power_gen(-1)
+
+
+def ideal_gens(D):
+    """The zero and unit generators, and any small element."""
+    if D is ZZ:
+        anything = st.integers(-30, 30)
+    else:
+        anything = st.lists(st.integers(0, D.p - 1), max_size=4).map(D.elem_from_json)
+    return st.one_of(st.sampled_from([D.zero, D.one]), anything)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_power_gen_matches_pow_in_any_order(data):
+    D = data.draw(st.sampled_from([ZZ, F2, F5]))
+    gen = data.draw(ideal_gens(D))
+    ideal, twin = Ideal(D, gen), Ideal(D, gen)
+    key = hash(ideal)
+    # Jumps, repeats and 0, in any order.
+    for n in data.draw(st.lists(st.integers(0, 25), max_size=12)):
+        assert ideal.power_gen(n) == D.pow(ideal.gen, n)
+    assert ideal == twin and hash(ideal) == key == hash(twin)
+    for attr in ("_powers", "gen", "domain"):
+        with pytest.raises(AttributeError):
+            setattr(ideal, attr, getattr(ideal, attr, None))
