@@ -4,11 +4,12 @@ and the Artin-Rees exponent probe.
 A family produces one finitely presented module per index ``n``; a scan
 pushes the family through a functor, records associated primes and depth,
 and reports whether the observed sequence is eventually constant within the
-horizon.  Detection is honest about its finite window: the theorems this
-machinery probes guarantee existence of a stabilization index but give no
-bound, so a sequence that keeps moving is reported as
-``not-stable-within-horizon`` (or as periodic when an exact period fits a
-long enough tail).
+horizon.  A row whose source repeats the previous row's presentation, as
+most rows do once a family settles, takes that row's value.  Detection is
+honest about its finite window: the theorems this machinery probes
+guarantee existence of a stabilization index but give no bound, so a
+sequence that keeps moving is reported as ``not-stable-within-horizon`` (or
+as periodic when an exact period fits a long enough tail).
 """
 
 from __future__ import annotations
@@ -213,8 +214,11 @@ def scan_rows(family, functor=None, depth_ideal=None, horizon=50, window=10):
 
     Returns a :class:`ScanResult` with one row per index (invariant factors,
     associated primes, and depth when a depth ideal is given) plus detection
-    verdicts.  Every evaluation asserts the annihilator monotonicity law
-    ``ann(N) <= ann(F(N))``.
+    verdicts.  Every row asserts the annihilator monotonicity law
+    ``ann(N) <= ann(F(N))``.  A row whose source has the same presentation
+    as the previous row's (equal pruned relation matrices, hence the same
+    ambient rank) reuses that row's value, primes and depth: functors are
+    pure, so evaluating again would give the same answers.
     """
     if functor is None:
         functor = IdentityFunctor()
@@ -223,16 +227,20 @@ def scan_rows(family, functor=None, depth_ideal=None, horizon=50, window=10):
         raise ValueError(": ".join(fault))
     ns = list(range(family.scan_start, horizon + 1))
 
-    def evaluate(n):
+    rows, last = [], None  # ``last``: the previous row's source relations
+    for n in ns:
         source = family.generate(n)
-        value = functor(source)
-        if not ann_contains(ann(source), ann(value)):
+        if source.relations == last:
+            row = rows[-1]._replace(n=n)
+        else:
+            value = functor(source)
+            d = depth(depth_ideal, value) if depth_ideal is not None else None
+            row = ScanRow(n, value, ass(value), d)
+        if not ann_contains(ann(source), ann(row.value)):
             raise AnnihilatorViolation(
-                f"ann {ann(source)!r} not inside ann {ann(value)!r} at n={n}")
-        d = depth(depth_ideal, value) if depth_ideal is not None else None
-        return ScanRow(n, value, ass(value), d)
-
-    rows = [evaluate(n) for n in ns]
+                f"ann {ann(source)!r} not inside ann {ann(row.value)!r} at n={n}")
+        rows.append(row)
+        last = source.relations
 
     ass_values = [r.ass_set for r in rows]
     status, n0, period = detect(ns, ass_values, window)
@@ -245,16 +253,6 @@ def scan_rows(family, functor=None, depth_ideal=None, horizon=50, window=10):
         depth_report = StabilizationReport("depth", tuple(zip(ns, dvals)),
                                            window, status, n0, period)
     return ScanResult(tuple(rows), ass_report, depth_report, len(rows))
-
-
-def scan_ass(family, functor=None, horizon=50, window=10):
-    """Associated-prime scan; see :func:`scan_rows`."""
-    return scan_rows(family, functor, None, horizon, window).ass_report
-
-
-def scan_depth(depth_ideal, family, functor=None, horizon=50, window=10):
-    """Depth scan for a fixed ideal ``J``; see :func:`scan_rows`."""
-    return scan_rows(family, functor, depth_ideal, horizon, window).depth_report
 
 
 def artin_rees_probe(beta, n_prime, ideal, horizon=10):

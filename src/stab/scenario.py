@@ -356,6 +356,7 @@ class RunOutcome(NamedTuple):
     expect_failures: tuple
     horizon: int
     window: int
+    cells: tuple
 
 
 def _depth_str(v):
@@ -390,7 +391,8 @@ def run_scenario(sc, horizon=None, window=None):
         artin_d = artin_rees_probe(sc.artin_rees["beta"], sc.artin_rees["n_prime"],
                                    sc.artin_rees["ideal"], sc.artin_rees["horizon"])
     failures = _check_expect(sc, result, artin_d)
-    return RunOutcome(result, artin_d, not failures, tuple(failures), horizon, window)
+    return RunOutcome(result, artin_d, not failures, tuple(failures), horizon, window,
+                      _report_cells(sc.domain, result.rows))
 
 
 def _check_expect(sc, result, artin_d):
@@ -428,16 +430,16 @@ def _check_expect(sc, result, artin_d):
     return failures
 
 
-def _row_cells(D, row):
-    """A report row's invariant factors (a ``"0"`` per free summand) and depth."""
-    factors = ["0"] * row.value.rank + [D.elem_str(d) for d in row.value.factors]
-    return factors, _depth_str(row.depth_value)
+def _report_cells(D, rows):
+    """Each row's invariant factors (a ``"0"`` per free summand) and depth,
+    rendered once for both reports."""
+    return tuple((("0",) * row.value.rank + tuple(map(D.elem_str, row.value.factors)),
+                  _depth_str(row.depth_value)) for row in rows)
 
 
 def report_csv(sc, outcome):
     lines = ["n,invariant_factors,ass,depth"]
-    for row in outcome.result.rows:
-        factors, depth = _row_cells(sc.domain, row)
+    for row, (factors, depth) in zip(outcome.result.rows, outcome.cells):
         ass_cell = ";".join(repr(p) for p in row.ass_set)
         lines.append(f"{row.n},{';'.join(factors)},{ass_cell},{depth}")
     return "\n".join(lines) + "\n"
@@ -453,8 +455,7 @@ def _report_verdict(report):
 def report_json(sc, outcome):
     D = sc.domain
     rows = []
-    for row in outcome.result.rows:
-        factors, depth = _row_cells(D, row)
+    for row, (factors, depth) in zip(outcome.result.rows, outcome.cells):
         rows.append({"n": row.n, "invariant_factors": factors,
                      "ass": row.ass_set.to_json(), "depth": depth})
     doc = {

@@ -1,18 +1,21 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stab import scan
 from stab.domains import ZZ, poly_ring
 from stab.matrices import Mat
 from stab.modules import FpModule, Morphism, Ideal
-from stab.invariants import DEPTH_INF, AssSet
-from stab.functors import (CoherentFunctor, OscillatingFunctor,
-                           ExponentSet, tor_functor)
+from stab.invariants import DEPTH_INF, AssSet, ass, depth
+from stab.functors import (CoherentFunctor, OscillatingFunctor, ExponentSet,
+                           IdentityFunctor, HomFrom, GammaFunctor,
+                           ext_functor, tor_functor)
 from stab.scan import (QuotientPowers, Layers, GradedLayers, SubquotientFamily,
-                       KwHomology, detect, scan_ass, scan_depth, scan_rows,
+                       KwHomology, detect, scan_rows,
                        artin_rees_probe, AnnihilatorViolation)
 from oracles import periodic_tail_reference
 
 F2 = poly_ring(2)
+F5 = poly_ring(5)
 R = FpModule.free(ZZ, 1)
 I2 = Ideal(ZZ, 2)
 
@@ -156,40 +159,43 @@ def test_detect_window_validation():
 
 
 def test_scan_ass_identity_example():
-    rep = scan_ass(QuotientPowers(R, I2), horizon=20, window=5)
+    rep = scan_rows(QuotientPowers(R, I2), horizon=20, window=5).ass_report
     assert rep.status == "stable" and rep.n0 == 1
     assert all(v == _ass_of(2) for _, v in rep.observations)
 
 
 def test_scan_ass_tor1_example():
-    rep = scan_ass(QuotientPowers(R, I2), tor_functor(cyc(4), 1),
-                   horizon=20, window=5)
+    rep = scan_rows(QuotientPowers(R, I2), tor_functor(cyc(4), 1),
+                    horizon=20, window=5).ass_report
     assert rep.status == "stable" and rep.n0 == 1
     assert all(v == _ass_of(2) for _, v in rep.observations)
 
 
 def test_scan_ass_oscillating():
     osc = OscillatingFunctor(ZZ, {2: ExponentSet(progressions=[(2, 2)])})
-    rep = scan_ass(QuotientPowers(R, I2), osc, horizon=40, window=10)
+    rep = scan_rows(QuotientPowers(R, I2), osc, horizon=40, window=10).ass_report
     assert rep.status == "oscillating-with-period-2"
 
 
 def test_scan_depth_examples():
     m = R.direct_sum(cyc(8))
-    rep = scan_depth(Ideal(ZZ, 2), QuotientPowers(m, I2), horizon=20, window=5)
+    rep = scan_rows(QuotientPowers(m, I2), None, Ideal(ZZ, 2),
+                    horizon=20, window=5).depth_report
     assert rep.status == "stable"
     assert all(v == 0 for _, v in rep.observations)
-    rep = scan_depth(Ideal(ZZ, 3), QuotientPowers(m, I2), horizon=20, window=5)
+    rep = scan_rows(QuotientPowers(m, I2), None, Ideal(ZZ, 3),
+                    horizon=20, window=5).depth_report
     assert all(v == DEPTH_INF for _, v in rep.observations)
-    rep = scan_depth(Ideal(ZZ, 1), QuotientPowers(m, I2), horizon=20, window=5)
+    rep = scan_rows(QuotientPowers(m, I2), None, Ideal(ZZ, 1),
+                    horizon=20, window=5).depth_report
     assert all(v == DEPTH_INF for _, v in rep.observations)
 
 
 def test_scan_depth_free_module_value_one():
     # identity functor on M/I^n M for M with free part: depth (3) on
     # Z/2^n (+) ... exercises the regular-element branch
-    rep = scan_depth(Ideal(ZZ, 3), QuotientPowers(R.direct_sum(R), Ideal(ZZ, 6)),
-                     horizon=14, window=5)
+    rep = scan_rows(QuotientPowers(R.direct_sum(R), Ideal(ZZ, 6)), None, Ideal(ZZ, 3),
+                    horizon=14, window=5).depth_report
     assert rep.status == "stable"
     assert all(v == 0 for _, v in rep.observations)  # 3 divides 6^n
 
@@ -201,6 +207,102 @@ def test_scan_rows_carries_everything():
     assert res.rows[0].n == 1
     assert res.ann_checks == 15
     assert res.depth_report is not None
+
+
+class _Counting:
+    """A functor that counts its evaluations."""
+
+    def __init__(self, functor):
+        self.functor, self.calls = functor, 0
+
+    def __call__(self, n):
+        self.calls += 1
+        return self.functor(n)
+
+
+def _stabilizing_family(kind, domain, g, d):
+    """A family whose presentations settle after changing at least once."""
+    one = domain.one
+    r = FpModule.free(domain, 1)
+    ideal = Ideal(domain, g)
+    if kind == "layers":
+        return Layers(r.direct_sum(FpModule.cyclic(domain, d)), ideal)
+    if kind == "graded":
+        return GradedLayers(r.direct_sum(FpModule.cyclic(domain, d)),
+                            Mat(domain, [[g], [one]]), ideal)
+    alpha = Morphism(r, r, Mat(domain, [[g]]))
+    beta = Morphism(r, FpModule.zero(domain), Mat.zero(domain, 0, 1))
+    return KwHomology(alpha, beta, Mat(domain, [[one]]), Mat(domain, [[one]]),
+                      Mat.zero(domain, 0, 0), ideal,
+                      shift=(Mat(domain, [[g]]), Mat(domain, [[one]]), 1))
+
+
+@pytest.mark.parametrize("kind", ["layers", "graded", "kw"])
+@pytest.mark.parametrize("domain, g, d", [(ZZ, 2, 8), (F2, (0, 1), (0, 0, 0, 1))],
+                         ids=["ZZ", "GF2x"])
+def test_scan_evaluates_once_per_run_of_equal_presentations(kind, domain, g, d,
+                                                             monkeypatch):
+    fam = _stabilizing_family(kind, domain, g, d)
+    functor = _Counting(HomFrom(FpModule.cyclic(domain, domain.mul(g, g))))
+    checks, contains = [], scan.ann_contains
+    monkeypatch.setattr(scan, "ann_contains",
+                        lambda a, b: checks.append(1) or contains(a, b))
+    res = scan_rows(fam, functor, Ideal(domain, g), horizon=12, window=4)
+    relations = [fam.generate(r.n).relations for r in res.rows]
+    runs = 1 + sum(a != b for a, b in zip(relations, relations[1:]))
+    assert 1 < runs < len(res.rows)
+    assert functor.calls == runs
+    assert res.ann_checks == len(res.rows) == len(checks)
+
+
+PRIMES = {ZZ: [2, 3, 5], F2: [(0, 1), (1, 1), (1, 1, 1)], F5: [(0, 1), (2, 1), (2, 0, 1)]}
+
+
+@st.composite
+def scan_cases(draw):
+    """``(family, functor, depth ideal, horizon)`` over a random module and
+    ideal; elements are products of one to three pool primes."""
+    domain = draw(st.sampled_from([ZZ, F2, F5]))
+    pool = st.sampled_from(PRIMES[domain])
+
+    def elem(max_primes=3):
+        e = domain.one
+        for p in draw(st.lists(pool, min_size=1, max_size=max_primes)):
+            e = domain.mul(e, p)
+        return e
+
+    module = FpModule.free(domain, draw(st.integers(0, 1)))
+    for _ in range(draw(st.integers(0 if module.ambient else 1, 2))):
+        module = module.direct_sum(FpModule.cyclic(domain, elem()))
+    ideal = Ideal(domain, elem(2))
+    kind = draw(st.sampled_from(["quotient", "layers", "graded"]))
+    if kind == "quotient":
+        family = QuotientPowers(module, ideal)
+    elif kind == "layers":
+        family = Layers(module, ideal)
+    else:
+        entry = st.one_of(st.just(domain.zero), st.just(domain.one), pool)
+        cols = draw(st.integers(1, 2))
+        family = GradedLayers(module, Mat(domain, [[draw(entry) for _ in range(cols)]
+                                                   for _ in range(module.ambient)]), ideal)
+    other = draw(st.sampled_from([FpModule.free(domain, 1),
+                                  FpModule.cyclic(domain, elem())]))
+    functor = draw(st.sampled_from([IdentityFunctor(), HomFrom(other),
+                                    ext_functor(other, 1), tor_functor(other, 1),
+                                    GammaFunctor(Ideal(domain, elem(1)))]))
+    return family, functor, Ideal(domain, elem(1)), draw(st.integers(2, 7))
+
+
+@given(scan_cases())
+@settings(max_examples=60, deadline=None)
+def test_scan_rows_match_fresh_evaluation(case):
+    family, functor, depth_ideal, horizon = case
+    res = scan_rows(family, functor, depth_ideal, horizon=horizon, window=2)
+    assert [r.n for r in res.rows] == list(range(1, horizon + 1))
+    for row in res.rows:
+        fresh = functor(family.generate(row.n))
+        assert (row.value.rank, row.value.factors, row.ass_set, row.depth_value) == \
+            (fresh.rank, fresh.factors, ass(fresh), depth(depth_ideal, fresh))
 
 
 def test_scan_horizon_window_validation():
