@@ -1,6 +1,6 @@
 """Module invariants over a Euclidean backend: associated primes, annihilator,
 depth, the local-torsion functor values Gamma_I and tau_S, and the
-common-multiplicatively-closed / coprincipal predicates for element sets.
+common-multiplicatively-closed predicate and cogenerator of element sets.
 
 Over these one-dimensional backends an associated-prime set consists of the
 zero ideal (iff the module has free rank) plus one prime ideal for every
@@ -213,20 +213,6 @@ class CmcSet:
             if all(D.divides(r, s) for r in self.elems):
                 return s
         return None
-
-    def is_coprincipal(self):
-        return self.cogenerator() is not None
-
-    def is_multiplicative(self):
-        """Closed under products (decidable for closures and explicit sets)."""
-        if not self.is_explicit():
-            return True
-        D = self.domain
-        for r in self.elems:
-            for s in self.elems:
-                if D.mul(r, s) not in self.elems:
-                    return False
-        return True
 
     def meets_prime(self, p):
         """Whether ``P`` intersects the set."""

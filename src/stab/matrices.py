@@ -27,6 +27,14 @@ one equation per entry.  ``solve`` divides entrywise, and ``preimage`` of a
 give exactly the Hermite path's answer.  ``_support`` reads a matrix's
 nonzeros for this and for the one-gcd-per-row pruning of module relations.
 
+An operation whose answer is one of its operands returns that operand: a
+product with an identity (recognised by its entries), ``hstack`` with a side
+of no columns, ``kron`` with a 1 x 1 identity, and ``take_cols`` or
+``take_rows`` of every index in order.  An empty product is the zero matrix
+of its shape.  ``Mat.identity`` and ``Mat.zero`` return one shared instance
+per backend and shape.  Shape and backend checks run first, so every error
+is unchanged.
+
 ``Mat`` is immutable and hashed by content, so the Hermite form, the Smith
 form and the transform-free Smith diagonal are memoized per process on the
 matrix itself: equal matrices built by different routes share one
@@ -43,6 +51,9 @@ NF_MEMO_BOUND = 32
 _HNF_MEMO = BoundedMemo(NF_MEMO_BOUND)
 _SNF_MEMO = BoundedMemo(NF_MEMO_BOUND)
 _DIAG_MEMO = BoundedMemo(NF_MEMO_BOUND)
+# One shared instance per key: ``Mat`` is immutable.
+_ZEROS = {}
+_IDENTITIES = {}
 
 
 def _eye(D, rows, cols):
@@ -121,6 +132,11 @@ def _is_smith(M):
             and all(map(D.divides, diag, diag[1:])))
 
 
+def _in_order(indices, n):
+    """True when ``indices`` is every index ``0, ..., n - 1`` in order."""
+    return len(indices) == n and [*indices] == [*range(n)]
+
+
 def _pivots(H):
     """The pivot row of each nonzero column of a Hermite form ``H``.
 
@@ -167,12 +183,18 @@ class Mat:
 
     @classmethod
     def zero(cls, domain, rows, cols):
-        z = domain.zero
-        return cls(domain, [[z] * cols for _ in range(rows)], rows, cols)
+        key = (domain, rows, cols)
+        m = _ZEROS.get(key)
+        if m is None:
+            m = _ZEROS[key] = cls(domain, ((domain.zero,) * cols,) * rows, rows, cols)
+        return m
 
     @classmethod
     def identity(cls, domain, n):
-        return cls.scalar(domain, n, domain.one)
+        m = _IDENTITIES.get((domain, n))
+        if m is None:
+            m = _IDENTITIES[domain, n] = cls(domain, _eye(domain, n, n), n, n)
+        return m
 
     @classmethod
     def from_cols(cls, domain, cols, rows):
@@ -210,8 +232,12 @@ class Mat:
         return f"Mat({self.rows}x{self.cols}, {[list(r) for r in self.data]})"
 
     def _check_domain(self, other):
-        if self.domain != other.domain:
+        if self.domain is not other.domain and self.domain != other.domain:
             raise BackendMismatch("matrices over different backends")
+
+    def _is_identity(self):
+        return (self.rows == self.cols
+                and self.data == Mat.identity(self.domain, self.rows).data)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -220,6 +246,12 @@ class Mat:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         D = self.domain
+        if not (self.rows and self.cols and other.cols):
+            return Mat.zero(D, self.rows, other.cols)
+        if other._is_identity():
+            return self
+        if self._is_identity():
+            return other
         add, mul = D.add, D.mul
         z = D.zero
         # Columns of other, each as its nonzero (index, entry) pairs.
@@ -270,6 +302,10 @@ class Mat:
         self._check_domain(other)
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
+        if not other.cols:
+            return self
+        if not self.cols:
+            return other
         return Mat(self.domain, [ra + rb for ra, rb in zip(self.data, other.data)],
                    self.rows, self.cols + other.cols)
 
@@ -280,10 +316,14 @@ class Mat:
         return Mat(self.domain, self.data + other.data, self.rows + other.rows, self.cols)
 
     def take_cols(self, indices):
+        if _in_order(indices, self.cols):
+            return self
         return Mat(self.domain, [[r[j] for j in indices] for r in self.data],
                    self.rows, len(indices))
 
     def take_rows(self, indices):
+        if _in_order(indices, self.rows):
+            return self
         return Mat(self.domain, [self.data[i] for i in indices], len(indices), self.cols)
 
     def kron(self, other):
@@ -292,6 +332,12 @@ class Mat:
         D = self.domain
         rows = self.rows * other.rows
         cols = self.cols * other.cols
+        if not (rows and cols):
+            return Mat.zero(D, rows, cols)
+        if other.data == ((D.one,),):
+            return self
+        if self.data == ((D.one,),):
+            return other
         out = [[D.zero] * cols for _ in range(rows)]
         for i in range(self.rows):
             for j in range(self.cols):

@@ -192,14 +192,6 @@ class FpModule:
         """The diagonal presentation isomorphic to this module."""
         return FpModule.from_invariants(self.domain, self.rank, list(self.factors))
 
-    def to_dec(self):
-        """Isomorphism onto :meth:`dec_module`."""
-        return Morphism(self, self.dec_module(), self._to_dec)
-
-    def from_dec(self):
-        """Inverse isomorphism from :meth:`dec_module`."""
-        return Morphism(self.dec_module(), self, self._from_dec)
-
     def is_zero(self):
         return self.rank == 0 and not self.factors
 

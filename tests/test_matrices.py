@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stab import matrices
-from stab.domains import ZZ, BoundedMemo, poly_ring
+from stab.domains import ZZ, BackendMismatch, BoundedMemo, poly_ring
 from stab.matrices import Mat, NF_MEMO_BOUND
 from stab.modules import FpModule
 from oracles import (decomposition_reference, kernel_reference, matmul_reference, preimage_hermite_reference,
@@ -200,8 +200,13 @@ def test_equal_matrices_from_different_routes_share_forms():
     for domain, data in [(ZZ, rows),
                          (F5, [[F5.const(c) + (1,) for c in r] for r in rows])]:
         a = Mat(domain, data)
+        # A product with the identity returns ``a`` itself; swapping two
+        # columns twice is a product that builds an equal matrix anew.
+        swap = Mat(domain, [[domain.zero, domain.one, domain.zero],
+                            [domain.one, domain.zero, domain.zero],
+                            [domain.zero, domain.zero, domain.one]])
         routes = [Mat.from_cols(domain, a.columns(), a.rows),
-                  a @ Mat.identity(domain, a.cols),
+                  a @ swap @ swap,
                   a.hstack(Mat.zero(domain, a.rows, 1)).take_cols(range(a.cols))]
         for b in routes:
             assert b == a and b is not a
@@ -545,3 +550,90 @@ def test_a_near_miss_of_smith_form_runs_the_loop(a, diag):
             else:
                 assert a.smith_diagonal() == diag
         assert swaps
+
+
+# -- operands the algebra already gives -------------------------------------------
+# A product with an identity, a stack with an empty side, a Kronecker product
+# with a 1 x 1 identity and a selection of every index return an operand; an
+# empty product returns the shared zero.  Each is compared with entries built
+# from the domain's operations alone, not through ``Mat`` operations.
+
+def zeros_ref(D, rows, cols):
+    return tuple((D.zero,) * cols for _ in range(rows))
+
+
+def kron_ref(a, b):
+    D = a.domain
+    return tuple(tuple(D.mul(a.data[i][j], b.data[k][l])
+                       for j in range(a.cols) for l in range(b.cols))
+                 for i in range(a.rows) for k in range(b.rows))
+
+
+def shape(m):
+    return m.rows, m.cols, m.data
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_shortcuts_match_entrywise_references(data):
+    D = data.draw(st.sampled_from([ZZ, F2, F5]))
+    rows, cols, k = (data.draw(st.integers(0, 3)) for _ in range(3))
+    a = data.draw(st.one_of(sparse_mats(D, rows, cols), monomial_mats(D, rows, cols)))
+    b = data.draw(mats(D, cols, k))
+    c = data.draw(mats(D, rows, k))
+    one = Mat(D, [[D.one]])
+    ident_rows = Mat(D, [[D.one if i == j else D.zero for j in range(rows)] for i in range(rows)])
+    ident_cols = Mat(D, [[D.one if i == j else D.zero for j in range(cols)] for i in range(cols)],
+                     cols, cols)
+    for ident in (Mat.identity(D, cols), ident_cols):
+        assert shape(a @ ident) == (rows, cols, a.data)
+    for ident in (Mat.identity(D, rows), ident_rows):
+        assert shape(ident @ a) == (rows, cols, a.data)
+    assert shape(a @ b) == shape(matmul_reference(a, b))
+    assert shape(a @ Mat.zero(D, cols, 0)) == (rows, 0, zeros_ref(D, rows, 0))
+    assert shape(Mat.zero(D, 0, rows) @ a) == (0, cols, ())
+    assert shape(Mat.zero(D, k, 0) @ Mat.zero(D, 0, cols)) == (k, cols, zeros_ref(D, k, cols))
+    empty = Mat(D, [[]] * rows, rows, 0)
+    for left, right in ((a, empty), (empty, a)):
+        assert shape(left.hstack(right)) == (rows, cols, a.data)
+    assert shape(a.hstack(c)) == (rows, cols + k, tuple(ra + rc for ra, rc in zip(a.data, c.data)))
+    for left, right in ((a, one), (one, a)):
+        assert shape(left.kron(right)) == (rows, cols, a.data)
+    for other in (b, c, Mat.zero(D, k, 0), Mat.zero(D, 0, k)):
+        assert shape(a.kron(other)) == (rows * other.rows, cols * other.cols, kron_ref(a, other))
+    assert shape(a.take_cols(range(cols))) == (rows, cols, a.data)
+    assert shape(a.take_rows(list(range(rows)))) == (rows, cols, a.data)
+    picked = data.draw(st.lists(st.integers(0, max(cols - 1, 0)), max_size=cols if cols else 0))
+    assert shape(a.take_cols(picked)) == (rows, len(picked),
+                                           tuple(tuple(r[j] for j in picked) for r in a.data))
+    rev = list(range(rows))[::-1]
+    assert shape(a.take_rows(rev)) == (rows, cols, a.data[::-1])
+
+
+@pytest.mark.parametrize("D", [ZZ, F2, F5])
+def test_shared_identity_and_zero_stay_immutable(D):
+    for m in (Mat.identity(D, 3), Mat.zero(D, 2, 0), Mat.zero(D, 0, 2), Mat.zero(D, 2, 3)):
+        for name in ("data", "rows", "cols", "domain"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, None)
+    assert Mat.identity(D, 3) is Mat.identity(D, 3)
+    assert Mat.identity(D, 3).data == tuple(tuple(D.one if i == j else D.zero for j in range(3))
+                                            for i in range(3))
+    assert Mat.zero(D, 2, 3) is Mat.zero(D, 2, 3)
+    assert Mat.zero(D, 2, 3).data == zeros_ref(D, 2, 3)
+
+
+def test_shortcuts_keep_their_errors():
+    eye, empty = Mat.identity(ZZ, 2), Mat.zero(ZZ, 2, 0)
+    with pytest.raises(BackendMismatch):
+        eye @ Mat.identity(F2, 2)
+    with pytest.raises(BackendMismatch):
+        empty.hstack(Mat.zero(F2, 2, 0))
+    with pytest.raises(BackendMismatch):
+        Mat.identity(ZZ, 1).kron(Mat.identity(F5, 1))
+    with pytest.raises(ValueError):
+        empty @ Mat.zero(ZZ, 1, 3)
+    with pytest.raises(ValueError):
+        eye @ Mat.identity(ZZ, 3)
+    with pytest.raises(ValueError):
+        empty.hstack(Mat.zero(ZZ, 3, 0))

@@ -42,7 +42,8 @@ def test_dec_isomorphisms_mutually_inverse():
         rows = [[rng.randint(-9, 9) for _ in range(cols)]
                 for _ in range(rng.randint(1, 3))]
         m = FpModule.from_relations(ZZ, rows)
-        fwd, back = m.to_dec(), m.from_dec()
+        fwd = Morphism(m, m.dec_module(), m._to_dec)
+        back = Morphism(m.dec_module(), m, m._from_dec)
         assert fwd.compose(back).equals(Morphism.identity(m.dec_module()))
         assert back.compose(fwd).equals(Morphism.identity(m))
 
