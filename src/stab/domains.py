@@ -4,6 +4,10 @@ Every higher layer (matrices, modules, functors, scans) is generic over a
 backend object exposing exact ring arithmetic, Euclidean division, extended
 gcd, factorization into canonical primes, and canonical associates.
 
+Backends are interned (``Integers()`` is ``ZZ``, ``PolyOverFp(p)`` is
+``poly_ring(p)``), so equality and hashing are the default ones, by
+identity, at C speed.
+
 Element representations are plain hashable Python values:
 
 * integers     -- Python ``int`` (arbitrary precision),
@@ -313,17 +317,14 @@ class Integers(_Backend):
     def descriptor(self):
         return {"kind": "integers"}
 
-    def __eq__(self, other):
-        return isinstance(other, Integers)
-
-    def __hash__(self):
-        return hash("integers")
+    def __new__(cls):
+        return ZZ
 
     def __repr__(self):
         return "ZZ"
 
 
-ZZ = Integers()
+ZZ = object.__new__(Integers)
 
 
 def _ptrim(coeffs):
@@ -340,14 +341,17 @@ class PolyOverFp(_Backend):
 
     kind = "poly"
     zero = ()
+    one = (1,)
 
-    def __init__(self, p):
-        if not _is_probable_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
-        self.p = p
-        self.characteristic = p
-        self.one = (1,)
-        self._mod_byte = bytes(i % p for i in range(256))
+    def __new__(cls, p):
+        ring = _POLY_RINGS.get(p)
+        if ring is None:
+            if not _is_probable_prime(p):
+                raise ValueError(f"characteristic {p} is not prime")
+            ring = _POLY_RINGS[p] = super().__new__(cls)
+            ring.p = ring.characteristic = p
+            ring._mod_byte = bytes(i % p for i in range(256))
+        return ring
 
     def const(self, c):
         return _ptrim([c % self.p])
@@ -651,24 +655,15 @@ class PolyOverFp(_Backend):
     def descriptor(self):
         return {"kind": "poly", "characteristic": self.p}
 
-    def __eq__(self, other):
-        return isinstance(other, PolyOverFp) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("poly", self.p))
+    def __reduce__(self):
+        return PolyOverFp, (self.p,)
 
     def __repr__(self):
         return f"GF({self.p})[x]"
 
 
-_POLY_CACHE = {}
-
-
-def poly_ring(p):
-    """The backend GF(p)[x], cached per characteristic."""
-    if p not in _POLY_CACHE:
-        _POLY_CACHE[p] = PolyOverFp(p)
-    return _POLY_CACHE[p]
+_POLY_RINGS = {}
+poly_ring = PolyOverFp
 
 
 def int_in_range(value, least=None, most=None, what=None):

@@ -13,8 +13,10 @@ runs column operations on ``[A; V]`` and row operations on ``[A | U]``, the
 inverses of those on ``U^-1``.  A Hermite form's nonzero columns lead with
 strictly increasing pivot rows, which ``_pivots`` reads for ``solve``,
 ``preimage`` and ``span_basis``.  A matrix already in Smith form, as
-diagonal presentations mostly are, skips the Smith loop: ``_smith`` returns
-it with identity transforms, exactly what the loop would give.
+diagonal presentations mostly are, is read off without building anything:
+its own diagonal, or itself with the shared identities as transforms.  That
+is exactly what the loop would give, as each minimal ``(norm, i, j)`` pivot
+is then ``(t, t)`` and nothing needs clearing.
 
 Linear algebra goes through two calls, each on one Hermite form: ``solve``
 takes a matrix of right-hand sides and answers every column at once, and
@@ -39,7 +41,8 @@ is unchanged.
 form and the transform-free Smith diagonal are memoized per process on the
 matrix itself: equal matrices built by different routes share one
 computation.  The memos are bounded, because a form can be much larger than
-its input.
+its input.  Its ``__setattr__`` raises, so the constructor fills the slots
+through their member descriptors, bound once.
 """
 
 from __future__ import annotations
@@ -171,10 +174,10 @@ class Mat:
             cols = len(data[0]) if data else 0
         if tuple(map(len, data)) != (cols,) * rows:
             raise ValueError("ragged matrix data")
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
+        _set_domain(self, domain)
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_data(self, data)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -232,7 +235,7 @@ class Mat:
         return f"Mat({self.rows}x{self.cols}, {[list(r) for r in self.data]})"
 
     def _check_domain(self, other):
-        if self.domain is not other.domain and self.domain != other.domain:
+        if self.domain is not other.domain:
             raise BackendMismatch("matrices over different backends")
 
     def _is_identity(self):
@@ -414,11 +417,16 @@ class Mat:
         return _DIAG_MEMO.get(self, self._compute_diagonal)
 
     def _compute_diagonal(self):
+        if _is_smith(self):
+            return tuple(self.diagonal())
         W = self._smith(False)[0]
         return tuple(W[i][i] for i in range(min(self.rows, self.cols)))
 
     def _compute_snf(self):
         D, m, n = self.domain, self.rows, self.cols
+        if _is_smith(self):
+            eye_m = Mat.identity(D, m)
+            return self, eye_m, Mat.identity(D, n), eye_m
         W, Uinv = self._smith(True)
         return (Mat(D, [r[:n] for r in W[:m]], m, n), Mat(D, [r[n:] for r in W[:m]], m, m),
                 Mat(D, W[m:], n, n), Mat(D, Uinv, m, m))
@@ -431,12 +439,6 @@ class Mat:
         transforms, ``U``, ``V`` and ``U^-1`` are empty (m x 0, 0 x n and
         0 x m): every operation still applies to them at no cost, so the
         diagonal is exactly that of the full form.
-
-        An ``A`` already in Smith form is returned as built: there the loop
-        changes nothing.  Each minimal ``(norm, i, j)`` pivot is ``(t, t)``,
-        since ``d_t | d_k`` gives ``norm(d_t) <= norm(d_k)`` and the lower
-        row wins a tie; nothing needs clearing, the divisibility test passes
-        and the unit is 1.
         """
         D = self.domain
         add, sub, mul, norm, divides = D.add, D.sub, D.mul, D.norm, D.divides
@@ -448,8 +450,6 @@ class Mat:
                 r += u
             W += _eye(D, n, n)
             Uinv = _eye(D, m, m)
-        if _is_smith(self):
-            return W, Uinv
         t = 0
         while True:
             best = None
@@ -611,3 +611,11 @@ class Mat:
         if self.rows != self.cols:
             return None
         return self.solve(Mat.identity(self.domain, self.rows))
+
+
+def _slot_setters(cls):
+    """Each slot's member-descriptor ``__set__``, for a class whose ``__setattr__`` raises."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+
+_set_domain, _set_rows, _set_cols, _set_data = _slot_setters(Mat)

@@ -1,9 +1,10 @@
 """The constructive category of finitely presented modules over a backend.
 
 A module is ``R^k / <columns of a relation matrix>``.  Submodules are always
-given by generator matrices inside an ambient presentation; everything
-(membership, kernels, subquotients) routes through exact solving and syzygy
-computation on augmented matrices.
+given by generator matrices inside an ambient presentation; kernels and
+subquotients route through exact solving and syzygy computation on
+augmented matrices, and membership through ``solve`` or, when no relation
+column has two nonzeros, one divisibility test per entry.
 
 The constructor prunes the presentation: a relation matrix in which no
 column has two nonzero entries (``[diag(d) | g^n I]`` from
@@ -18,7 +19,8 @@ of the relations, without transforms; the decomposition transforms run the
 full Smith form on their own first read.  So kernels and carriers that only
 serve as presentations pay for neither, and invariant-only reads never pay
 for the transforms.  Isomorphism testing reduces to comparing
-``(rank, invariant factors)``.
+``(rank, invariant factors)``.  Immutable objects fill their slots, lazy
+ones too, through the member descriptors (see :mod:`stab.matrices`).
 
 >>> from stab.domains import ZZ
 >>> M = FpModule.from_relations(ZZ, [[2, 4], [6, 8]])
@@ -31,7 +33,7 @@ True
 from __future__ import annotations
 
 from .domains import BackendMismatch, _ptrim, int_in_range
-from .matrices import Mat, _row_gcds, _support
+from .matrices import Mat, _row_gcds, _slot_setters, _support
 
 
 class NotWellDefined(ValueError):
@@ -52,8 +54,8 @@ class Ideal:
     __slots__ = ("domain", "gen", "_powers")
 
     def __init__(self, domain, gen):
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "gen", domain.canon(gen)[0])
+        _set_ideal_domain(self, domain)
+        _set_gen(self, domain.canon(gen)[0])
 
     def __setattr__(self, name, value):
         raise AttributeError("Ideal is immutable")
@@ -71,7 +73,7 @@ class Ideal:
             powers = self._powers
         except AttributeError:
             powers = [self.domain.one]
-            object.__setattr__(self, "_powers", powers)
+            _set_powers(self, powers)
         mul, g = self.domain.mul, self.gen
         while len(powers) <= n:
             powers.append(mul(powers[-1], g))
@@ -94,6 +96,9 @@ class Ideal:
         return f"({self.domain.elem_str(self.gen)})"
 
 
+_set_ideal_domain, _set_gen, _set_powers = _slot_setters(Ideal)
+
+
 class FpModule:
     """A finitely presented module: ambient free rank plus a relation matrix."""
 
@@ -107,9 +112,9 @@ class FpModule:
             raise ValueError("relation matrix must have one row per ambient generator")
         if relations.domain != domain:
             raise BackendMismatch("relations over wrong backend")
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "relations", _pruned(relations))
+        _set_module_domain(self, domain)
+        _set_ambient(self, ambient)
+        _set_relations(self, _pruned(relations))
 
     def __setattr__(self, name, value):
         raise AttributeError("FpModule is immutable")
@@ -130,8 +135,8 @@ class FpModule:
         order = self._set_invariants(dmat.diagonal())
         # Rows with unit diagonal entries present generators that vanish, so
         # dropping them from the transforms is an isomorphism.
-        object.__setattr__(self, "_to_dec", u.take_rows(order))
-        object.__setattr__(self, "_from_dec", uinv.take_cols(order))
+        _set_to_dec(self, u.take_rows(order))
+        _set_from_dec(self, uinv.take_cols(order))
 
     def _set_invariants(self, diag):
         # Sets rank and factors from the Smith diagonal; returns the rows
@@ -141,8 +146,8 @@ class FpModule:
                         if not D.is_zero(d) and not D.is_unit(d)]
         free_rows = [i for i in range(self.ambient)
                      if i >= len(diag) or D.is_zero(diag[i])]
-        object.__setattr__(self, "rank", len(free_rows))
-        object.__setattr__(self, "factors", tuple(diag[i] for i in torsion_rows))
+        _set_rank(self, len(free_rows))
+        _set_factors(self, tuple(diag[i] for i in torsion_rows))
         return torsion_rows + free_rows
 
     # -- constructors -------------------------------------------------------
@@ -234,13 +239,26 @@ class FpModule:
         return [frommat.mul_vec(v) for v in out]
 
     def contains(self, gens):
-        """Whether every column of ``gens`` lies in the relation span (is zero here)."""
-        return self.relations.solve(gens) is not None
+        """Whether every column of ``gens`` lies in the relation span (is zero here).
+
+        Relations with no column of two nonzeros span ``(g_i) e_i`` over each
+        occupied row's gcd ``g_i``, so an entry of ``gens`` must be divisible
+        by its row's gcd, or zero in a row with none.  Others use ``solve``.
+        """
+        D, rel = self.domain, self.relations
+        support = _support(rel)
+        if support is None or gens.rows != rel.rows or gens.domain is not D:
+            return rel.solve(gens) is not None
+        gcds = _row_gcds(D, support)
+        return all(not a or i in gcds and D.divides(gcds[i], a)
+                   for i, row in enumerate(gens.data) for a in row)
 
     # -- constructions ----------------------------------------------------------
 
     def direct_sum(self, other):
         self._check(other)
+        if not (self.ambient and other.ambient):
+            return self if other.ambient == 0 else other
         D = self.domain
         top = self.relations.hstack(Mat.zero(D, self.ambient, other.relations.cols))
         bot = Mat.zero(D, other.ambient, self.relations.cols).hstack(other.relations)
@@ -353,6 +371,9 @@ class FpModule:
         return " + ".join(parts) if parts else "0"
 
 
+(_set_module_domain, _set_ambient, _set_relations, _set_rank, _set_factors,
+ _set_to_dec, _set_from_dec) = _slot_setters(FpModule)
+
 # The most ambient generators a serialized module may have.  ``{"rank": r}``
 # costs a document a few bytes, but every dense matrix over ``R^r`` is r-by-r.
 MAX_GENERATORS = 1024
@@ -380,9 +401,9 @@ class Morphism:
             raise ValueError("generator-image matrix has wrong shape")
         if source.domain != target.domain or mat.domain != source.domain:
             raise BackendMismatch("morphism backend mismatch")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "mat", mat)
+        _set_source(self, source)
+        _set_target(self, target)
+        _set_mat(self, mat)
         if check and not target.contains(mat @ source.relations):
             raise NotWellDefined("images of relations do not vanish")
 
@@ -461,6 +482,9 @@ class Morphism:
 
     def __repr__(self):
         return f"Morphism({self.source!r} -> {self.target!r})"
+
+
+_set_source, _set_target, _set_mat = _slot_setters(Morphism)
 
 
 def tensor_mor(f, g):

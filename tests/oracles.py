@@ -379,3 +379,96 @@ def periodic_tail_reference(values, window):
                     values[i] == values[i + k] for i in range(s, count - k)):
                 return s, k
     return None
+
+
+# A closed-form oracle for whole quotient scans over a PID.  With
+# ``M = R^r (+) (+) R/(d_i)`` and ``I = (g)``, the quotient ``M / I^n M`` is
+# ``(R/g^n)^r (+) (+) R/gcd(d_i, g^n)``.  For a fixed ``A = R^s (+) (+) R/(a_j)``
+# and one cyclic summand ``R/b`` of it (``b = 0`` for ``R``):
+#   Hom(A, R/b)   = (R/b)^s (+) (+) R/gcd(a_j, b)   (no torsion part when b = 0),
+#   Ext^1(A, R/b) = (+) R/gcd(a_j, b),
+#   Tor_1(A, R/b) = (+) R/gcd(a_j, b)               (zero when b = 0).
+# So every row is known without a normal form; primes come from trial
+# division of ``g``, the ``d_i`` and the ``a_j``, not from the library's
+# ``factor``.
+
+def prime_divisors_trial(domain, a):
+    """The canonical primes dividing a nonzero ``a``, by trial division."""
+    out = []
+    if domain.kind == "integers":
+        n, p = abs(a), 2
+        while p * p <= n:
+            if n % p == 0:
+                out.append(p)
+                while n % p == 0:
+                    n //= p
+            p += 1
+        return out + ([n] if n > 1 else [])
+    rest, deg = domain.canon(a)[0], 1
+    while len(rest) > 1:
+        # Monic candidates in increasing degree: the first divisor found is prime.
+        for coeffs in product(range(domain.p), repeat=deg):
+            f = tuple(coeffs) + (1,)
+            if len(rest) > 1 and domain.divmod(rest, f)[1] == ():
+                out.append(f)
+                while domain.divmod(rest, f)[1] == ():
+                    rest = domain.divmod(rest, f)[0]
+        deg += 1
+    return out
+
+
+def quotient_value_reference(domain, rank, factors, g, n, kind="identity", fixed=(0, ())):
+    """The cyclic orders of ``F(M / g^n M)`` (0 for a free summand, units for
+    none) by the closed forms above; ``kind`` is ``identity``, ``hom_from``,
+    ``ext1`` or ``tor1`` and ``fixed`` is ``(s, a_j)`` for the module ``A``."""
+    D = domain
+    gn = D.pow(g, n)
+    summands = [gn] * rank + [D.gcd(d, gn) for d in factors]
+    s, fixed_factors = fixed
+    out = []
+    for b in summands:
+        if kind == "identity":
+            out.append(b)
+            continue
+        if kind == "hom_from":
+            out += [b] * s
+        if b or kind == "ext1":
+            out += [D.gcd(a, b) for a in fixed_factors]
+    return out
+
+
+def elementary_divisors_over(domain, orders, primes):
+    """``(rank, sorted prime powers)`` of ``(+) R/(c)`` over the given primes;
+    every order must be a product of them."""
+    D = domain
+    rank, powers = 0, []
+    for c in orders:
+        if D.is_zero(c):
+            rank += 1
+            continue
+        for p in primes:
+            q = D.one
+            while D.divides(p, c):
+                c, q = D.exact_div(c, p), D.mul(q, p)
+            if not D.is_unit(q):
+                powers.append(q)
+        assert D.is_unit(c), f"{c!r} has a prime outside {primes!r}"
+    return rank, sorted(powers, key=D.elem_sort_key)
+
+
+def quotient_scan_reference(domain, rank, factors, g, ns, kind="identity", fixed=(0, ())):
+    """Per index: ``(rank, elementary divisors, primes of Ass)`` of each scan
+    value, plus the candidate primes, all from the closed forms."""
+    D = domain
+    primes = []
+    for a in [g, *factors, *fixed[1]]:
+        if a and not D.is_unit(a):
+            primes += [p for p in prime_divisors_trial(D, a) if p not in primes]
+    rows = []
+    for n in ns:
+        orders = quotient_value_reference(D, rank, factors, g, n, kind, fixed)
+        r, powers = elementary_divisors_over(D, orders, primes)
+        ass_gens = {D.zero} if r else set()
+        ass_gens |= {p for p in primes if any(D.divides(p, q) for q in powers)}
+        rows.append((r, powers, ass_gens))
+    return rows, primes

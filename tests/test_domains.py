@@ -1,10 +1,12 @@
+import copy
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stab import domains
-from stab.domains import ZZ, poly_ring, ZeroInputError, FACTOR_MEMO_BOUND
+from stab.domains import ZZ, poly_ring, BackendMismatch, ZeroInputError, FACTOR_MEMO_BOUND
 
 import oracles
 
@@ -356,3 +358,31 @@ def test_saturate_part_edge_cases():
         assert F.saturate_part(F.one, x) == F.one
         assert F.saturate_part(d, F.mul(d, (1, 0, 1))) == F.canon(d)[0]
         assert F.saturate_part(d, ()) == F.canon(d)[0]
+
+
+# -- interned backends ----------------------------------------------------------
+# One instance per backend, so equality and hashing are by identity.
+
+def test_backends_are_interned():
+    assert domains.Integers() is ZZ
+    assert domains.PolyOverFp(5) is poly_ring(5) is F5
+    assert poly_ring(7) is poly_ring(7) and poly_ring(7).characteristic == 7
+    assert F2 != F5 and ZZ != F2 and len({ZZ, F2, F5, poly_ring(5), domains.Integers()}) == 3
+    for D in (ZZ, F2, F5):
+        assert pickle.loads(pickle.dumps(D)) is D and copy.deepcopy(D) is D
+    with pytest.raises(ValueError):
+        domains.PolyOverFp(4)
+    assert 4 not in domains._POLY_RINGS
+
+
+def test_mixing_poly_backends_still_raises():
+    from stab.matrices import Mat
+    from stab.modules import FpModule
+    with pytest.raises(BackendMismatch):
+        Mat(F2, [[(1,)]]) @ Mat(F5, [[(1,)]])
+    with pytest.raises(BackendMismatch):
+        Mat(F2, [[(1,)]]).solve(Mat(F5, [[(1,)]]))
+    with pytest.raises(BackendMismatch):
+        FpModule(F2, 1, Mat(F5, [[(2,)]]))
+    with pytest.raises(BackendMismatch):
+        FpModule.cyclic(F2, (0, 1)).contains(Mat(F5, [[(1,)]]))

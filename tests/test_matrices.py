@@ -530,6 +530,22 @@ def test_a_matrix_in_smith_form_is_read_off(case):
     assert (module.rank, module.factors) == decomposition_reference(module)[:2] == expected
 
 
+@given(smith_forms())
+@settings(max_examples=100, deadline=None)
+def test_a_smith_form_read_off_builds_no_matrix(case):
+    a, diag = case
+    D = a.domain
+    eye_m, eye_n = Mat.identity(D, a.rows), Mat.identity(D, a.cols)
+    _, patches = fresh_smith_memos_and_swap_log()
+    built, init = [], Mat.__init__
+    with patches, mock.patch.object(Mat, "__init__",
+                                    lambda *args: built.append(args) or init(*args)):
+        assert a.smith_diagonal() == diag
+        d, u, v, uinv = a._snf_full()
+    assert built == []
+    assert d is a and u is eye_m and v is eye_n and uinv is eye_m
+
+
 @pytest.mark.parametrize("a, diag", [
     (Mat(ZZ, [[-2]]), (2,)),                                # not canonical
     (Mat(F5, [[(1, 2)]]), ((3, 1),)),                       # not monic

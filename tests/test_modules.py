@@ -4,10 +4,10 @@ import signal
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stab import matrices
-from stab.domains import ZZ, BoundedMemo, poly_ring
+from stab.domains import ZZ, BackendMismatch, BoundedMemo, poly_ring
 from stab.matrices import Mat, NF_MEMO_BOUND
 from stab.modules import (FpModule, Morphism, Ideal, MAX_GENERATORS,
                           hom, hom_induced, loc_tensor, tensor_mor,
@@ -598,3 +598,76 @@ def test_power_gen_matches_pow_in_any_order(data):
     for attr in ("_powers", "gen", "domain"):
         with pytest.raises(AttributeError):
             setattr(ideal, attr, getattr(ideal, attr, None))
+
+
+# -- containment by divisibility -------------------------------------------------
+# Relations with no column of two nonzeros (pruned: one gcd per occupied row)
+# answer ``contains`` entrywise; it must agree with ``solve`` on the relations,
+# which is also what any other relation matrix runs.
+
+@st.composite
+def containment_cases(draw):
+    """``(module, gens)``: monomial relations (zero rows included) or general
+    ones, and ``gens`` in the span, empty, or off it in exactly one entry."""
+    rel = draw(monomial_relations(extra_nonzero=draw(st.booleans())))
+    D, rows = rel.domain, rel.rows
+    module = FpModule(D, rows, rel)
+    cols = draw(st.integers(0, 3))
+    elems = _nonzero_elems(D) | st.just(D.zero)
+    coeffs = [[draw(elems) for _ in range(cols)] for _ in range(rel.cols)]
+    gens = rel @ Mat(D, coeffs, rel.cols, cols)
+    if cols and rows and draw(st.booleans()):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        data = [list(r) for r in gens.data]
+        data[i][j] = D.add(data[i][j], draw(_nonzero_elems(D)))
+        gens = Mat(D, data, rows, cols)
+    return module, gens
+
+
+@given(containment_cases())
+@example((FpModule(ZZ, 2, Mat(ZZ, [[4], [0]])), Mat(ZZ, [[8], [1]])))
+@example((FpModule(F5, 2, Mat(F5, [[(), ()], [(1, 1), (0, 1)]])), Mat(F5, [[(3,)], [()]])))
+@example((FpModule.from_invariants(ZZ, 1, [6]), Mat.zero(ZZ, 2, 0)))
+@settings(max_examples=300, deadline=None)
+def test_containment_by_divisibility_agrees_with_solve(case):
+    module, gens = case
+    expected = module.relations.solve(gens) is not None
+    assert module.contains(gens) == expected
+    assert Morphism(FpModule.free(module.domain, gens.cols), module, gens).is_zero() == expected
+
+
+def test_morphism_into_a_diagonal_target_is_still_checked():
+    # Z/4 -> Z/8 (+) Z: the relation 4 maps to (8, 4), and 4 != 0 in the free row.
+    target = FpModule.from_invariants(ZZ, 1, [8])
+    with pytest.raises(NotWellDefined):
+        Morphism(cyc(4), target, Mat(ZZ, [[2], [1]]))
+    assert Morphism(cyc(4), target, Mat(ZZ, [[2], [0]])).mat == Mat(ZZ, [[2], [0]])
+    x = F5.elem_from_json([0, 1])
+    with pytest.raises(NotWellDefined):
+        Morphism(FpModule.cyclic(F5, x), FpModule.cyclic(F5, F5.mul(x, x)), Mat.identity(F5, 1))
+
+
+def test_direct_sum_with_a_zero_summand_is_the_other_summand():
+    m = FpModule.from_invariants(ZZ, 1, [6])
+    zero = FpModule.zero(ZZ)
+    assert m.direct_sum(zero) is m and zero.direct_sum(m) is m
+    assert zero.direct_sum(zero).is_zero()
+    with pytest.raises(BackendMismatch):
+        m.direct_sum(FpModule.zero(F5))
+
+
+# -- slots filled through their descriptors ------------------------------------
+
+def test_every_slot_refuses_setattr_before_and_after_the_lazy_fill():
+    ideal = Ideal(ZZ, 6)
+    m = FpModule.from_relations(ZZ, [[4, 6], [0, 3]])
+    f = Morphism(m, m, Mat.identity(ZZ, 2))
+    for obj in (Mat(ZZ, [[1, 2]]), ideal, m, f):
+        for _ in range(2):
+            for name in type(obj).__slots__:
+                with pytest.raises(AttributeError):
+                    setattr(obj, name, getattr(obj, name, None))
+            # Fill every lazy slot, then check again.
+            ideal.power_gen(3)
+            assert m.decompose() == (0, [12]) and m._to_dec is not None
+    assert ideal._powers == [1, 6, 36, 216]

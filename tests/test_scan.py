@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +14,10 @@ from stab.functors import (CoherentFunctor, OscillatingFunctor, ExponentSet,
 from stab.scan import (QuotientPowers, Layers, GradedLayers, SubquotientFamily,
                        KwHomology, detect, scan_rows,
                        artin_rees_probe, AnnihilatorViolation)
-from oracles import periodic_tail_reference
+from stab.scenario import parse_scenario, run_scenario
+from stab.cli import _iter_packaged_scenarios
+from oracles import (periodic_tail_reference, quotient_scan_reference,
+                     elementary_divisors_over)
 
 F2 = poly_ring(2)
 F5 = poly_ring(5)
@@ -387,3 +392,92 @@ def test_artin_rees_poly():
     x = (0, 1)
     beta = Morphism(rp, rp, Mat(F2, [[F2.mul(x, x)]]))
     assert artin_rees_probe(beta, Mat(F2, [[F2.one]]), Ideal(F2, x), horizon=10) == 2
+
+
+# -- quotient scans against their closed form ------------------------------------
+# Over a PID every row of a quotient scan through the identity, ``hom_from``,
+# ``ext1`` or ``tor1`` is known in closed form (``oracles``), so the pruning,
+# the entrywise solve, the divisibility containment and the Smith read-off
+# that each row runs are checked against arithmetic that uses none of them.
+
+FUNCTOR_KINDS = {"identity": lambda a: IdentityFunctor(), "hom_from": HomFrom,
+                 "ext1": lambda a: ext_functor(a, 1), "tor1": lambda a: tor_functor(a, 1)}
+
+
+def small_elems(D, nonzero=False):
+    if D is ZZ:
+        elems = st.integers(-12, 12)
+    else:
+        elems = st.lists(st.integers(0, D.p - 1), max_size=3).map(D.elem_from_json)
+    return elems.filter(bool) if nonzero else elems
+
+
+def check_against_closed_form(result, D, rank, factors, g, kind, fixed):
+    ns = [row.n for row in result.rows]
+    expected, primes = quotient_scan_reference(D, rank, factors, g, ns, kind, fixed)
+    got = []
+    for row, (r, powers, ass_gens) in zip(result.rows, expected):
+        value = row.value
+        orders = [D.zero] * value.rank + list(value.factors)
+        assert elementary_divisors_over(D, orders, primes) == (r, powers), row.n
+        assert {p.gen for p in row.ass_set.primes} == ass_gens, row.n
+        got.append(ass_gens)
+    # The verdict's index is the start of the constant tail of Ass.
+    start = len(got) - 1
+    while start and got[start - 1] == got[-1]:
+        start -= 1
+    assert result.ass_report.status == "stable" and result.ass_report.n0 == ns[start]
+
+
+@st.composite
+def quotient_scans(draw):
+    D = draw(st.sampled_from([ZZ, F2, F5]))
+    rank = draw(st.integers(0, 2))
+    factors = draw(st.lists(small_elems(D, nonzero=True), max_size=2))
+    k = len(factors) + rank
+    rel = Mat.from_cols(D, [[d if i == t else D.zero for i in range(k)]
+                            for t, d in enumerate(factors)], k)
+    if k >= 2 and draw(st.booleans()):
+        # A change of generators, so that the presentation is not diagonal.
+        i, j = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        mix = [[D.one if r == c else D.zero for c in range(k)] for r in range(k)]
+        mix[i][j] = draw(small_elems(D, nonzero=True))
+        rel = Mat(D, mix, k, k) @ rel
+    kind = draw(st.sampled_from(sorted(FUNCTOR_KINDS)))
+    fixed = (draw(st.integers(0, 1)), draw(st.lists(small_elems(D, nonzero=True), max_size=2)))
+    return (D, rank, factors, FpModule(D, k, rel), draw(small_elems(D)), kind, fixed,
+            draw(st.integers(2, 30)))
+
+
+@given(quotient_scans())
+@settings(max_examples=80, deadline=None)
+def test_quotient_scans_match_the_closed_form(case):
+    D, rank, factors, module, g, kind, fixed, horizon = case
+    functor = FUNCTOR_KINDS[kind](FpModule.from_invariants(D, *fixed))
+    result = scan_rows(QuotientPowers(module, Ideal(D, g)), functor, None, horizon, 2)
+    check_against_closed_form(result, D, rank, factors, g, kind, fixed)
+
+
+QUOTIENT_SCENARIOS = ("brodmann_int_quotient", "brodmann_int_quotient_mixed",
+                      "brodmann_poly2_quotient", "brodmann_poly5_quotient",
+                      "coh_int_hom_quotient", "coh_int_ext1_quotient",
+                      "coh_int_tor1_quotient")
+
+
+def test_packaged_quotient_scenarios_match_the_closed_form():
+    docs = {name[:-len(".json")]: json.loads(text) for name, text in _iter_packaged_scenarios()}
+    for name in QUOTIENT_SCENARIOS:
+        doc = docs[name]
+        sc = parse_scenario(doc)
+        D = sc.domain
+        m = doc["modules"][doc["family"]["module"]]
+        factors = [D.elem_from_json(d) for d in m["factors"]]
+        g = D.elem_from_json(doc["ideals"][doc["family"]["ideal"]])
+        kind = doc["functor"]["kind"]
+        fixed = (0, ())
+        if kind != "identity":
+            a = doc["modules"][doc["functor"]["module"]]
+            fixed = (a["rank"], [D.elem_from_json(d) for d in a["factors"]])
+        outcome = run_scenario(sc)
+        assert len(outcome.result.rows) == sc.horizon, name
+        check_against_closed_form(outcome.result, D, m["rank"], factors, g, kind, fixed)
