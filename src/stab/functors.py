@@ -157,8 +157,14 @@ class ComplexHomology(TensoredHomology):
         self.index = index
 
     def _tensored(self, n):
-        ident = Morphism.identity(n)
-        return tuple(tensor_mor(f, ident) for f in self.maps)
+        # Each ``P_i (x) N`` once: the middle term ends both maps unless the
+        # first map was given into another presentation of it.
+        d, e = self.maps
+        ident = Mat.identity(n.domain, n.ambient)
+        b_n = self.middle.tensor(n)
+        d_target = b_n if d.target.relations == self.middle.relations else d.target.tensor(n)
+        return (Morphism(d.source.tensor(n), d_target, d.mat.kron(ident), check=False),
+                Morphism(b_n, e.target.tensor(n), e.mat.kron(ident), check=False))
 
     def __repr__(self):
         return f"H_{self.index}(P (x) -)"

@@ -105,19 +105,24 @@ def ann_contains(inner, outer):
     return inner.domain.divides(outer.gen, inner.gen)
 
 
-def depth(j, m):
+def depth(j, m, primes=None):
     """Depth of the ideal ``J = (g)`` on ``M``: one of 0, 1, DEPTH_INF.
 
-    Read off ``(rank, factors)`` with one gcd.  With ``h = gcd(d_last, g)``
-    for the largest invariant factor ``d_last``: depth is 0 when ``h`` is a
-    non-unit (some associated prime contains g).  Otherwise, with free rank
-    and g not a unit, it is 0 when ``g = 0`` and 1 when not (g is regular and
-    annihilates M/gM).  In every other case ``J M = M`` and depth is ``inf``
-    (in particular for M = 0).
+    Depth is 0 exactly when ``J`` lies in an associated prime (Bruns-Herzog,
+    1.2.1).  Given ``primes = ass(m)``, as a scan row has them, that is one
+    division of ``g`` per prime.  Without them it is one gcd: some prime
+    contains ``g`` iff ``gcd(d_last, g)`` is a non-unit for the largest
+    invariant factor ``d_last``, or ``g = 0`` and M has free rank.  Otherwise,
+    with free rank and g not a unit, depth is 1 (g is regular and annihilates
+    M/gM).  In every other case ``J M = M`` and depth is ``inf`` (in
+    particular for M = 0).
     """
     D = m.domain
     g = j.gen
-    if m.factors and not D.is_unit(D.gcd(m.factors[-1], g)):
+    if primes is not None:
+        if any(p.contains(g) for p in primes):
+            return 0
+    elif m.factors and not D.is_unit(D.gcd(m.factors[-1], g)):
         return 0
     if m.rank > 0 and not D.is_unit(g):
         return 0 if D.is_zero(g) else 1

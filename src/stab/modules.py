@@ -301,17 +301,28 @@ class FpModule:
 
         Columns of ``u``, ``v``, ``w`` are ambient vectors read modulo the
         relations.  The result is presented on the generators ``[U | g^n V]``.
+        Every call checks ``W <= V``; a family of these over ``n`` checks it
+        once with :meth:`check_subquotient` and then builds each value with
+        :meth:`_subquotient`.
         """
-        D = self.domain
+        self.check_subquotient(u, v, w)
+        return self._subquotient(u, v, w, ideal, n)
+
+    def check_subquotient(self, u, v, w):
+        """Raise unless ``u``, ``v``, ``w`` live in the ambient module and W
+        lies in V; an identity ``v`` spans the whole module and holds any W."""
         for m_ in (u, v, w):
             if m_.rows != self.ambient:
                 raise ValueError("submodule generators must live in the ambient module")
-        if not sub_contains(self, v, w):
+        if not (v._is_identity() or sub_contains(self, v, w)):
             raise SubmoduleError("W is not contained in V")
+
+    def _subquotient(self, u, v, w, ideal, n):
+        # ``subquotient`` after its check.
         g = ideal.power_gen(n)
         gens = u.hstack(v.scale(g))
         syz = gens.preimage(w.scale(g).hstack(self.relations))
-        return FpModule(D, gens.cols, syz)
+        return FpModule(self.domain, gens.cols, syz)
 
     def submodule(self, gens):
         """Presentation of the submodule spanned by the given generator columns.
@@ -550,8 +561,8 @@ class HomSpace:
     def __init__(self, source, target):
         source._check(target)
         D = source.domain
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
+        _set_hom_source(self, source)
+        _set_hom_target(self, target)
         ssum = list(source.factors) + [None] * source.rank
         tsum = list(target.factors) + [None] * target.rank
         pairs = []
@@ -568,9 +579,8 @@ class HomSpace:
                     if D.is_unit(g):
                         continue
                     pairs.append((i, j, g, D.exact_div(b, g)))
-        object.__setattr__(self, "pairs", tuple(pairs))
-        object.__setattr__(self, "module",
-                           _diag_module(D, [ann for (_, _, ann, _) in pairs]))
+        _set_pairs(self, tuple(pairs))
+        _set_hom_module(self, _diag_module(D, [ann for (_, _, ann, _) in pairs]))
 
     def __setattr__(self, name, value):
         raise AttributeError("HomSpace is immutable")
@@ -610,6 +620,9 @@ class HomSpace:
         return outs
 
 
+_set_hom_source, _set_hom_target, _set_hom_module, _set_pairs = _slot_setters(HomSpace)
+
+
 def _pruned(rel):
     """One gcd column per occupied row when no column of ``rel`` has two
     nonzero entries (see the module docstring); otherwise, or when ``rel``
@@ -647,8 +660,10 @@ def hom(m, n):
 
 
 def hom_induced(f, n):
-    """Precomposition ``Hom(L, N) -> Hom(K, N)`` for ``f : K -> L``."""
-    hl, hk = HomSpace(f.target, n), HomSpace(f.source, n)
+    """Precomposition ``Hom(L, N) -> Hom(K, N)`` for ``f : K -> L``; one Hom
+    space serves both ends when ``K`` and ``L`` share a presentation."""
+    hl = HomSpace(f.target, n)
+    hk = hl if f.source.relations == f.target.relations else HomSpace(f.source, n)
     cols = [hk.coords(g.compose(f)) for g in hl.generators()]
     return Morphism(hl.module, hk.module, Mat.from_cols(f.source.domain, cols, len(hk.pairs)))
 

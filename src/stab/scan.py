@@ -47,46 +47,43 @@ class QuotientPowers(Family):
         return self.module.power_quotient(self.ideal, n)
 
 
-class Layers(Family):
-    """``n -> I^(n-1) M / I^n M``."""
-
-    def __init__(self, module, ideal):
-        self.module = module
-        self.ideal = ideal
-
-    def generate(self, n):
-        return self.module.power_layer(self.ideal, n)
-
-
-class GradedLayers(Family):
-    """``n -> I^n M / I^n M'`` for a submodule given by generators."""
-
-    def __init__(self, module, sub_gens, ideal):
-        self.module = module
-        self.sub_gens = sub_gens
-        self.ideal = ideal
-        if sub_gens.rows != module.ambient:
-            raise ValueError("submodule generators must live in the ambient module")
-
-    def generate(self, n):
-        D = self.module.domain
-        return self.module.subquotient(Mat.zero(D, self.module.ambient, 0),
-                                       Mat.identity(D, self.module.ambient),
-                                       self.sub_gens, self.ideal, n)
-
-
 class SubquotientFamily(Family):
-    """``n -> (U + I^n V) / I^n W`` inside a fixed module."""
+    """``n -> (U + I^n V) / I^n W`` inside a fixed module.
+
+    ``W <= V`` is checked once, here; ``generate`` builds each value without
+    checking it again.
+    """
 
     def __init__(self, module, u, v, w, ideal):
+        module.check_subquotient(u, v, w)
         self.module = module
         self.u, self.v, self.w = u, v, w
         self.ideal = ideal
-        # Validate W <= V once, at n = 0.
-        module.subquotient(u, v, w, ideal, 0)
 
     def generate(self, n):
-        return self.module.subquotient(self.u, self.v, self.w, self.ideal, n)
+        return self.module._subquotient(self.u, self.v, self.w, self.ideal, n)
+
+
+class Layers(SubquotientFamily):
+    """``n -> I^(n-1) M / I^n M``, the subquotient ``I^(n-1) M / I^(n-1) (I M)``."""
+
+    def __init__(self, module, ideal):
+        D, k = module.domain, module.ambient
+        super().__init__(module, Mat.zero(D, k, 0), Mat.identity(D, k),
+                         Mat.scalar(D, k, ideal.gen), ideal)
+
+    def generate(self, n):
+        if n < 1:
+            raise ValueError("layers need n >= 1")
+        return self.module._subquotient(self.u, self.v, self.w, self.ideal, n - 1)
+
+
+class GradedLayers(SubquotientFamily):
+    """``n -> I^n M / I^n M'`` for a submodule given by generators."""
+
+    def __init__(self, module, sub_gens, ideal):
+        D, k = module.domain, module.ambient
+        super().__init__(module, Mat.zero(D, k, 0), Mat.identity(D, k), sub_gens, ideal)
 
 
 class KwHomology(Family):
@@ -116,6 +113,8 @@ class KwHomology(Family):
             if not sub_contains(lmod, l2, l_sub.scale(g_c)):
                 raise ValueError("I^c L' is not contained in L2")
             self.scan_start = max(1, c)
+            # ``alpha L1`` and ``alpha L2`` do not depend on n.
+            self.alpha_l1, self.alpha_l2 = alpha.mat @ shift[0], alpha.mat @ l2
 
     def generate(self, n):
         if self.shift is not None and n < self.shift[2]:
@@ -131,9 +130,8 @@ class KwHomology(Family):
         if self.shift is None:
             image_gens = self.alpha.mat
         else:
-            l1, l2, c = self.shift
-            shifted = (self.alpha.mat @ l2).scale(self.ideal.power_gen(n - c))
-            image_gens = (self.alpha.mat @ l1).hstack(shifted)
+            shifted = self.alpha_l2.scale(self.ideal.power_gen(n - self.shift[2]))
+            image_gens = self.alpha_l1.hstack(shifted)
         carrier = Morphism(FpModule.free(D, image_gens.cols), m_n, image_gens)
         return homology_at(carrier, beta_n)[0]
 
@@ -217,8 +215,10 @@ def scan_rows(family, functor=None, depth_ideal=None, horizon=50, window=10):
     verdicts.  Every row asserts the annihilator monotonicity law
     ``ann(N) <= ann(F(N))``.  A row whose source has the same presentation
     as the previous row's (equal pruned relation matrices, hence the same
-    ambient rank) reuses that row's value, primes and depth: functors are
-    pure, so evaluating again would give the same answers.
+    ambient rank) reuses that row's value, primes, depth and both
+    annihilators: functors are pure, so evaluating again would give the same
+    answers.  Depth is read off the row's primes (see
+    :func:`stab.invariants.depth`).
     """
     if functor is None:
         functor = IdentityFunctor()
@@ -227,20 +227,22 @@ def scan_rows(family, functor=None, depth_ideal=None, horizon=50, window=10):
         raise ValueError(": ".join(fault))
     ns = list(range(family.scan_start, horizon + 1))
 
-    rows, last = [], None  # ``last``: the previous row's source relations
+    # ``last``: the previous row's source relations; ``anns``: that row's
+    # source and value annihilators.
+    rows, last, anns = [], None, None
     for n in ns:
         source = family.generate(n)
         if source.relations == last:
             row = rows[-1]._replace(n=n)
         else:
             value = functor(source)
-            d = depth(depth_ideal, value) if depth_ideal is not None else None
-            row = ScanRow(n, value, ass(value), d)
-        if not ann_contains(ann(source), ann(row.value)):
-            raise AnnihilatorViolation(
-                f"ann {ann(source)!r} not inside ann {ann(row.value)!r} at n={n}")
+            primes = ass(value)
+            d = depth(depth_ideal, value, primes) if depth_ideal is not None else None
+            row = ScanRow(n, value, primes, d)
+            last, anns = source.relations, (ann(source), ann(value))
+        if not ann_contains(*anns):
+            raise AnnihilatorViolation(f"ann {anns[0]!r} not inside ann {anns[1]!r} at n={n}")
         rows.append(row)
-        last = source.relations
 
     ass_values = [r.ass_set for r in rows]
     status, n0, period = detect(ns, ass_values, window)

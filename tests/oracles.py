@@ -10,7 +10,7 @@ now shares, and differential tests compare the two.
 import math
 from itertools import product
 
-from stab.invariants import AssSet
+from stab.invariants import DEPTH_INF, AssSet
 from stab.matrices import Mat, _pivots
 from stab.modules import FpModule, Ideal, Morphism, tensor_mor
 
@@ -387,10 +387,22 @@ def periodic_tail_reference(values, window):
 # and one cyclic summand ``R/b`` of it (``b = 0`` for ``R``):
 #   Hom(A, R/b)   = (R/b)^s (+) (+) R/gcd(a_j, b)   (no torsion part when b = 0),
 #   Ext^1(A, R/b) = (+) R/gcd(a_j, b),
-#   Tor_1(A, R/b) = (+) R/gcd(a_j, b)               (zero when b = 0).
-# So every row is known without a normal form; primes come from trial
-# division of ``g``, the ``d_i`` and the ``a_j``, not from the library's
-# ``factor``.
+#   Tor_1(A, R/b) = (+) R/gcd(a_j, b)               (zero when b = 0),
+#   Gamma_(h)(R/b) = R/(h-part of b)                 (zero when b = 0 and h != 0),
+#   tau_S(R/b)     = R/gcd(b, s)                     (s a cogenerator of an explicit
+#                                                     set S; zero when b = 0 and s != 0),
+# and the quotients by the last two are ``R/(b / part)`` (``R`` again when
+# b = 0: a free summand stays).  A multiplicative closure reduces to Gamma at
+# the product of its generators.  So every row is known without a normal
+# form; primes come from trial division of ``g``, the ``d_i`` and the
+# ``a_j``, not from the library's ``factor``.  Depth over such a row is 0
+# when ``J = (j)`` lies in an associated prime (a prime of ``j`` divides a
+# torsion order, or ``j = 0`` and the row is nonzero), else 1 with free
+# rank and ``j`` not a unit, else ``inf``.
+
+HOM_KINDS = ("hom_from", "ext1", "tor1")
+TORSION_KINDS = ("gamma", "mod_gamma", "tau", "mod_tau")
+
 
 def prime_divisors_trial(domain, a):
     """The canonical primes dividing a nonzero ``a``, by trial division."""
@@ -417,13 +429,47 @@ def prime_divisors_trial(domain, a):
     return out
 
 
+def torsion_split_reference(domain, b, kind, subset):
+    """The cyclic order of the torsion part (``gamma``, ``tau``) or of the
+    quotient by it (``mod_gamma``, ``mod_tau``) of ``R/b``.  ``subset`` is
+    ``h`` for ``Gamma_(h)``, else ``("elements", S)`` or ``("closure", gens)``."""
+    D = domain
+    if kind in ("tau", "mod_tau") and subset[0] == "elements":
+        elems = subset[1]
+        s = next(t for t in elems if all(D.divides(r, t) for r in elems))
+        part = D.gcd(b, s) if b or not s else D.one
+    else:
+        h = subset
+        if kind in ("tau", "mod_tau"):
+            h = D.one
+            for t in subset[1]:
+                h = D.mul(h, t)
+        if not h:
+            part = b  # every element is killed by the zero ideal
+        elif not b:
+            part = D.one
+        else:
+            part = D.one
+            for p in prime_divisors_trial(D, h) if not D.is_unit(h) else ():
+                while D.divides(D.mul(part, p), b):
+                    part = D.mul(part, p)
+    if kind in ("gamma", "tau"):
+        return part
+    if not part:
+        return D.one
+    return D.exact_div(b, part) if b else D.zero
+
+
 def quotient_value_reference(domain, rank, factors, g, n, kind="identity", fixed=(0, ())):
     """The cyclic orders of ``F(M / g^n M)`` (0 for a free summand, units for
-    none) by the closed forms above; ``kind`` is ``identity``, ``hom_from``,
-    ``ext1`` or ``tor1`` and ``fixed`` is ``(s, a_j)`` for the module ``A``."""
+    none) by the closed forms above.  ``kind`` is ``identity``; one of
+    ``HOM_KINDS`` with ``fixed = (s, a_j)`` for the module ``A``; or one of
+    ``TORSION_KINDS`` with ``fixed`` the subset of :func:`torsion_split_reference`."""
     D = domain
     gn = D.pow(g, n)
     summands = [gn] * rank + [D.gcd(d, gn) for d in factors]
+    if kind in TORSION_KINDS:
+        return [torsion_split_reference(D, b, kind, fixed) for b in summands]
     s, fixed_factors = fixed
     out = []
     for b in summands:
@@ -456,12 +502,27 @@ def elementary_divisors_over(domain, orders, primes):
     return rank, sorted(powers, key=D.elem_sort_key)
 
 
-def quotient_scan_reference(domain, rank, factors, g, ns, kind="identity", fixed=(0, ())):
-    """Per index: ``(rank, elementary divisors, primes of Ass)`` of each scan
-    value, plus the candidate primes, all from the closed forms."""
+def depth_over(domain, rank, powers, j):
+    """Depth of ``(j)`` on ``R^rank (+) (+) R/(q)`` for prime powers ``q``."""
+    D = domain
+    if not j:
+        in_prime = bool(rank or powers)
+    else:
+        j_primes = prime_divisors_trial(D, j) if not D.is_unit(j) else []
+        in_prime = any(D.divides(p, q) for p in j_primes for q in powers)
+    if in_prime:
+        return 0
+    return 1 if rank and not D.is_unit(j) else DEPTH_INF
+
+
+def quotient_scan_reference(domain, rank, factors, g, ns, kind="identity", fixed=(0, ()),
+                            j=None):
+    """Per index: ``(rank, elementary divisors, primes of Ass, depth)`` of
+    each scan value, plus the candidate primes, all from the closed forms;
+    the depth is of ``(j)``, or ``None`` without ``j``."""
     D = domain
     primes = []
-    for a in [g, *factors, *fixed[1]]:
+    for a in [g, *factors, *(fixed[1] if kind in HOM_KINDS else ())]:
         if a and not D.is_unit(a):
             primes += [p for p in prime_divisors_trial(D, a) if p not in primes]
     rows = []
@@ -470,5 +531,5 @@ def quotient_scan_reference(domain, rank, factors, g, ns, kind="identity", fixed
         r, powers = elementary_divisors_over(D, orders, primes)
         ass_gens = {D.zero} if r else set()
         ass_gens |= {p for p in primes if any(D.divides(p, q) for q in powers)}
-        rows.append((r, powers, ass_gens))
+        rows.append((r, powers, ass_gens, None if j is None else depth_over(D, r, powers, j)))
     return rows, primes

@@ -209,6 +209,19 @@ def test_complex_homology_matches_per_index_reference(case):
         assert got.is_isomorphic_to(complex_homology_reference(d2, d1, i, n)), i
 
 
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_complex_homology_tensors_each_term_once(monkeypatch, index):
+    pres = presentation_map(cyc(4, 12).direct_sum(R))
+    d2 = Morphism.zero_map(FpModule.from_invariants(ZZ, 1, [3]), pres.source)
+    functor = ComplexHomology(d2, pres, index)
+    n = cyc(2, 8)
+    tensored, tensor = [], FpModule.tensor
+    monkeypatch.setattr(FpModule, "tensor", lambda a, b: tensored.append(a) or tensor(a, b))
+    value = functor(n)
+    assert len(tensored) == 3 and tensored.count(functor.middle) == 1
+    assert value.is_isomorphic_to(complex_homology_reference(d2, pres, index, n))
+
+
 @pytest.mark.parametrize("index", [0, 2])
 def test_complex_homology_end_indices_laws(index):
     pres = presentation_map(cyc(4).direct_sum(R))

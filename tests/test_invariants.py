@@ -336,3 +336,42 @@ def test_asset_serialization():
     assert a.to_json() == ["(0)", "(2)", "(3)"]
     ap = ass(FpModule.from_invariants(F2, 1, [(0, 1, 1)]))
     assert ap.to_json() == ["(0)", "(x)", "(x+1)"]
+
+
+# -- depth read off the associated primes --------------------------------------
+# A scan row passes the primes it already holds; ``depth`` then divides the
+# generator by each prime instead of taking a gcd with the largest factor.
+
+@st.composite
+def depth_with_primes_cases(draw):
+    domain = draw(st.sampled_from([ZZ, F2, F5]))
+    if domain is ZZ:
+        elems = st.integers(-30, 30)
+    else:
+        elems = st.lists(st.integers(0, domain.p - 1), max_size=4).map(domain.elem_from_json)
+    nonzero = elems.filter(lambda e: not domain.is_zero(e))
+    rank = draw(st.integers(0, 1))
+    factors = draw(st.lists(nonzero, max_size=3))  # no factors and rank 0: the zero module
+    shared = [domain.mul(d, draw(nonzero)) for d in factors[:1]]
+    # Zero, a unit, a multiple of a factor (shares its primes) or any element.
+    gen = draw(st.sampled_from([domain.zero, domain.one, *shared]) | elems)
+    return Ideal(domain, gen), FpModule.from_invariants(domain, rank, factors)
+
+
+@given(depth_with_primes_cases())
+@settings(max_examples=300, deadline=None)
+def test_depth_from_the_primes_matches_the_gcd(case):
+    j, m = case
+    assert depth(j, m, ass(m)) == depth(j, m)
+
+
+def test_depth_from_the_primes_edge_cases():
+    x = (0, 1)
+    for domain, g, other in [(ZZ, 6, 35), (F2, F2.mul(x, x), (1, 1)),
+                             (F5, (1, 1), (2, 0, 1))]:
+        torsion = FpModule.from_invariants(domain, 0, [g])
+        mixed = FpModule.from_invariants(domain, 1, [g])
+        for gen in (domain.zero, domain.one, g, other):
+            j = Ideal(domain, gen)
+            for m in (FpModule.zero(domain), FpModule.free(domain, 1), torsion, mixed):
+                assert depth(j, m, ass(m)) == depth(j, m) == depth_reference(j, m)

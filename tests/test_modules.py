@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from stab import matrices
 from stab.domains import ZZ, BackendMismatch, BoundedMemo, poly_ring
 from stab.matrices import Mat, NF_MEMO_BOUND
-from stab.modules import (FpModule, Morphism, Ideal, MAX_GENERATORS,
+from stab.modules import (FpModule, Morphism, Ideal, HomSpace, MAX_GENERATORS,
                           hom, hom_induced, loc_tensor, tensor_mor,
                           NotWellDefined, SubmoduleError, DomainViolation,
                           sub_equal, sub_intersect)
@@ -662,7 +662,7 @@ def test_every_slot_refuses_setattr_before_and_after_the_lazy_fill():
     ideal = Ideal(ZZ, 6)
     m = FpModule.from_relations(ZZ, [[4, 6], [0, 3]])
     f = Morphism(m, m, Mat.identity(ZZ, 2))
-    for obj in (Mat(ZZ, [[1, 2]]), ideal, m, f):
+    for obj in (Mat(ZZ, [[1, 2]]), ideal, m, f, hom(m, m)):
         for _ in range(2):
             for name in type(obj).__slots__:
                 with pytest.raises(AttributeError):
@@ -671,3 +671,21 @@ def test_every_slot_refuses_setattr_before_and_after_the_lazy_fill():
             ideal.power_gen(3)
             assert m.decompose() == (0, [12]) and m._to_dec is not None
     assert ideal._powers == [1, 6, 36, 216]
+
+
+def test_hom_induced_of_an_endomorphism_builds_one_hom_space(monkeypatch):
+    m, n = R.direct_sum(cyc(4)), cyc(2, 8)
+    f = Morphism(m, m, Mat(ZZ, [[2, 0], [1, 2]]))
+    # Precomposition read off two separately built spaces.
+    hl, hk = HomSpace(m, n), HomSpace(m, n)
+    cols = [hk.coords(g.compose(f)) for g in hl.generators()]
+    built, init = [], HomSpace.__init__
+    monkeypatch.setattr(HomSpace, "__init__",
+                        lambda self, a, b: built.append(a) or init(self, a, b))
+    induced = hom_induced(f, n)
+    assert len(built) == 1
+    assert induced.mat == Mat.from_cols(ZZ, cols, len(hk.pairs))
+    assert induced.source is induced.target
+    # A map between two presentations still builds both spaces.
+    hom_induced(Morphism(cyc(2), m, Mat(ZZ, [[0], [2]])), n)
+    assert len(built) == 3

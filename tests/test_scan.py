@@ -6,18 +6,18 @@ from hypothesis import given, settings, strategies as st
 from stab import scan
 from stab.domains import ZZ, poly_ring
 from stab.matrices import Mat
-from stab.modules import FpModule, Morphism, Ideal
-from stab.invariants import DEPTH_INF, AssSet, ass, depth
+from stab.modules import FpModule, Morphism, Ideal, SubmoduleError
+from stab.invariants import DEPTH_INF, AssSet, CmcSet, ass, depth
 from stab.functors import (CoherentFunctor, OscillatingFunctor, ExponentSet,
-                           IdentityFunctor, HomFrom, GammaFunctor,
-                           ext_functor, tor_functor)
+                           IdentityFunctor, HomFrom, GammaFunctor, ModGamma,
+                           TauFunctor, ModTau, ext_functor, tor_functor)
 from stab.scan import (QuotientPowers, Layers, GradedLayers, SubquotientFamily,
                        KwHomology, detect, scan_rows,
                        artin_rees_probe, AnnihilatorViolation)
 from stab.scenario import parse_scenario, run_scenario
 from stab.cli import _iter_packaged_scenarios
-from oracles import (periodic_tail_reference, quotient_scan_reference,
-                     elementary_divisors_over)
+from oracles import (HOM_KINDS, TORSION_KINDS, periodic_tail_reference,
+                     quotient_scan_reference, elementary_divisors_over)
 
 F2 = poly_ring(2)
 F5 = poly_ring(5)
@@ -42,6 +42,54 @@ def test_graded_layers_generate():
     fam = GradedLayers(R, Mat(ZZ, [[2]]), Ideal(ZZ, 3))
     for n in range(1, 5):
         assert fam.generate(n).decompose() == (0, [2])
+
+
+# -- work done once per family, not once per row ---------------------------------
+
+def record_calls(monkeypatch, owner, attr):
+    """Wrap ``owner.attr`` so that each call records its first argument."""
+    seen, original = [], getattr(owner, attr)
+
+    def recorded(first, *args, **kwargs):
+        seen.append(first)
+        return original(first, *args, **kwargs)
+    monkeypatch.setattr(owner, attr, recorded)
+    return seen
+
+
+M8 = R.direct_sum(cyc(8))
+SUBQUOTIENT_FAMILIES = {
+    "layers": (Layers, (I2,)),
+    "graded_layers": (GradedLayers, (Mat(ZZ, [[2, 0], [0, 1]]), I2)),
+    "subquotient": (SubquotientFamily, (Mat.zero(ZZ, 2, 0), Mat(ZZ, [[1, 0], [0, 2]]),
+                                        Mat(ZZ, [[2, 0], [0, 4]]), I2)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SUBQUOTIENT_FAMILIES))
+def test_a_subquotient_family_checks_w_inside_v_once(monkeypatch, kind):
+    checks = record_calls(monkeypatch, FpModule, "check_subquotient")
+    cls, args = SUBQUOTIENT_FAMILIES[kind]
+    family = cls(M8, *args)
+    result = scan_rows(family, None, I2, horizon=12, window=4)
+    assert len(result.rows) == 12 and checks == [M8]
+    # Each row is what the checked construction gives, which checks per call.
+    for row in result.rows:
+        direct = (M8.power_layer(I2, row.n) if kind == "layers" else
+                  M8.subquotient(family.u, family.v, family.w, I2, row.n))
+        assert row.value.relations == direct.relations
+    assert len(checks) == 1 + len(result.rows)
+
+
+def test_an_invalid_subquotient_is_refused_at_build_and_by_every_direct_call(monkeypatch):
+    checks = record_calls(monkeypatch, FpModule, "check_subquotient")
+    u, v, w = Mat.zero(ZZ, 1, 0), Mat(ZZ, [[4]]), Mat(ZZ, [[2]])
+    with pytest.raises(SubmoduleError):
+        SubquotientFamily(R, u, v, w, I2)
+    for n in range(3):
+        with pytest.raises(SubmoduleError):
+            R.subquotient(u, v, w, I2, n)
+    assert len(checks) == 4
 
 
 def test_kw_homology_generate():
@@ -396,12 +444,26 @@ def test_artin_rees_poly():
 
 # -- quotient scans against their closed form ------------------------------------
 # Over a PID every row of a quotient scan through the identity, ``hom_from``,
-# ``ext1`` or ``tor1`` is known in closed form (``oracles``), so the pruning,
-# the entrywise solve, the divisibility containment and the Smith read-off
-# that each row runs are checked against arithmetic that uses none of them.
+# ``ext1``, ``tor1``, ``gamma``, ``tau`` or a quotient by the last two is
+# known in closed form (``oracles``), depth included, so the pruning, the
+# entrywise solve, the divisibility containment, the Smith read-off and the
+# depth read off each row's primes are checked against arithmetic that uses
+# none of them.
 
-FUNCTOR_KINDS = {"identity": lambda a: IdentityFunctor(), "hom_from": HomFrom,
-                 "ext1": lambda a: ext_functor(a, 1), "tor1": lambda a: tor_functor(a, 1)}
+HOM_FUNCTORS = {"hom_from": HomFrom, "ext1": lambda a: ext_functor(a, 1),
+                "tor1": lambda a: tor_functor(a, 1)}
+
+
+def closed_form_functor(D, kind, fixed):
+    if kind == "identity":
+        return IdentityFunctor()
+    if kind in HOM_FUNCTORS:
+        return HOM_FUNCTORS[kind](FpModule.from_invariants(D, *fixed))
+    if kind in ("gamma", "mod_gamma"):
+        return (GammaFunctor if kind == "gamma" else ModGamma)(Ideal(D, fixed))
+    how, elems = fixed
+    cmc = (CmcSet.explicit if how == "elements" else CmcSet.closure)(D, elems)
+    return (TauFunctor if kind == "tau" else ModTau)(cmc)
 
 
 def small_elems(D, nonzero=False):
@@ -412,21 +474,41 @@ def small_elems(D, nonzero=False):
     return elems.filter(bool) if nonzero else elems
 
 
-def check_against_closed_form(result, D, rank, factors, g, kind, fixed):
+def check_against_closed_form(result, D, rank, factors, g, kind, fixed, j):
     ns = [row.n for row in result.rows]
-    expected, primes = quotient_scan_reference(D, rank, factors, g, ns, kind, fixed)
+    expected, primes = quotient_scan_reference(D, rank, factors, g, ns, kind, fixed, j)
     got = []
-    for row, (r, powers, ass_gens) in zip(result.rows, expected):
+    for row, (r, powers, ass_gens, depth_value) in zip(result.rows, expected):
         value = row.value
         orders = [D.zero] * value.rank + list(value.factors)
         assert elementary_divisors_over(D, orders, primes) == (r, powers), row.n
         assert {p.gen for p in row.ass_set.primes} == ass_gens, row.n
+        assert row.depth_value == depth_value, row.n
         got.append(ass_gens)
-    # The verdict's index is the start of the constant tail of Ass.
+    # The verdict's index is the start of the constant tail of Ass, when that
+    # tail covers the window (a quotient by tau can have a transient).
     start = len(got) - 1
     while start and got[start - 1] == got[-1]:
         start -= 1
-    assert result.ass_report.status == "stable" and result.ass_report.n0 == ns[start]
+    report = result.ass_report
+    if len(got) - start >= report.window:
+        assert report.status == "stable" and report.n0 == ns[start]
+    else:
+        assert report.status != "stable"
+
+
+@st.composite
+def torsion_subsets(draw, D, kind):
+    if kind in ("gamma", "mod_gamma"):
+        return draw(small_elems(D))
+    if draw(st.booleans()):
+        return "closure", draw(st.lists(small_elems(D, nonzero=True), min_size=1, max_size=2))
+    # A member divisible by every other one makes the set cmc.
+    elems = draw(st.lists(small_elems(D), min_size=1, max_size=2))
+    top = D.one
+    for e in elems:
+        top = D.mul(top, e)
+    return "elements", elems + [D.mul(top, draw(small_elems(D, nonzero=True)))]
 
 
 @st.composite
@@ -443,25 +525,33 @@ def quotient_scans(draw):
         mix = [[D.one if r == c else D.zero for c in range(k)] for r in range(k)]
         mix[i][j] = draw(small_elems(D, nonzero=True))
         rel = Mat(D, mix, k, k) @ rel
-    kind = draw(st.sampled_from(sorted(FUNCTOR_KINDS)))
-    fixed = (draw(st.integers(0, 1)), draw(st.lists(small_elems(D, nonzero=True), max_size=2)))
-    return (D, rank, factors, FpModule(D, k, rel), draw(small_elems(D)), kind, fixed,
-            draw(st.integers(2, 30)))
+    kind = draw(st.sampled_from(["identity", *HOM_KINDS, *TORSION_KINDS]))
+    if kind in TORSION_KINDS:
+        fixed = draw(torsion_subsets(D, kind))
+    else:
+        fixed = (draw(st.integers(0, 1)),
+                 draw(st.lists(small_elems(D, nonzero=True), max_size=2)))
+    g = draw(small_elems(D))
+    j = draw(st.one_of(st.just(D.zero), st.just(D.one), st.just(g), small_elems(D)))
+    return (D, rank, factors, FpModule(D, k, rel), g, kind, fixed, j,
+            draw(st.integers(2, 60)))
 
 
 @given(quotient_scans())
 @settings(max_examples=80, deadline=None)
 def test_quotient_scans_match_the_closed_form(case):
-    D, rank, factors, module, g, kind, fixed, horizon = case
-    functor = FUNCTOR_KINDS[kind](FpModule.from_invariants(D, *fixed))
-    result = scan_rows(QuotientPowers(module, Ideal(D, g)), functor, None, horizon, 2)
-    check_against_closed_form(result, D, rank, factors, g, kind, fixed)
+    D, rank, factors, module, g, kind, fixed, j, horizon = case
+    functor = closed_form_functor(D, kind, fixed)
+    result = scan_rows(QuotientPowers(module, Ideal(D, g)), functor, Ideal(D, j), horizon, 2)
+    check_against_closed_form(result, D, rank, factors, g, kind, fixed, j)
 
 
 QUOTIENT_SCENARIOS = ("brodmann_int_quotient", "brodmann_int_quotient_mixed",
                       "brodmann_poly2_quotient", "brodmann_poly5_quotient",
                       "coh_int_hom_quotient", "coh_int_ext1_quotient",
-                      "coh_int_tor1_quotient")
+                      "coh_int_tor1_quotient", "gammatau_int_gamma_quotient",
+                      "gammatau_int_mod_gamma_quotient", "gammatau_int_tau_quotient",
+                      "gammatau_int_mod_tau_quotient")
 
 
 def test_packaged_quotient_scenarios_match_the_closed_form():
@@ -472,12 +562,20 @@ def test_packaged_quotient_scenarios_match_the_closed_form():
         D = sc.domain
         m = doc["modules"][doc["family"]["module"]]
         factors = [D.elem_from_json(d) for d in m["factors"]]
-        g = D.elem_from_json(doc["ideals"][doc["family"]["ideal"]])
-        kind = doc["functor"]["kind"]
-        fixed = (0, ())
-        if kind != "identity":
-            a = doc["modules"][doc["functor"]["module"]]
+        ideals = {key: D.elem_from_json(gen) for key, gen in doc["ideals"].items()}
+        g, j = ideals[doc["family"]["ideal"]], ideals[doc["depth_ideal"]]
+        functor = doc["functor"]
+        kind = functor["kind"]
+        if kind in ("gamma", "mod_gamma"):
+            fixed = ideals[functor["ideal"]]
+        elif kind in ("tau", "mod_tau"):
+            (how, elems), = functor["set"].items()
+            fixed = (how, [D.elem_from_json(e) for e in elems])
+        elif kind != "identity":
+            a = doc["modules"][functor["module"]]
             fixed = (a["rank"], [D.elem_from_json(d) for d in a["factors"]])
+        else:
+            fixed = (0, ())
         outcome = run_scenario(sc)
         assert len(outcome.result.rows) == sc.horizon, name
-        check_against_closed_form(outcome.result, D, m["rank"], factors, g, kind, fixed)
+        check_against_closed_form(outcome.result, D, m["rank"], factors, g, kind, fixed, j)
