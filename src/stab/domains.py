@@ -40,12 +40,13 @@ Factorization is desk-scale by design: trial division plus Brent's rho for
 integers, whose cost grows with the square root of the second-largest prime
 factor (a product of two 40-bit primes takes under a second, two 48-bit
 primes up to about 16 s), squarefree then distinct-degree then equal-degree
-splitting for GF(p)[x].  Results are memoized per process in a bounded
-:class:`BoundedMemo`, so a repeated factorization costs one lookup.
+splitting for GF(p)[x].  Results are cached per process in a bounded
+``functools.lru_cache``, so a repeated factorization costs one lookup.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import sys
@@ -59,35 +60,10 @@ _RHO_BLOCK = 128  # steps of Brent's rho whose differences share one gcd
 _SLOT_CODES = sorted({array(t).itemsize: t for t in "QLIHB"}.items())
 
 
-class BoundedMemo:
-    """A content-keyed memo holding at most ``bound`` entries.
-
-    Eviction is first-in first-out in dict insertion order.  Values must be
-    immutable (or copied by the caller) because every hit shares them.
-    """
-
-    __slots__ = ("bound", "entries")
-
-    def __init__(self, bound):
-        self.bound = bound
-        self.entries = {}
-
-    def get(self, key, compute):
-        """The value stored under ``key``, computing and storing it on a miss."""
-        entries = self.entries
-        try:
-            return entries[key]
-        except KeyError:
-            pass
-        value = compute()
-        if len(entries) >= self.bound:
-            del entries[next(iter(entries))]
-        entries[key] = value
-        return value
-
-
-# Factorizations as tuples, keyed by ``(backend, canonical element)``.
-_FACTOR_MEMO = BoundedMemo(FACTOR_MEMO_BOUND)
+@functools.lru_cache(maxsize=FACTOR_MEMO_BOUND)
+def _factored(backend, a):
+    """``backend._factor(a)`` as a tuple, cached by ``(backend, canonical a)``."""
+    return backend._factor(a)
 
 
 class BackendMismatch(TypeError):
@@ -289,9 +265,10 @@ class Integers(_Backend):
         """Factor ``a`` into a sorted list of ``(prime, multiplicity)`` pairs."""
         if a == 0:
             raise ZeroInputError("cannot factor zero")
-        n = abs(a)
-        return list(_FACTOR_MEMO.get(
-            (self, n), lambda: tuple(sorted(_factor_int(n).items()))))
+        return list(_factored(self, abs(a)))
+
+    def _factor(self, n):
+        return tuple(sorted(_factor_int(n).items()))
 
     def prime_key(self, p):
         return p
@@ -607,7 +584,7 @@ class PolyOverFp(_Backend):
         if self.is_unit(a):
             return []
         monic = self.canon(a)[0]
-        return list(_FACTOR_MEMO.get((self, monic), lambda: self._factor(monic)))
+        return list(_factored(self, monic))
 
     def _factor(self, a):
         rng = random.Random((self.p, a).__hash__())

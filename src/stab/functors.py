@@ -139,6 +139,8 @@ class TensoredHomology(Functor):
 class ComplexHomology(TensoredHomology):
     """``N -> H_i(P (x) N)`` for a complex ``P2 -> P1 -> P0`` with zero composite.
 
+    ``d2`` must end in the presentation of ``P1`` that ``d1`` starts from.
+
     ``H_0`` and ``H_2`` are middle homology of the complex extended by a zero
     map out of ``P0`` or into ``P2``.
     """
@@ -146,8 +148,8 @@ class ComplexHomology(TensoredHomology):
     def __init__(self, d2, d1, index):
         if index not in (0, 1, 2):
             raise ValueError("homology index must be 0, 1 or 2")
-        if d2.target.ambient != d1.source.ambient:
-            raise ValueError("complex maps do not compose")
+        if d2.target.relations != d1.source.relations:
+            raise ValueError("complex maps do not meet in one middle term")
         if not d1.compose(d2).is_zero():
             raise ValueError("complex has nonzero composite")
         zero = FpModule.zero(d1.source.domain)
@@ -157,13 +159,11 @@ class ComplexHomology(TensoredHomology):
         self.index = index
 
     def _tensored(self, n):
-        # Each ``P_i (x) N`` once: the middle term ends both maps unless the
-        # first map was given into another presentation of it.
+        # Each ``P_i (x) N`` once: the middle term ends both maps.
         d, e = self.maps
         ident = Mat.identity(n.domain, n.ambient)
         b_n = self.middle.tensor(n)
-        d_target = b_n if d.target.relations == self.middle.relations else d.target.tensor(n)
-        return (Morphism(d.source.tensor(n), d_target, d.mat.kron(ident), check=False),
+        return (Morphism(d.source.tensor(n), b_n, d.mat.kron(ident), check=False),
                 Morphism(b_n, e.target.tensor(n), e.mat.kron(ident), check=False))
 
     def __repr__(self):

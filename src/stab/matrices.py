@@ -37,23 +37,19 @@ of its shape.  ``Mat.identity`` and ``Mat.zero`` return one shared instance
 per backend and shape.  Shape and backend checks run first, so every error
 is unchanged.
 
-``Mat`` is immutable and hashed by content, so the Hermite form, the Smith
-form and the transform-free Smith diagonal are memoized per process on the
-matrix itself: equal matrices built by different routes share one
-computation.  The memos are bounded, because a form can be much larger than
-its input.  Its ``__setattr__`` raises, so the constructor fills the slots
-through their member descriptors, bound once.
+Normal forms are computed each time they are asked for, with no cache: a
+scan reuses a repeated row whole and a module keeps its own invariants and
+transforms, so in the packaged scenarios a Smith form asked for again is
+that of a matrix already in Smith form, which is read off.
+
+``Mat`` is immutable and hashed by content.  Its ``__setattr__`` raises, so
+the constructor fills the slots through their member descriptors, bound once.
 """
 
 from __future__ import annotations
 
-from .domains import BackendMismatch, BoundedMemo
+from .domains import BackendMismatch
 
-NF_MEMO_BOUND = 32
-
-_HNF_MEMO = BoundedMemo(NF_MEMO_BOUND)
-_SNF_MEMO = BoundedMemo(NF_MEMO_BOUND)
-_DIAG_MEMO = BoundedMemo(NF_MEMO_BOUND)
 # One shared instance per key: ``Mat`` is immutable.
 _ZEROS = {}
 _IDENTITIES = {}
@@ -367,9 +363,6 @@ class Mat:
         zero columns trailing.  The form is canonical: two column spans are
         equal iff their Hermite forms are equal.
         """
-        return _HNF_MEMO.get(self, self._compute_hnf)
-
-    def _compute_hnf(self):
         # Column operations on [A; I] leave [H; U].
         D = self.domain
         norm, mul = D.norm, D.mul
@@ -407,22 +400,6 @@ class Mat:
 
     def _snf_full(self):
         """Smith form plus the inverse of the row transform: ``(D, U, V, U^-1)``."""
-        return _SNF_MEMO.get(self, self._compute_snf)
-
-    def smith_diagonal(self):
-        """The Smith diagonal: from the memoized full form, else without transforms."""
-        full = _SNF_MEMO.entries.get(self)
-        if full is not None:
-            return tuple(full[0].diagonal())
-        return _DIAG_MEMO.get(self, self._compute_diagonal)
-
-    def _compute_diagonal(self):
-        if _is_smith(self):
-            return tuple(self.diagonal())
-        W = self._smith(False)[0]
-        return tuple(W[i][i] for i in range(min(self.rows, self.cols)))
-
-    def _compute_snf(self):
         D, m, n = self.domain, self.rows, self.cols
         if _is_smith(self):
             eye_m = Mat.identity(D, m)
@@ -430,6 +407,13 @@ class Mat:
         W, Uinv = self._smith(True)
         return (Mat(D, [r[:n] for r in W[:m]], m, n), Mat(D, [r[n:] for r in W[:m]], m, m),
                 Mat(D, W[m:], n, n), Mat(D, Uinv, m, m))
+
+    def smith_diagonal(self):
+        """The Smith diagonal, computed without transforms."""
+        if _is_smith(self):
+            return tuple(self.diagonal())
+        W = self._smith(False)[0]
+        return tuple(W[i][i] for i in range(min(self.rows, self.cols)))
 
     def _smith(self, transforms):
         """The Smith loop on ``[A | U; V]``, returning it and ``U^-1``.

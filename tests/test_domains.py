@@ -82,14 +82,20 @@ def test_factor_memo_keys_on_canonical_associate():
 
 
 def test_factor_memo_holds_exactly_its_bound():
-    memo = domains._FACTOR_MEMO
     start = 10**9
-    for n in range(start, start + FACTOR_MEMO_BOUND + 10):
+    ZZ.factor(start)
+    for n in range(start + 1, start + FACTOR_MEMO_BOUND + 10):
         ZZ.factor(n)
-    assert len(memo.entries) == FACTOR_MEMO_BOUND
-    # First in, first out: the oldest entries went, the newest stayed.
-    assert (ZZ, start) not in memo.entries
-    assert (ZZ, start + FACTOR_MEMO_BOUND + 9) in memo.entries
+        # Least recently used goes first: reading ``start`` keeps it.
+        ZZ.factor(start)
+    info = domains._factored.cache_info()
+    assert info.maxsize == info.currsize == FACTOR_MEMO_BOUND
+    hits = info.hits
+    ZZ.factor(start)
+    ZZ.factor(start + FACTOR_MEMO_BOUND + 9)
+    assert domains._factored.cache_info().hits == hits + 2
+    ZZ.factor(start + 1)
+    assert domains._factored.cache_info().hits == hits + 2
 
 
 def test_factor_large_prime_pair():
@@ -135,9 +141,9 @@ def test_factor_product_of_primes_property(primes):
 
 def test_factor_deterministic_when_cold():
     n = 4294967291 * 1073741789 * 16777213
-    domains._FACTOR_MEMO.entries.clear()
+    domains._factored.cache_clear()
     first = ZZ.factor(n)
-    domains._FACTOR_MEMO.entries.clear()
+    domains._factored.cache_clear()
     assert ZZ.factor(n) == first
     # The walk is seeded from n, so two primes of one size split the same way.
     m = 4294967279 * 4294967291

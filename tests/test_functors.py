@@ -4,9 +4,9 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stab import functors, matrices
-from stab.domains import ZZ, BoundedMemo, poly_ring
-from stab.matrices import Mat, NF_MEMO_BOUND
+from stab import functors
+from stab.domains import ZZ, poly_ring
+from stab.matrices import Mat
 from stab.modules import FpModule, Morphism, Ideal, HomSpace, DomainViolation
 from stab.invariants import CmcSet, ass, ann, gamma, ann_contains
 from stab.functors import (IdentityFunctor, HomFrom, CoherentFunctor,
@@ -237,6 +237,14 @@ def test_complex_rejects_nonzero_composite():
         ComplexHomology(two, three, 1)
 
 
+def test_complex_rejects_maps_meeting_in_different_middle_terms():
+    # Both middle terms have ambient rank 1, and the composite 2 is zero in Z/2.
+    d2 = Morphism(R, R, Mat(ZZ, [[2]]))
+    d1 = Morphism(cyc(4), cyc(2), Mat(ZZ, [[1]]))
+    with pytest.raises(ValueError, match="middle term"):
+        ComplexHomology(d2, d1, 1)
+
+
 def test_gamma_functor_map_restricts():
     g = GammaFunctor(I2)
     f = Morphism(cyc(12), cyc(8), Mat(ZZ, [[2]]))
@@ -376,10 +384,9 @@ def test_oscillating_object_rule():
 
 
 def test_oscillating_object_rule_runs_no_smith_transforms(monkeypatch):
-    monkeypatch.setattr(matrices, "_SNF_MEMO", BoundedMemo(NF_MEMO_BOUND))
     computed = []
-    compute = Mat._compute_snf
-    monkeypatch.setattr(Mat, "_compute_snf", lambda a: computed.append(a) or compute(a))
+    compute = Mat._snf_full
+    monkeypatch.setattr(Mat, "_snf_full", lambda a: computed.append(a) or compute(a))
     osc = OscillatingFunctor(ZZ, {2: ExponentSet(members=[1, 3]),
                                   3: ExponentSet(members=[1])})
     n = FpModule.from_relations(ZZ, [[24, 6], [0, 18]])

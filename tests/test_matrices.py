@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stab import matrices
-from stab.domains import ZZ, BackendMismatch, BoundedMemo, poly_ring
-from stab.matrices import Mat, NF_MEMO_BOUND
+from stab.domains import ZZ, BackendMismatch, poly_ring
+from stab.matrices import Mat
 from stab.modules import FpModule
 from oracles import (decomposition_reference, kernel_reference, matmul_reference, preimage_hermite_reference,
                      preimage_reference, solve_hermite_reference, solve_vector_reference)
@@ -216,19 +216,7 @@ def test_equal_matrices_from_different_routes_share_forms():
             d, ul, vr = b.snf()
             assert (d, ul, vr) == a.snf()
             assert ul @ b @ vr == d
-            assert b._snf_full() is a._snf_full()
-
-
-def test_normal_form_memos_hold_exactly_their_bound():
-    for k in range(NF_MEMO_BOUND + 5):
-        a = Mat(ZZ, [[k + 2, 3], [5, 7 * k + 1]])
-        a.hnf()
-        a.smith_diagonal()
-        a.snf()
-    assert len(matrices._HNF_MEMO.entries) == NF_MEMO_BOUND
-    assert len(matrices._SNF_MEMO.entries) == NF_MEMO_BOUND
-    assert len(matrices._DIAG_MEMO.entries) == NF_MEMO_BOUND
-    assert Mat(ZZ, [[2, 3], [5, 1]]) not in matrices._HNF_MEMO.entries
+            assert b._snf_full() == a._snf_full()
 
 
 # -- one solver for every column, one preimage --------------------------------
@@ -297,14 +285,11 @@ def test_solve_none_when_only_last_column_inconsistent(data):
 def test_solve_no_columns_skips_the_hermite_form(data):
     domain = data.draw(st.sampled_from([ZZ, F2, F5]))
     rows, cols = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
-    # A large corner entry keeps this matrix out of every earlier memo.
     a = data.draw(mats(domain, rows, cols))
-    if rows and cols:
-        corner = 10**40 + 7 if domain is ZZ else (1,) * 60
-        a = Mat(domain, [[corner] + list(a.data[0][1:])] + [list(r) for r in a.data[1:]])
-    assert a.solve(Mat.zero(domain, rows, 0)) == Mat.zero(domain, cols, 0)
-    if rows and cols:
-        assert a not in matrices._HNF_MEMO.entries
+    runs, hnf = [], Mat.hnf
+    with mock.patch.object(Mat, "hnf", lambda m: runs.append(m) or hnf(m)):
+        assert a.solve(Mat.zero(domain, rows, 0)) == Mat.zero(domain, cols, 0)
+    assert runs == []
 
 
 def test_solve_rejects_wrong_row_count():
@@ -369,24 +354,9 @@ def test_smith_diagonal_matches_full_form(data):
     rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 5))
     a = data.draw(st.one_of(sparse_mats(domain, rows, cols),
                             st.just(Mat.zero(domain, rows, cols))))
-    # Computed before the full form, so that it runs without transforms.
-    matrices._SNF_MEMO.entries.pop(a, None)
     diag = a.smith_diagonal()
     assert diag == tuple(a._snf_full()[0].diagonal())
     assert len(diag) == min(rows, cols)
-
-
-def test_smith_diagonal_reads_a_memoized_full_form(monkeypatch):
-    monkeypatch.setattr(matrices, "_SNF_MEMO", BoundedMemo(NF_MEMO_BOUND))
-    monkeypatch.setattr(matrices, "_DIAG_MEMO", BoundedMemo(NF_MEMO_BOUND))
-    runs = []
-    smith = Mat._smith
-    monkeypatch.setattr(Mat, "_smith", lambda a, t: runs.append(t) or smith(a, t))
-    a, b = Mat(ZZ, [[4, 6], [10, 8]]), Mat(ZZ, [[4, 6], [10, 9]])
-    a._snf_full()
-    assert a.smith_diagonal() == (2, 14)
-    assert b.smith_diagonal() == b.smith_diagonal() == (1, 24)
-    assert runs == [True, False]
 
 
 # -- monomial systems, answered entrywise ----------------------------------------
@@ -458,10 +428,9 @@ def test_monomial_solve_and_preimage_match_the_hermite_path(system):
 
 
 def test_monomial_solve_and_preimage_compute_no_hermite_form(monkeypatch):
-    monkeypatch.setattr(matrices, "_HNF_MEMO", BoundedMemo(NF_MEMO_BOUND))
     runs, products = [], []
-    hnf, matmul = Mat._compute_hnf, Mat.__matmul__
-    monkeypatch.setattr(Mat, "_compute_hnf", lambda m: runs.append(m) or hnf(m))
+    hnf, matmul = Mat.hnf, Mat.__matmul__
+    monkeypatch.setattr(Mat, "hnf", lambda m: runs.append(m) or hnf(m))
     monkeypatch.setattr(Mat, "__matmul__", lambda m, o: products.append(m) or matmul(m, o))
     a = Mat(ZZ, [[0, 0, -4], [6, 0, 0], [0, 0, 0]])
     assert a.solve(Mat(ZZ, [[8, -4], [12, 0], [0, 0]])) == Mat(ZZ, [[2, 0], [0, 0], [-2, 1]])
@@ -486,12 +455,11 @@ def test_monomial_solve_and_preimage_compute_no_hermite_form(monkeypatch):
 # Smith loop would change nothing, so it does not run.  Every step of the
 # loop swaps a pivot into place, so counting ``_col_swap`` calls counts it.
 
-def fresh_smith_memos_and_swap_log():
-    """Patches giving ``_smith`` empty memos and logging each ``_col_swap``."""
+def swap_log():
+    """A patch logging each ``_col_swap``, and the log."""
     swaps, col_swap = [], matrices._col_swap
-    return swaps, mock.patch.multiple(
-        matrices, _SNF_MEMO=BoundedMemo(NF_MEMO_BOUND), _DIAG_MEMO=BoundedMemo(NF_MEMO_BOUND),
-        _col_swap=lambda W, j1, j2: swaps.append((j1, j2)) or col_swap(W, j1, j2))
+    return swaps, mock.patch.object(
+        matrices, "_col_swap", lambda W, j1, j2: swaps.append((j1, j2)) or col_swap(W, j1, j2))
 
 
 @st.composite
@@ -518,7 +486,7 @@ def smith_forms(draw):
 def test_a_matrix_in_smith_form_is_read_off(case):
     a, diag = case
     D = a.domain
-    swaps, patches = fresh_smith_memos_and_swap_log()
+    swaps, patches = swap_log()
     with patches:
         assert a.smith_diagonal() == diag
         eye_m, eye_n = Mat.identity(D, a.rows), Mat.identity(D, a.cols)
@@ -536,7 +504,7 @@ def test_a_smith_form_read_off_builds_no_matrix(case):
     a, diag = case
     D = a.domain
     eye_m, eye_n = Mat.identity(D, a.rows), Mat.identity(D, a.cols)
-    _, patches = fresh_smith_memos_and_swap_log()
+    _, patches = swap_log()
     built, init = [], Mat.__init__
     with patches, mock.patch.object(Mat, "__init__",
                                     lambda *args: built.append(args) or init(*args)):
@@ -557,7 +525,7 @@ def test_a_smith_form_read_off_builds_no_matrix(case):
 def test_a_near_miss_of_smith_form_runs_the_loop(a, diag):
     D = a.domain
     for full in (False, True):
-        swaps, patches = fresh_smith_memos_and_swap_log()
+        swaps, patches = swap_log()
         with patches:
             if full:
                 d, u, v, uinv = a._snf_full()

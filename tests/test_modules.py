@@ -6,9 +6,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stab import matrices
-from stab.domains import ZZ, BackendMismatch, BoundedMemo, poly_ring
-from stab.matrices import Mat, NF_MEMO_BOUND
+from stab.domains import ZZ, BackendMismatch, poly_ring
+from stab.matrices import Mat
 from stab.modules import (FpModule, Morphism, Ideal, HomSpace, MAX_GENERATORS,
                           hom, hom_induced, loc_tensor, tensor_mor,
                           NotWellDefined, SubmoduleError, DomainViolation,
@@ -406,12 +405,9 @@ def test_tensor_mor_matches_indexing():
 # -- lazy decomposition ---------------------------------------------------------
 
 def test_presentation_only_modules_run_no_smith_form(monkeypatch):
-    # Fresh memos, so that every decomposition read below is a computation.
-    monkeypatch.setattr(matrices, "_SNF_MEMO", BoundedMemo(NF_MEMO_BOUND))
-    monkeypatch.setattr(matrices, "_DIAG_MEMO", BoundedMemo(NF_MEMO_BOUND))
     computed = []
-    compute = Mat._compute_snf
-    monkeypatch.setattr(Mat, "_compute_snf", lambda a: computed.append(a) or compute(a))
+    compute = Mat._snf_full
+    monkeypatch.setattr(Mat, "_snf_full", lambda a: computed.append(a) or compute(a))
     # Z/36 (+) Z/10 -> Z/12 (+) Z/20 is 2 on each summand, with kernel <6> = Z/6;
     # modulo the image of the carrier, <12>, that leaves Z/2.
     src = FpModule.from_relations(ZZ, [[36, 0], [0, 10]])

@@ -200,6 +200,12 @@ MALFORMED = [
                                           "matrix": [[]]}}}),
     ("artin_rees.horizon", {"artin_rees": dict(BASE["artin_rees"], horizon=-1)}),
     ("backend: characteristic", {"backend": {"kind": "poly", "characteristic": "5"}}),
+    # A complex whose maps meet in Z and Z/4: equal ambient ranks, different middle terms.
+    ("functor", {"functor": {"kind": "complex", "index": 1,
+                             "d2": {"source": "R", "target": "R", "matrix": [["2"]]},
+                             "d1": {"source": {"rank": 0, "factors": ["4"]},
+                                    "target": {"rank": 0, "factors": ["2"]},
+                                    "matrix": [["1"]]}}}),
 ]
 
 
