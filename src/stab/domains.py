@@ -39,9 +39,9 @@ its coefficient count over GF(p)[x], both at least any multiplicity in ``d``:
 Factorization is desk-scale by design: trial division plus Brent's rho for
 integers, whose cost grows with the square root of the second-largest prime
 factor (a product of two 40-bit primes takes under a second, two 48-bit
-primes up to about 16 s), squarefree then distinct-degree then equal-degree
-splitting for GF(p)[x].  Results are cached per process in a bounded
-``functools.lru_cache``, so a repeated factorization costs one lookup.
+primes up to about 16 s); for GF(p)[x], Yun's squarefree loop, linear in
+the multiplicity, then distinct-degree and equal-degree splitting.  Results
+are cached per process in a bounded ``functools.lru_cache``.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from itertools import zip_longest
 
 
 FACTOR_MEMO_BOUND = 1024
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _RHO_BLOCK = 128  # steps of Brent's rho whose differences share one gcd
 # (slot bytes, array typecode) for the packed GF(p)[x] mul, narrowest first.
 _SLOT_CODES = sorted({array(t).itemsize: t for t in "QLIHB"}.items())
@@ -90,17 +91,18 @@ def _xgcd_int(a, b):
 
 
 def _is_probable_prime(n):
+    """Miller-Rabin on the primes to 41: exact below 3317044064679887385961981
+    (3.3 * 10^24, psi_13), a strong probable-prime test above it."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    # Deterministic witness set for n < 3.3 * 10^24.
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -484,32 +486,28 @@ class PolyOverFp(_Backend):
         return _ptrim([a[i] for i in range(0, len(a), self.p)])
 
     def _squarefree_parts(self, f):
-        """Yield ``(g, multiplicity)`` with g squarefree, product g^m = f (monic)."""
-        out = {}
-
-        def accumulate(g, mult):
-            if self.deg(g) > 0:
-                out[g] = out.get(g, 0) + mult
-
-        def recurse(f, mult):
-            d = self._derivative(f)
-            if not d:
-                recurse(self._pth_root(f), mult * self.p)
-                return
-            w = self.gcd(f, d)
-            squarefree = self.exact_div(f, w)
+        """``(g, m)`` pairs, g squarefree, with product g^m = f (monic), by Yun's
+        loop: step ``i`` of a round splits off the primes of multiplicity ``i``
+        mod p, and the next round takes the p-th root of what is left."""
+        out = []
+        mult = 1
+        f = self.canon(f)[0]
+        while self.deg(f) > 0:
+            df = self._derivative(f)
+            rest = self.gcd(f, df)
+            b, c = self.exact_div(f, rest), self.exact_div(df, rest)
             i = 1
-            while self.deg(squarefree) > 0:
-                y = self.gcd(squarefree, w)
-                accumulate(self.exact_div(squarefree, y), mult * i)
-                squarefree = y
-                w = self.exact_div(w, y)
+            while self.deg(b) > 0:
+                d = self.sub(c, self._derivative(b))
+                a = self.gcd(b, d)
+                if self.deg(a) > 0:
+                    out.append((a, mult * i))
+                    rest = self.exact_div(rest, self.pow(a, i - 1))
+                b, c = self.exact_div(b, a), self.exact_div(d, a)
                 i += 1
-            if self.deg(w) > 0:
-                recurse(w, mult)
-
-        recurse(self.canon(f)[0], 1)
-        return sorted(out.items())
+            f = self._pth_root(rest)
+            mult *= self.p
+        return out
 
     def _distinct_degree(self, f):
         """Split squarefree monic f into ``(product-of-degree-d factors, d)``."""

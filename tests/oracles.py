@@ -40,6 +40,32 @@ def poly_is_irreducible_trial(domain, f):
     return True
 
 
+def poly_factorization_holds(domain, f, pairs):
+    """Whether ``pairs`` of ``(q, m)`` factor the nonzero ``f`` into primes.
+
+    The product of the ``q^m`` (schoolbook) must be ``f`` made monic, each
+    ``q`` must be irreducible by trial division, and each ``m`` must be the
+    number of times ``q`` divides ``f`` exactly.
+    """
+    p = domain.p
+    monic = domain.canon(f)[0]
+    prod = (1,)
+    for q, m in pairs:
+        if m < 1 or not poly_is_irreducible_trial(domain, q):
+            return False
+        for _ in range(m):
+            prod = poly_mul_schoolbook(p, prod, q)
+        rest, count = monic, 0
+        while True:
+            quo, rem = poly_divmod_reference(p, rest, q)
+            if rem:
+                break
+            rest, count = quo, count + 1
+        if count != m:
+            return False
+    return prod == monic
+
+
 def elem_is_prime_trial(domain, a):
     if domain.kind == "integers":
         return int_is_prime_trial(abs(a))
@@ -460,14 +486,22 @@ def torsion_split_reference(domain, b, kind, subset):
     return D.exact_div(b, part) if b else D.zero
 
 
-def quotient_value_reference(domain, rank, factors, g, n, kind="identity", fixed=(0, ())):
-    """The cyclic orders of ``F(M / g^n M)`` (0 for a free summand, units for
-    none) by the closed forms above.  ``kind`` is ``identity``; one of
-    ``HOM_KINDS`` with ``fixed = (s, a_j)`` for the module ``A``; or one of
-    ``TORSION_KINDS`` with ``fixed`` the subset of :func:`torsion_split_reference`."""
+def quotient_value_reference(domain, rank, factors, g, n, kind="identity", fixed=(0, ()),
+                             layers=False):
+    """The cyclic orders of ``F(M / g^n M)``, or with ``layers`` of
+    ``F(g^(n-1) M / g^n M)`` (0 for a free summand, units for none) by the
+    closed forms above.  ``kind`` is ``identity``; one of ``HOM_KINDS`` with
+    ``fixed = (s, a_j)`` for the module ``A``; or one of ``TORSION_KINDS``
+    with ``fixed`` the subset of :func:`torsion_split_reference`."""
     D = domain
     gn = D.pow(g, n)
     summands = [gn] * rank + [D.gcd(d, gn) for d in factors]
+    if layers:
+        # R/(d) gives R/(gcd(d, g^n) / gcd(d, g^(n-1))), with d = 0 on a free
+        # summand; both gcds are 0 only for g = 0 and n >= 2, a zero layer.
+        g_below = D.pow(g, n - 1)
+        below = [g_below] * rank + [D.gcd(d, g_below) for d in factors]
+        summands = [D.exact_div(b, a) if a else D.one for b, a in zip(summands, below)]
     if kind in TORSION_KINDS:
         return [torsion_split_reference(D, b, kind, fixed) for b in summands]
     s, fixed_factors = fixed
@@ -516,10 +550,11 @@ def depth_over(domain, rank, powers, j):
 
 
 def quotient_scan_reference(domain, rank, factors, g, ns, kind="identity", fixed=(0, ()),
-                            j=None):
+                            j=None, layers=False):
     """Per index: ``(rank, elementary divisors, primes of Ass, depth)`` of
-    each scan value, plus the candidate primes, all from the closed forms;
-    the depth is of ``(j)``, or ``None`` without ``j``."""
+    each value of a quotient scan, or with ``layers`` of a layer scan, plus
+    the candidate primes, all from the closed forms; the depth is of ``(j)``,
+    or ``None`` without ``j``."""
     D = domain
     primes = []
     for a in [g, *factors, *(fixed[1] if kind in HOM_KINDS else ())]:
@@ -527,7 +562,7 @@ def quotient_scan_reference(domain, rank, factors, g, ns, kind="identity", fixed
             primes += [p for p in prime_divisors_trial(D, a) if p not in primes]
     rows = []
     for n in ns:
-        orders = quotient_value_reference(D, rank, factors, g, n, kind, fixed)
+        orders = quotient_value_reference(D, rank, factors, g, n, kind, fixed, layers)
         r, powers = elementary_divisors_over(D, orders, primes)
         ass_gens = {D.zero} if r else set()
         ass_gens |= {p for p in primes if any(D.divides(p, q) for q in powers)}

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 
@@ -139,6 +140,24 @@ def test_factor_product_of_primes_property(primes):
     assert prod == n
 
 
+# The least strong pseudoprime to every prime base up to 37, and its factors.
+PSI_12 = 318665857834031151167461
+PSI_12_FACTORS = [(399165290221, 1), (798330580441, 1)]
+
+
+def test_probable_prime_rejects_the_least_pseudoprime_to_bases_up_to_37():
+    assert PSI_12 == PSI_12_FACTORS[0][0] * PSI_12_FACTORS[1][0]
+    assert not domains._is_probable_prime(PSI_12)
+    assert ZZ.factor(PSI_12) == PSI_12_FACTORS
+    with pytest.raises(ValueError, match="not prime"):
+        poly_ring(PSI_12)
+
+
+def test_probable_prime_agrees_with_trial_division_below_2000():
+    for n in range(2000):
+        assert domains._is_probable_prime(n) == oracles.int_is_prime_trial(n), n
+
+
 def test_factor_deterministic_when_cold():
     n = 4294967291 * 1073741789 * 16777213
     domains._factored.cache_clear()
@@ -177,7 +196,7 @@ def test_factor_poly_squarefree_structure():
     x, x1 = (0, 1), (1, 1)
     f = F2.mul(F2.pow(x, 2), F2.pow(x1, 3))
     assert F2.factor(f) == [(x, 2), (x1, 3)]
-    # derivative-zero branch: x^4 + 1 = (x+1)^4 over GF(2)
+    # A zero derivative, left whole to the p-th root: x^4 + 1 = (x+1)^4 over GF(2)
     assert F2.factor((1, 0, 0, 0, 1)) == [(x1, 4)]
 
 
@@ -187,6 +206,45 @@ def test_factor_poly_higher_degree_irreducible():
     assert F2.factor(f) == [(f, 1)]
     g = F2.mul(f, f)
     assert F2.factor(g) == [(f, 2)]
+
+
+# Monic irreducibles of degree 1 to 3 over the small fields, by trial division.
+SMALL_IRREDUCIBLES = {
+    p: [q for d in (1, 2, 3) for q in itertools.product(range(p), repeat=d + 1)
+        if q[-1] == 1 and oracles.poly_is_irreducible_trial(poly_ring(p), q)]
+    for p in (2, 3, 5)}
+MERSENNE_31 = 2**31 - 1
+
+
+@st.composite
+def prime_power_products(draw):
+    """A unit times distinct primes to powers.  Over GF(2), GF(3) and GF(5)
+    the multiplicities include multiples of p, multiples of p plus one and
+    values above p^2; over GF(2^31 - 1) the primes are linear, since trial
+    irreducibility is infeasible there for higher degrees."""
+    p = draw(st.sampled_from([2, 3, 5, MERSENNE_31]))
+    D = poly_ring(p)
+    if p == MERSENNE_31:
+        primes = st.builds(lambda c: (c, 1), st.integers(0, p - 1))
+        mults = st.integers(1, 40)
+    else:
+        primes = st.sampled_from(SMALL_IRREDUCIBLES[p])
+        mults = st.one_of(st.integers(1, p + 1).map(lambda k: k * p),
+                          st.integers(1, p + 1).map(lambda k: k * p + 1),
+                          st.integers(p * p + 1, p * p + 2 * p), st.integers(1, 2 * p))
+    f = D.const(draw(st.integers(1, p - 1)))
+    for q in draw(st.lists(primes, min_size=1, max_size=3, unique=True)):
+        f = D.mul(f, D.pow(q, draw(mults)))
+    return D, f
+
+
+@given(prime_power_products())
+@settings(max_examples=150, deadline=None)
+def test_poly_factor_matches_the_trial_oracle(case):
+    D, f = case
+    got = D.factor(f)
+    assert got == sorted(got, key=lambda qm: D.prime_key(qm[0]))
+    assert oracles.poly_factorization_holds(D, f, got), (D, f, got)
 
 
 def test_saturate_part_examples():

@@ -442,10 +442,10 @@ def test_artin_rees_poly():
     assert artin_rees_probe(beta, Mat(F2, [[F2.one]]), Ideal(F2, x), horizon=10) == 2
 
 
-# -- quotient scans against their closed form ------------------------------------
-# Over a PID every row of a quotient scan through the identity, ``hom_from``,
-# ``ext1``, ``tor1``, ``gamma``, ``tau`` or a quotient by the last two is
-# known in closed form (``oracles``), depth included, so the pruning, the
+# -- quotient and layer scans against their closed form --------------------------
+# Over a PID every row of a quotient or layer scan through the identity,
+# ``hom_from``, ``ext1``, ``tor1``, ``gamma``, ``tau`` or a quotient by the last
+# two is known in closed form (``oracles``), depth included, so the pruning, the
 # entrywise solve, the divisibility containment, the Smith read-off and the
 # depth read off each row's primes are checked against arithmetic that uses
 # none of them.
@@ -474,9 +474,9 @@ def small_elems(D, nonzero=False):
     return elems.filter(bool) if nonzero else elems
 
 
-def check_against_closed_form(result, D, rank, factors, g, kind, fixed, j):
+def check_against_closed_form(result, D, rank, factors, g, kind, fixed, j, layers=False):
     ns = [row.n for row in result.rows]
-    expected, primes = quotient_scan_reference(D, rank, factors, g, ns, kind, fixed, j)
+    expected, primes = quotient_scan_reference(D, rank, factors, g, ns, kind, fixed, j, layers)
     got = []
     for row, (r, powers, ass_gens, depth_value) in zip(result.rows, expected):
         value = row.value
@@ -546,6 +546,15 @@ def test_quotient_scans_match_the_closed_form(case):
     check_against_closed_form(result, D, rank, factors, g, kind, fixed, j)
 
 
+@given(quotient_scans())
+@settings(max_examples=80, deadline=None)
+def test_layer_scans_match_the_closed_form(case):
+    D, rank, factors, module, g, kind, fixed, j, horizon = case
+    functor = closed_form_functor(D, kind, fixed)
+    result = scan_rows(Layers(module, Ideal(D, g)), functor, Ideal(D, j), horizon, 2)
+    check_against_closed_form(result, D, rank, factors, g, kind, fixed, j, layers=True)
+
+
 QUOTIENT_SCENARIOS = ("brodmann_int_quotient", "brodmann_int_quotient_mixed",
                       "brodmann_poly2_quotient", "brodmann_poly5_quotient",
                       "coh_int_hom_quotient", "coh_int_ext1_quotient",
@@ -554,9 +563,12 @@ QUOTIENT_SCENARIOS = ("brodmann_int_quotient", "brodmann_int_quotient_mixed",
                       "gammatau_int_mod_tau_quotient")
 
 
-def test_packaged_quotient_scenarios_match_the_closed_form():
+LAYER_SCENARIOS = ("brodmann_int_layers", "brodmann_poly2_layers")
+
+
+def check_packaged_scenarios(names):
     docs = {name[:-len(".json")]: json.loads(text) for name, text in _iter_packaged_scenarios()}
-    for name in QUOTIENT_SCENARIOS:
+    for name in names:
         doc = docs[name]
         sc = parse_scenario(doc)
         D = sc.domain
@@ -578,4 +590,13 @@ def test_packaged_quotient_scenarios_match_the_closed_form():
             fixed = (0, ())
         outcome = run_scenario(sc)
         assert len(outcome.result.rows) == sc.horizon, name
-        check_against_closed_form(outcome.result, D, m["rank"], factors, g, kind, fixed, j)
+        check_against_closed_form(outcome.result, D, m["rank"], factors, g, kind, fixed, j,
+                                  layers=doc["family"]["kind"] == "layers")
+
+
+def test_packaged_quotient_scenarios_match_the_closed_form():
+    check_packaged_scenarios(QUOTIENT_SCENARIOS)
+
+
+def test_packaged_layer_scenarios_match_the_closed_form():
+    check_packaged_scenarios(LAYER_SCENARIOS)

@@ -387,6 +387,17 @@ def test_cli_compute_poly_backend(tmp_path):
     assert json.loads(proc.stdout)["ass"] == ["(x)", "(x+1)"]
 
 
+def test_cli_compute_rejects_a_strong_pseudoprime_characteristic(tmp_path):
+    # 318665857834031151167461 = 399165290221 * 798330580441 passes the
+    # strong test to every prime base up to 37.
+    args = {"backend": {"kind": "poly", "characteristic": 318665857834031151167461},
+            "module": {"rank": 0, "factors": [[1, 1]]}}
+    proc = _run_cli(["compute", "ass", json.dumps(args)], tmp_path)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stderr.startswith("error: backend: characteristic "), proc.stderr
+    assert proc.stdout == ""
+
+
 def test_cli_suite_runs(tmp_path):
     proc = _run_cli(["suite", "--seed", "1"], tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
