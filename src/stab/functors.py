@@ -2,9 +2,10 @@
 
 Variants:
 
-* identity, ``Hom(M, -)``;
+* identity;
 * coherent functors presented by a morphism ``f : K -> L``, evaluated as
-  ``coker(Hom(L, N) -> Hom(K, N))``;
+  ``coker(Hom(L, N) -> Hom(K, N))``; ``Hom(M, -)`` is the one presented by
+  ``M -> 0``, whose value is ``Hom(M, N)`` itself, as ``Hom(0, N)`` is zero;
 * homology at the middle of a tensored three-term complex, built once in
   :class:`TensoredHomology` for two kinds of complex: complexes of finitely
   presented modules (:class:`ComplexHomology`, which houses ``Tor_i(M, -)``
@@ -40,9 +41,7 @@ def homology_at(f, h):
     whose generators present ``H``.
     """
     k, incl = h.kernel()
-    f2 = f.factor_through(incl)
-    hmod = FpModule(k.domain, k.ambient, k.relations.hstack(f2.mat))
-    return hmod, incl
+    return k.quotient(f.factor_through(incl).mat), incl
 
 
 class Functor:
@@ -66,30 +65,6 @@ class IdentityFunctor(Functor):
         return "Id"
 
 
-def _hom_push(k, g):
-    """``(Hom(k, source), Hom(k, target), matrix of g_*)`` on the Hom generators."""
-    ha, hb = HomSpace(k, g.source), HomSpace(k, g.target)
-    cols = [hb.coords(g.compose(u)) for u in ha.generators()]
-    return ha, hb, Mat.from_cols(k.domain, cols, len(hb.pairs))
-
-
-class HomFrom(Functor):
-    """``Hom(M, -)``."""
-
-    def __init__(self, m):
-        self.m = m
-
-    def __call__(self, n):
-        return HomSpace(self.m, n).module
-
-    def map(self, g):
-        ha, hb, mat = _hom_push(self.m, g)
-        return Morphism(ha.module, hb.module, mat)
-
-    def __repr__(self):
-        return f"Hom({self.m!r}, -)"
-
-
 class CoherentFunctor(Functor):
     """``coker(h_L -> h_K)`` presented by a morphism ``f : K -> L``.
 
@@ -106,15 +81,33 @@ class CoherentFunctor(Functor):
         self.presenting = presenting
 
     def __call__(self, n):
+        if not self.presenting.target.ambient:
+            # ``Hom(L, N)`` is zero, so the cokernel is ``Hom(K, N)`` itself.
+            return HomSpace(self.presenting.source, n).module
         value, _ = hom_induced(self.presenting, n).cokernel()
         return value
 
     def map(self, g):
-        mat = _hom_push(self.presenting.source, g)[2]
+        # ``g_*`` on the generators of ``Hom(K, -)``, which present both values.
+        k = self.presenting.source
+        ha, hb = HomSpace(k, g.source), HomSpace(k, g.target)
+        cols = [hb.coords(g.compose(u)) for u in ha.generators()]
+        mat = Mat.from_cols(k.domain, cols, len(hb.pairs))
         return Morphism(self(g.source), self(g.target), mat)
 
     def __repr__(self):
         return f"coker(h_{self.presenting.target!r} -> h_{self.presenting.source!r})"
+
+
+class HomFrom(CoherentFunctor):
+    """``Hom(M, -)``, the coherent functor presented by ``M -> 0``."""
+
+    def __init__(self, m):
+        super().__init__(Morphism.zero_map(m, FpModule.zero(m.domain)))
+        self.m = m
+
+    def __repr__(self):
+        return f"Hom({self.m!r}, -)"
 
 
 class TensoredHomology(Functor):
@@ -387,22 +380,19 @@ def skeleton(n):
     D = n.domain
     pairs = _prime_power_pairs(n)
     dim = len(n.factors)
-    skel_cols = []
+    qs, crt = [], []
     split = [[D.zero] * dim for _ in range(len(pairs))]
-    crt = [[D.zero] * len(pairs) for _ in range(dim)]
     for r, (p, e, idx) in enumerate(pairs):
         q = D.pow(p, e)
-        col = [D.zero] * len(pairs)
-        col[r] = q
-        skel_cols.append(col)
+        qs.append(q)
         split[r][idx] = D.one
         d = n.factors[idx]
         m = D.exact_div(d, q)
         _, u, _ = D.gcd_ext(m, q)
-        crt[idx][r] = D.divmod(D.mul(u, m), d)[1]
-    skel = FpModule(D, len(pairs), Mat.from_cols(D, skel_cols, len(pairs)))
+        crt.append((idx, D.divmod(D.mul(u, m), d)[1]))
+    skel = _diag_module(D, qs)
     split_m = Mat(D, split, len(pairs), dim)
-    crt_m = Mat(D, crt, dim, len(pairs))
+    crt_m = Mat.monomial(D, dim, crt)
     to_skel = Morphism(n, skel, split_m @ n._to_dec)
     from_skel = Morphism(skel, n, n._from_dec @ crt_m)
     return skel, to_skel, from_skel

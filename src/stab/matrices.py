@@ -28,6 +28,9 @@ one equation per entry.  ``solve`` divides entrywise, and ``preimage`` of a
 ``B`` with no column of two nonzeros reads one gcd per row of ``B``; both
 give exactly the Hermite path's answer.  ``_support`` reads a matrix's
 nonzeros for this and for the one-gcd-per-row pruning of module relations.
+Every matrix with at most one nonzero per column is built by
+``Mat.monomial``: scalar matrices, the monomial ``preimage`` answer, and in
+the module layer pruned relations and diagonal presentations.
 
 An operation whose answer is one of its operands returns that operand: a
 product with an identity (recognised by its entries), ``hstack`` with a side
@@ -202,9 +205,19 @@ class Mat:
         return cls(domain, [[c[i] for c in cols] for i in range(rows)], rows, len(cols))
 
     @classmethod
+    def monomial(cls, domain, rows, entries):
+        """Column ``j`` holds ``a`` in row ``i`` for ``entries[j] == (i, a)``,
+        and is zero elsewhere; no entries give the shared ``Mat.zero``."""
+        if not entries:
+            return cls.zero(domain, rows, 0)
+        data = [[domain.zero] * len(entries) for _ in range(rows)]
+        for j, (i, a) in enumerate(entries):
+            data[i][j] = a
+        return cls(domain, data, rows, len(entries))
+
+    @classmethod
     def scalar(cls, domain, n, elem):
-        z = domain.zero
-        return cls(domain, [[elem if i == j else z for j in range(n)] for i in range(n)], n, n)
+        return cls.monomial(domain, n, [(i, elem) for i in range(n)])
 
     # -- basic access ------------------------------------------------------
 
@@ -573,13 +586,9 @@ class Mat:
         for i, j, a in support:
             g = gcds.get(i)
             pivots[j] = None if g is None else D.canon(D.exact_div(g, D.gcd(a, g)))[0]
-        gens = [(j, c) for j, c in enumerate(pivots) if c is not None]
         # Canonical pivots in strictly increasing rows: already the Hermite
         # form of the span.
-        data = [[D.zero] * len(gens) for _ in range(n)]
-        for k, (j, c) in enumerate(gens):
-            data[j][k] = c
-        return Mat(D, data, n, len(gens))
+        return Mat.monomial(D, n, [(j, c) for j, c in enumerate(pivots) if c is not None])
 
     def kernel(self):
         """Columns generating ``{x : self @ x == 0}``, in canonical Hermite form."""

@@ -278,14 +278,17 @@ class FpModule:
         right = Mat.identity(D, self.ambient).kron(other.relations)
         return FpModule(D, self.ambient * other.ambient, left.hstack(right))
 
+    def quotient(self, gens):
+        """``M / <gens>`` on the same generators; ``M`` itself when ``gens``
+        has no columns."""
+        relations = self.relations.hstack(gens)
+        return FpModule(self.domain, self.ambient, relations) if gens.cols else self
+
     def power_quotient(self, ideal, n):
         """``M / I^n M``; for the zero ideal and n >= 1 this is M itself."""
         if n < 0:
             raise ValueError("n must be nonnegative")
-        D = self.domain
-        g = ideal.power_gen(n)
-        extra = Mat.scalar(D, self.ambient, g)
-        return FpModule(D, self.ambient, self.relations.hstack(extra))
+        return self.quotient(Mat.scalar(self.domain, self.ambient, ideal.power_gen(n)))
 
     def power_layer(self, ideal, n):
         """``I^(n-1) M / I^n M`` for n >= 1."""
@@ -350,18 +353,8 @@ class FpModule:
 
     def _is_diag_presentation(self):
         # Exactly the shape produced by from_invariants.
-        D = self.domain
-        if self.relations.cols != len(self.factors):
-            return False
-        if self.ambient != len(self.factors) + self.rank:
-            return False
-        for j in range(self.relations.cols):
-            col = self.relations.col(j)
-            if col[j] != self.factors[j]:
-                return False
-            if any(not D.is_zero(a) for i, a in enumerate(col) if i != j):
-                return False
-        return True
+        diag = Mat.monomial(self.domain, self.ambient, [*enumerate(self.factors)])
+        return self.relations == diag
 
     @classmethod
     def from_json(cls, domain, doc):
@@ -373,7 +366,11 @@ class FpModule:
             ambient = int_in_range(doc.get("ambient", len(rows)), 0, MAX_GENERATORS, "ambient")
             return cls.from_relations(domain, rows, ambient)
         rank = int_in_range(doc.get("rank", 0), 0, MAX_GENERATORS, "rank")
-        factors = [domain.elem_from_json(d) for d in _array(doc.get("factors", []), "factors")]
+        factors = _array(doc.get("factors", []), "factors")
+        if rank + len(factors) > MAX_GENERATORS:
+            raise ValueError(f"factors: rank {rank} and {len(factors)} factors exceed "
+                             f"{MAX_GENERATORS} generators")
+        factors = [domain.elem_from_json(d) for d in factors]
         return cls.from_invariants(domain, rank, factors)
 
     def __repr__(self):
@@ -465,8 +462,7 @@ class Morphism:
 
     def cokernel(self):
         """``(C, project)``; the cokernel shares the target's ambient generators."""
-        C = FpModule(self.target.domain, self.target.ambient,
-                     self.target.relations.hstack(self.mat))
+        C = self.target.quotient(self.mat)
         return C, Morphism(self.target, C, Mat.identity(self.target.domain,
                                                         self.target.ambient), check=False)
 
@@ -516,10 +512,7 @@ def loc_tensor(module, x, n):
     if not n.is_torsion():
         raise DomainViolation("localized tensor needs a torsion module")
     base = module.tensor(n)
-    extra = torsion_gens(base, x)
-    if not extra.cols:
-        return base
-    return FpModule(D, base.ambient, base.relations.hstack(extra))
+    return base.quotient(torsion_gens(base, x))
 
 
 def torsion_gens(module, g):
@@ -531,16 +524,12 @@ def torsion_gens(module, g):
     # Read before the invariants, so that one full Smith form gives both.
     frommat = module._from_dec
     D = module.domain
-    dim = len(module.factors) + module.rank
-    cols = []
+    entries = []
     for idx, d in enumerate(module.factors):
         s = D.saturate_part(d, g)
-        if D.is_unit(s):
-            continue
-        col = [D.zero] * dim
-        col[idx] = D.exact_div(d, s)
-        cols.append(frommat.mul_vec(col))
-    return Mat.from_cols(D, cols, module.ambient)
+        if not D.is_unit(s):
+            entries.append((idx, D.exact_div(d, s)))
+    return frommat @ Mat.monomial(D, frommat.cols, entries)
 
 
 class HomSpace:
@@ -635,24 +624,13 @@ def _pruned(rel):
     # As many occupied rows as columns: no zero column and no shared row.
     if len(gcds) == rel.cols:
         return rel
-    rows = sorted(gcds)
-    data = [[D.zero] * len(rows) for _ in range(rel.rows)]
-    for j, i in enumerate(rows):
-        data[i][j] = gcds[i]
-    return Mat(D, data, rel.rows, len(rows))
+    return Mat.monomial(D, rel.rows, sorted(gcds.items()))
 
 
 def _diag_module(domain, anns):
     """One generator per entry of ``anns``, killed by it (zero entries stay free)."""
-    k = len(anns)
-    cols = []
-    for i, a in enumerate(anns):
-        if domain.is_zero(a):
-            continue
-        col = [domain.zero] * k
-        col[i] = a
-        cols.append(col)
-    return FpModule(domain, k, Mat.from_cols(domain, cols, k))
+    entries = [(i, a) for i, a in enumerate(anns) if not domain.is_zero(a)]
+    return FpModule(domain, len(anns), Mat.monomial(domain, len(anns), entries))
 
 
 def hom(m, n):
@@ -670,7 +648,7 @@ def hom_induced(f, n):
 
 def sub_contains(ambient_mod, g1, g2):
     """Whether ``<g2>`` is contained in ``<g1>`` inside the module."""
-    return g1.hstack(ambient_mod.relations).solve(g2) is not None
+    return ambient_mod.quotient(g1).contains(g2)
 
 
 def sub_equal(ambient_mod, g1, g2):

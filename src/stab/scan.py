@@ -121,18 +121,16 @@ class KwHomology(Family):
             raise ValueError("index below the shift offset")
         if n < 0:
             raise ValueError("index must be nonnegative")
-        D = self.ideal.domain
         g_n = self.ideal.power_gen(n)
-        mmod, nmod = self.alpha.target, self.beta.target
-        m_n = FpModule(D, mmod.ambient, mmod.relations.hstack(self.m_sub.scale(g_n)))
-        n_n = FpModule(D, nmod.ambient, nmod.relations.hstack(self.n_sub.scale(g_n)))
+        m_n = self.alpha.target.quotient(self.m_sub.scale(g_n))
+        n_n = self.beta.target.quotient(self.n_sub.scale(g_n))
         beta_n = Morphism(m_n, n_n, self.beta.mat)
         if self.shift is None:
             image_gens = self.alpha.mat
         else:
             shifted = self.alpha_l2.scale(self.ideal.power_gen(n - self.shift[2]))
             image_gens = self.alpha_l1.hstack(shifted)
-        carrier = Morphism(FpModule.free(D, image_gens.cols), m_n, image_gens)
+        carrier = Morphism(FpModule.free(m_n.domain, image_gens.cols), m_n, image_gens)
         return homology_at(carrier, beta_n)[0]
 
 

@@ -409,7 +409,9 @@ def periodic_tail_reference(values, window):
 
 # A closed-form oracle for whole quotient scans over a PID.  With
 # ``M = R^r (+) (+) R/(d_i)`` and ``I = (g)``, the quotient ``M / I^n M`` is
-# ``(R/g^n)^r (+) (+) R/gcd(d_i, g^n)``.  For a fixed ``A = R^s (+) (+) R/(a_j)``
+# ``(R/g^n)^r (+) (+) R/gcd(d_i, g^n)``; the layer ``I^(n-1) M / I^n M`` and,
+# for ``M' = (+) m_i e_i``, the graded layer ``I^n M / I^n M'`` are sums of
+# cyclic modules too (:func:`quotient_value_reference`).  For a fixed ``A = R^s (+) (+) R/(a_j)``
 # and one cyclic summand ``R/b`` of it (``b = 0`` for ``R``):
 #   Hom(A, R/b)   = (R/b)^s (+) (+) R/gcd(a_j, b)   (no torsion part when b = 0),
 #   Ext^1(A, R/b) = (+) R/gcd(a_j, b),
@@ -487,12 +489,15 @@ def torsion_split_reference(domain, b, kind, subset):
 
 
 def quotient_value_reference(domain, rank, factors, g, n, kind="identity", fixed=(0, ()),
-                             layers=False):
-    """The cyclic orders of ``F(M / g^n M)``, or with ``layers`` of
-    ``F(g^(n-1) M / g^n M)`` (0 for a free summand, units for none) by the
-    closed forms above.  ``kind`` is ``identity``; one of ``HOM_KINDS`` with
-    ``fixed = (s, a_j)`` for the module ``A``; or one of ``TORSION_KINDS``
-    with ``fixed`` the subset of :func:`torsion_split_reference`."""
+                             layers=False, graded=None):
+    """The cyclic orders of ``F(M / g^n M)``, with ``layers`` of
+    ``F(g^(n-1) M / g^n M)``, or with ``graded`` of ``F(g^n M / g^n M')``
+    (0 for a free summand, units for none) by the closed forms above.
+    ``graded`` gives ``M' = (+) m_i e_i`` as one ``m_i`` per summand of
+    ``M``, the free summands first.  ``kind`` is ``identity``; one of
+    ``HOM_KINDS`` with ``fixed = (s, a_j)`` for the module ``A``; or one of
+    ``TORSION_KINDS`` with ``fixed`` the subset of
+    :func:`torsion_split_reference`."""
     D = domain
     gn = D.pow(g, n)
     summands = [gn] * rank + [D.gcd(d, gn) for d in factors]
@@ -502,6 +507,13 @@ def quotient_value_reference(domain, rank, factors, g, n, kind="identity", fixed
         g_below = D.pow(g, n - 1)
         below = [g_below] * rank + [D.gcd(d, g_below) for d in factors]
         summands = [D.exact_div(b, a) if a else D.one for b, a in zip(summands, below)]
+    if graded is not None:
+        # R/(d) gives R/(gcd(d, g^n m) / gcd(d, g^n)), with d = 0 on a free
+        # summand; both gcds are 0 only for g = 0, n >= 1 and d = 0, where
+        # g^n M is zero.
+        ds = [D.zero] * rank + list(factors)
+        summands = [D.exact_div(D.gcd(d, D.mul(gn, m)), a) if a else D.one
+                    for d, m, a in zip(ds, graded, summands)]
     if kind in TORSION_KINDS:
         return [torsion_split_reference(D, b, kind, fixed) for b in summands]
     s, fixed_factors = fixed
@@ -550,19 +562,19 @@ def depth_over(domain, rank, powers, j):
 
 
 def quotient_scan_reference(domain, rank, factors, g, ns, kind="identity", fixed=(0, ()),
-                            j=None, layers=False):
+                            j=None, layers=False, graded=None):
     """Per index: ``(rank, elementary divisors, primes of Ass, depth)`` of
-    each value of a quotient scan, or with ``layers`` of a layer scan, plus
-    the candidate primes, all from the closed forms; the depth is of ``(j)``,
-    or ``None`` without ``j``."""
+    each value of a quotient scan, with ``layers`` of a layer scan, or with
+    ``graded`` of a graded layer scan, plus the candidate primes, all from
+    the closed forms; the depth is of ``(j)``, or ``None`` without ``j``."""
     D = domain
     primes = []
-    for a in [g, *factors, *(fixed[1] if kind in HOM_KINDS else ())]:
+    for a in [g, *factors, *(fixed[1] if kind in HOM_KINDS else ()), *(graded or ())]:
         if a and not D.is_unit(a):
             primes += [p for p in prime_divisors_trial(D, a) if p not in primes]
     rows = []
     for n in ns:
-        orders = quotient_value_reference(D, rank, factors, g, n, kind, fixed, layers)
+        orders = quotient_value_reference(D, rank, factors, g, n, kind, fixed, layers, graded)
         r, powers = elementary_divisors_over(D, orders, primes)
         ass_gens = {D.zero} if r else set()
         ass_gens |= {p for p in primes if any(D.divides(p, q) for q in powers)}

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from stab import functors
 from stab.domains import ZZ, poly_ring
 from stab.matrices import Mat
-from stab.modules import FpModule, Morphism, Ideal, HomSpace, DomainViolation
+from stab.modules import (FpModule, Morphism, Ideal, HomSpace, DomainViolation, hom_induced,
+                          sub_contains)
 from stab.invariants import CmcSet, ass, ann, gamma, ann_contains
 from stab.functors import (IdentityFunctor, HomFrom, CoherentFunctor,
                            ComplexHomology, GammaFunctor, ModGamma, TauFunctor,
@@ -73,6 +74,81 @@ def test_coherent_presenting_morphism_of_ext1():
     assert pres.source.decompose() == (1, [])
     assert pres.target.decompose() == (1, [])
     assert pres.mat.data == ((2,),)
+
+
+# -- Hom(M, -) is the coherent functor of M -> 0 ---------------------------------
+# ``HomFrom`` evaluates through ``CoherentFunctor``, and submodule containment
+# through a quotient; both are compared with the direct constructions.
+
+def _elems(D):
+    if D is ZZ:
+        nonzero = st.integers(-6, 6)
+    else:
+        nonzero = st.lists(st.integers(0, D.p - 1), max_size=3).map(D.elem_from_json)
+    return st.one_of(st.just(D.zero), nonzero)
+
+
+@st.composite
+def containment_cases(draw):
+    D = draw(st.sampled_from([ZZ, F2, F5]))
+    k = draw(st.integers(0, 3))
+
+    def mat(rows, cols):
+        return Mat(D, draw(st.lists(st.lists(_elems(D), min_size=cols, max_size=cols),
+                                    min_size=rows, max_size=rows)), rows, cols)
+
+    rel, a = mat(k, draw(st.integers(0, 3))), mat(k, draw(st.integers(0, 3)))
+    b = mat(k, draw(st.integers(0, 2)))
+    if draw(st.booleans()):
+        # An element of <a> + relations, so that containment holds.
+        b = a.hstack(rel) @ mat(a.cols + rel.cols, b.cols)
+    return FpModule(D, k, rel), a, b
+
+
+@given(containment_cases())
+@settings(max_examples=200, deadline=None)
+def test_sub_contains_agrees_with_a_stacked_solve(case):
+    m, a, b = case
+    assert sub_contains(m, a, b) == (a.hstack(m.relations).solve(b) is not None)
+
+
+@st.composite
+def hom_from_cases(draw):
+    D = draw(st.sampled_from([ZZ, F2, F5]))
+    rng = draw(st.randoms(use_true_random=False))
+    m = FpModule.zero(D) if draw(st.integers(0, 3)) == 0 else random_module(D, rng)
+    if m.ambient >= 2 and draw(st.booleans()):
+        # A change of generators, so that the presentation is not diagonal.
+        mix = Mat.identity(D, m.ambient).data
+        mix = Mat(D, [mix[0], tuple(map(D.add, mix[0], mix[1])), *mix[2:]])
+        m = FpModule(D, m.ambient, mix @ m.relations)
+    n, n2 = random_module(D, rng), random_module(D, rng)
+    return m, random_morphism(n, n2, rng)
+
+
+@given(hom_from_cases())
+@settings(max_examples=150, deadline=None)
+def test_hom_from_matches_the_hom_space_and_its_push(case):
+    m, g = case
+    functor = HomFrom(m)
+    ha, hb = HomSpace(m, g.source), HomSpace(m, g.target)
+    assert functor(g.source).relations == ha.module.relations
+    # The cokernel of Hom(0, N) -> Hom(M, N), which the evaluation reads off.
+    coker, _ = hom_induced(functor.presenting, g.source).cokernel()
+    assert coker.relations == ha.module.relations
+    push = Mat.from_cols(m.domain, [hb.coords(g.compose(u)) for u in ha.generators()],
+                         len(hb.pairs))
+    mapped = functor.map(g)
+    assert mapped.mat == push
+    assert mapped.source.relations == ha.module.relations
+    assert mapped.target.relations == hb.module.relations
+
+
+def test_hom_from_keeps_its_module_and_name():
+    functor = HomFrom(cyc(6))
+    assert isinstance(functor, CoherentFunctor) and functor.m.decompose() == (0, [6])
+    assert repr(functor) == "Hom(R/(6), -)"
+    assert functor.presenting.target.is_zero() and functor.presenting.source is functor.m
 
 
 def test_ext_tor_match_enumeration_on_cyclic_pairs():

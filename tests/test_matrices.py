@@ -607,6 +607,22 @@ def test_shared_identity_and_zero_stay_immutable(D):
     assert Mat.zero(D, 2, 3).data == zeros_ref(D, 2, 3)
 
 
+@pytest.mark.parametrize("D", [ZZ, F2, F5])
+def test_monomial_matches_from_cols(D):
+    a, b, c = (2, 3, 4) if D is ZZ else ((0, 1), (1, 1), (0, 0, 1))
+    # 0 x 0, 3 x 0, two rectangular shapes (one with a shared row), a zero
+    # entry, and a square diagonal.
+    for rows, entries in ((0, []), (3, []), (2, [(1, a), (0, b), (1, c)]),
+                          (4, [(3, a), (0, b)]), (1, [(0, D.zero)]),
+                          (3, [(0, a), (1, b), (2, c)])):
+        cols = [[x if r == i else D.zero for r in range(rows)] for i, x in entries]
+        built = Mat.monomial(D, rows, entries)
+        assert built == Mat.from_cols(D, cols, rows), (rows, entries)
+        assert (built.rows, built.cols) == (rows, len(entries))
+    assert Mat.scalar(D, 3, a) == Mat.identity(D, 3).scale(a)
+    assert Mat.scalar(D, 0, a) == Mat.zero(D, 0, 0)
+
+
 def test_shortcuts_keep_their_errors():
     eye, empty = Mat.identity(ZZ, 2), Mat.zero(ZZ, 2, 0)
     with pytest.raises(BackendMismatch):

@@ -180,6 +180,20 @@ def test_kernel_cokernel_image_examples():
     assert c.decompose() == (1, [])
 
 
+def test_quotient_is_the_inline_construction():
+    m = R.direct_sum(cyc(12))
+    for D, module, g in ((ZZ, m, 2), (F5, FpModule.from_invariants(F5, 1, [(1, 1)]), (0, 1))):
+        assert module.quotient(Mat.zero(D, module.ambient, 0)) is module
+        gens = Mat.identity(D, module.ambient).scale(g)
+        inline = FpModule(D, module.ambient, module.relations.hstack(gens))
+        assert module.quotient(gens).relations == inline.relations
+    assert m.quotient(Mat(ZZ, [[3], [0]])).decompose() == (0, [3, 12])
+    with pytest.raises(ValueError):
+        m.quotient(Mat.zero(ZZ, 1, 0))
+    with pytest.raises(BackendMismatch):
+        m.quotient(Mat.zero(F5, 2, 1))
+
+
 def test_kernel_image_random_exactness():
     rng = random.Random(8)
     mods = [cyc(4), cyc(2, 8), R, R.direct_sum(cyc(6)), cyc(9, 27)]
@@ -356,8 +370,14 @@ def test_free_module_from_empty_relations():
 def test_module_json_rejects_mistyped_and_oversized_fields():
     # ``rank`` and ``ambient`` cost a document a few bytes each, so they are bounded.
     assert FpModule.from_json(ZZ, {"rank": MAX_GENERATORS}).rank == MAX_GENERATORS
+    assert FpModule.from_json(ZZ, {"rank": MAX_GENERATORS - 1, "factors": [2]}).ambient \
+        == MAX_GENERATORS
     for doc, message in (({"rank": MAX_GENERATORS + 1}, "rank: expected an integer from 0"),
                          ({"rank": 2**70}, "rank: expected an integer from 0"),
+                         ({"factors": [2] * (MAX_GENERATORS + 1)},
+                          "factors: rank 0 and 1025 factors exceed 1024 generators"),
+                         ({"rank": MAX_GENERATORS - 1, "factors": [2, 2]},
+                          "factors: rank 1023 and 2 factors exceed 1024 generators"),
                          ({"relations": [], "ambient": MAX_GENERATORS + 1},
                           "ambient: expected an integer from 0"),
                          ({"factors": "12"}, "factors: expected an array"),

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stab import scan
 from stab.domains import ZZ, poly_ring
@@ -474,9 +474,11 @@ def small_elems(D, nonzero=False):
     return elems.filter(bool) if nonzero else elems
 
 
-def check_against_closed_form(result, D, rank, factors, g, kind, fixed, j, layers=False):
+def check_against_closed_form(result, D, rank, factors, g, kind, fixed, j, layers=False,
+                              graded=None):
     ns = [row.n for row in result.rows]
-    expected, primes = quotient_scan_reference(D, rank, factors, g, ns, kind, fixed, j, layers)
+    expected, primes = quotient_scan_reference(D, rank, factors, g, ns, kind, fixed, j, layers,
+                                               graded)
     got = []
     for row, (r, powers, ass_gens, depth_value) in zip(result.rows, expected):
         value = row.value
@@ -519,12 +521,15 @@ def quotient_scans(draw):
     k = len(factors) + rank
     rel = Mat.from_cols(D, [[d if i == t else D.zero for i in range(k)]
                             for t, d in enumerate(factors)], k)
+    # The summand generators in the module's own generators.
+    basis = Mat.identity(D, k)
     if k >= 2 and draw(st.booleans()):
         # A change of generators, so that the presentation is not diagonal.
         i, j = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
         mix = [[D.one if r == c else D.zero for c in range(k)] for r in range(k)]
         mix[i][j] = draw(small_elems(D, nonzero=True))
-        rel = Mat(D, mix, k, k) @ rel
+        basis = Mat(D, mix, k, k)
+        rel = basis @ rel
     kind = draw(st.sampled_from(["identity", *HOM_KINDS, *TORSION_KINDS]))
     if kind in TORSION_KINDS:
         fixed = draw(torsion_subsets(D, kind))
@@ -534,13 +539,13 @@ def quotient_scans(draw):
     g = draw(small_elems(D))
     j = draw(st.one_of(st.just(D.zero), st.just(D.one), st.just(g), small_elems(D)))
     return (D, rank, factors, FpModule(D, k, rel), g, kind, fixed, j,
-            draw(st.integers(2, 60)))
+            draw(st.integers(2, 60)), basis)
 
 
 @given(quotient_scans())
 @settings(max_examples=80, deadline=None)
 def test_quotient_scans_match_the_closed_form(case):
-    D, rank, factors, module, g, kind, fixed, j, horizon = case
+    D, rank, factors, module, g, kind, fixed, j, horizon, _ = case
     functor = closed_form_functor(D, kind, fixed)
     result = scan_rows(QuotientPowers(module, Ideal(D, g)), functor, Ideal(D, j), horizon, 2)
     check_against_closed_form(result, D, rank, factors, g, kind, fixed, j)
@@ -549,10 +554,35 @@ def test_quotient_scans_match_the_closed_form(case):
 @given(quotient_scans())
 @settings(max_examples=80, deadline=None)
 def test_layer_scans_match_the_closed_form(case):
-    D, rank, factors, module, g, kind, fixed, j, horizon = case
+    D, rank, factors, module, g, kind, fixed, j, horizon, _ = case
     functor = closed_form_functor(D, kind, fixed)
     result = scan_rows(Layers(module, Ideal(D, g)), functor, Ideal(D, j), horizon, 2)
     check_against_closed_form(result, D, rank, factors, g, kind, fixed, j, layers=True)
+
+
+@st.composite
+def graded_scans(draw):
+    case = draw(quotient_scans())
+    D, basis = case[0], case[-1]
+    # M' = (+) m_i e_i on the summand generators e_i; a zero m_i on a free
+    # summand leaves a zero row, which the monomial preimage skips.
+    ms = draw(st.lists(st.just(D.zero) | small_elems(D), min_size=basis.cols,
+                       max_size=basis.cols))
+    return case, ms
+
+
+@given(graded_scans())
+@example(((ZZ, 2, [], FpModule.free(ZZ, 2), 2, "identity", (0, ()), 2, 4, Mat.identity(ZZ, 2)),
+          [0, 3]))
+@settings(max_examples=80, deadline=None)
+def test_graded_layer_scans_match_the_closed_form(graded_case):
+    (D, rank, factors, module, g, kind, fixed, j, horizon, basis), ms = graded_case
+    sub = basis @ Mat(D, [[m if r == c else D.zero for c, m in enumerate(ms)]
+                          for r in range(basis.cols)], basis.cols, basis.cols)
+    functor = closed_form_functor(D, kind, fixed)
+    result = scan_rows(GradedLayers(module, sub, Ideal(D, g)), functor, Ideal(D, j), horizon, 2)
+    check_against_closed_form(result, D, rank, factors, g, kind, fixed, j,
+                              graded=ms[len(factors):] + ms[:len(factors)])
 
 
 QUOTIENT_SCENARIOS = ("brodmann_int_quotient", "brodmann_int_quotient_mixed",
@@ -564,6 +594,9 @@ QUOTIENT_SCENARIOS = ("brodmann_int_quotient", "brodmann_int_quotient_mixed",
 
 
 LAYER_SCENARIOS = ("brodmann_int_layers", "brodmann_poly2_layers")
+
+
+GRADED_SCENARIOS = ("brodmann_int_graded", "brodmann_poly2_graded")
 
 
 def check_packaged_scenarios(names):
@@ -588,10 +621,18 @@ def check_packaged_scenarios(names):
             fixed = (a["rank"], [D.elem_from_json(d) for d in a["factors"]])
         else:
             fixed = (0, ())
+        graded = None
+        if doc["family"]["kind"] == "graded_layers":
+            # A diagonal M' on the generators of from_invariants, torsion first.
+            sub = [[D.elem_from_json(a) for a in row]
+                   for row in doc["submodules"][doc["family"]["submodule"]]]
+            assert all(not a for r, row in enumerate(sub) for c, a in enumerate(row) if r != c)
+            ms = [row[r] for r, row in enumerate(sub)]
+            graded = ms[len(factors):] + ms[:len(factors)]
         outcome = run_scenario(sc)
         assert len(outcome.result.rows) == sc.horizon, name
         check_against_closed_form(outcome.result, D, m["rank"], factors, g, kind, fixed, j,
-                                  layers=doc["family"]["kind"] == "layers")
+                                  layers=doc["family"]["kind"] == "layers", graded=graded)
 
 
 def test_packaged_quotient_scenarios_match_the_closed_form():
@@ -600,3 +641,7 @@ def test_packaged_quotient_scenarios_match_the_closed_form():
 
 def test_packaged_layer_scenarios_match_the_closed_form():
     check_packaged_scenarios(LAYER_SCENARIOS)
+
+
+def test_packaged_graded_scenarios_match_the_closed_form():
+    check_packaged_scenarios(GRADED_SCENARIOS)

@@ -200,6 +200,10 @@ MALFORMED = [
                                           "matrix": [[]]}}}),
     ("artin_rees.horizon", {"artin_rees": dict(BASE["artin_rees"], horizon=-1)}),
     ("backend: characteristic", {"backend": {"kind": "poly", "characteristic": "5"}}),
+    # More generators than MAX_GENERATORS through the factor list.
+    ("modules.M: factors", {"modules": dict(BASE["modules"], M={"factors": ["2"] * 1100})}),
+    ("modules.M: factors", {"modules": dict(BASE["modules"],
+                                            M={"rank": 1000, "factors": ["2"] * 100})}),
     # A complex whose maps meet in Z and Z/4: equal ambient ranks, different middle terms.
     ("functor", {"functor": {"kind": "complex", "index": 1,
                              "d2": {"source": "R", "target": "R", "matrix": [["2"]]},
@@ -209,8 +213,14 @@ MALFORMED = [
 ]
 
 
+def _malformed_id(prefix, overrides):
+    value = repr(list(overrides.values())[0])
+    # A long override, such as a list of a thousand factors, is cut short.
+    return f"{prefix}={value if len(value) <= 300 else value[:60] + '...'}"
+
+
 @pytest.mark.parametrize("prefix,overrides", MALFORMED,
-                         ids=[f"{p}={list(o.values())[0]!r}" for p, o in MALFORMED])
+                         ids=[_malformed_id(p, o) for p, o in MALFORMED])
 def test_cli_malformed_field_exit_1(tmp_path, prefix, overrides):
     work = tmp_path / "work"
     work.mkdir()
@@ -349,7 +359,10 @@ def test_cli_compute_bad_input_exit_1(tmp_path):
             ("hom", '{"source": {"factors": []}, "target": {"relations": 5}}', "target"),
             ("ass", '{"module": {"relations": [[2]], "ambient": 2}}', "module: relations"),
             ("eval", '{"functor": {"kind": "oscillating", "prime": "0", "set": {"parity": "odd"}},'
-                     ' "argument": {"factors": [4]}}', "functor")]:
+                     ' "argument": {"factors": [4]}}', "functor"),
+            ("ass", json.dumps({"module": {"factors": ["2"] * 1100}}), "module: factors"),
+            ("ass", json.dumps({"module": {"rank": 1000, "factors": ["2"] * 100}}),
+             "module: factors")]:
         proc = _run_cli(["compute", sub, arg], tmp_path)
         assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
         assert proc.stderr.startswith(f"error: {prefix}: "), proc.stderr

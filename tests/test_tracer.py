@@ -75,7 +75,9 @@ def test_shared_functor_bodies_are_traced_under_the_concrete_class():
         functors.ModGamma(Ideal(ZZ, 2))(n)
         functors.tor_functor(n, 1)(n)
         functors.gamma_as_middle_finite(Ideal(ZZ, 3))(n)
+        functors.HomFrom(n)(n)
     finally:
         tracer.uninstall()
-    for name in ("GammaFunctor", "ModGamma", "ComplexHomology", "MiddleFiniteFunctor"):
+    for name in ("GammaFunctor", "ModGamma", "ComplexHomology", "MiddleFiniteFunctor",
+                 "HomFrom"):
         assert tracer.calls[f"functors.eval.{name}"] == 1, name
