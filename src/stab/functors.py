@@ -6,12 +6,11 @@ Variants:
 * coherent functors presented by a morphism ``f : K -> L``, evaluated as
   ``coker(Hom(L, N) -> Hom(K, N))``; ``Hom(M, -)`` is the one presented by
   ``M -> 0``, whose value is ``Hom(M, N)`` itself, as ``Hom(0, N)`` is zero;
-* homology at the middle of a tensored three-term complex, built once in
-  :class:`TensoredHomology` for two kinds of complex: complexes of finitely
-  presented modules (:class:`ComplexHomology`, which houses ``Tor_i(M, -)``
-  through a free resolution) and middle-finite complexes whose ends may be
-  localized (:class:`MiddleFiniteFunctor`, which houses ``Gamma_(g)`` as the
-  homology of ``0 -> R -> R[1/g]``);
+* homology at the middle of a tensored three-term complex whose ends may be
+  localized, :class:`MiddleFiniteFunctor`, which houses ``Gamma_(g)`` as the
+  homology of ``0 -> R -> R[1/g]``; :class:`ComplexHomology` is the
+  middle-finite functor of a complex of finitely presented modules with plain
+  ends, and houses ``Tor_i(M, -)`` through a free resolution;
 * ``Gamma_I``, ``tau_S`` and their quotient companions, which share one body
   for the torsion part and one for the quotient;
 * the oscillating functor on the skeleton of finite torsion modules, with
@@ -110,59 +109,6 @@ class HomFrom(CoherentFunctor):
         return f"Hom({self.m!r}, -)"
 
 
-class TensoredHomology(Functor):
-    """``N -> H(A (x) N -> B (x) N -> C (x) N)`` at the middle term ``B``.
-
-    Subclasses supply ``middle`` (the module ``B``) and ``_tensored(n)``, the
-    two tensored maps; a morphism ``g`` acts on the middle as ``id_B (x) g``.
-    """
-
-    def __call__(self, n):
-        value, _ = homology_at(*self._tensored(n))
-        return value
-
-    def map(self, g):
-        fa, incl_a = homology_at(*self._tensored(g.source))
-        fb, incl_b = homology_at(*self._tensored(g.target))
-        mid = tensor_mor(Morphism.identity(self.middle), g)
-        carried = mid.compose(incl_a).factor_through(incl_b)
-        return Morphism(fa, fb, carried.mat)
-
-
-class ComplexHomology(TensoredHomology):
-    """``N -> H_i(P (x) N)`` for a complex ``P2 -> P1 -> P0`` with zero composite.
-
-    ``d2`` must end in the presentation of ``P1`` that ``d1`` starts from.
-
-    ``H_0`` and ``H_2`` are middle homology of the complex extended by a zero
-    map out of ``P0`` or into ``P2``.
-    """
-
-    def __init__(self, d2, d1, index):
-        if index not in (0, 1, 2):
-            raise ValueError("homology index must be 0, 1 or 2")
-        if d2.target.relations != d1.source.relations:
-            raise ValueError("complex maps do not meet in one middle term")
-        if not d1.compose(d2).is_zero():
-            raise ValueError("complex has nonzero composite")
-        zero = FpModule.zero(d1.source.domain)
-        self.maps = ((d1, Morphism.zero_map(d1.target, zero)), (d2, d1),
-                     (Morphism.zero_map(zero, d2.source), d2))[index]
-        self.middle = self.maps[1].source
-        self.index = index
-
-    def _tensored(self, n):
-        # Each ``P_i (x) N`` once: the middle term ends both maps.
-        d, e = self.maps
-        ident = Mat.identity(n.domain, n.ambient)
-        b_n = self.middle.tensor(n)
-        return (Morphism(d.source.tensor(n), b_n, d.mat.kron(ident), check=False),
-                Morphism(b_n, e.target.tensor(n), e.mat.kron(ident), check=False))
-
-    def __repr__(self):
-        return f"H_{self.index}(P (x) -)"
-
-
 def presentation_map(m):
     """An injective presentation ``R^s -> R^k`` with cokernel ``m``."""
     D = m.domain
@@ -257,7 +203,7 @@ def _tensor_ends(ends, n):
     return out
 
 
-class MiddleFiniteFunctor(TensoredHomology):
+class MiddleFiniteFunctor(Functor):
     """``N -> H(sigma (x) N)`` for a middle-finite complex ``sigma = A -> B -> C``.
 
     ``B`` is finitely presented; the ends are direct sums of end summands,
@@ -317,9 +263,47 @@ class MiddleFiniteFunctor(TensoredHomology):
             raise DomainViolation(f"maps do not descend to localizations: {exc}") from exc
         return f, h
 
+    def __call__(self, n):
+        value, _ = homology_at(*self._tensored(n))
+        return value
+
+    def map(self, g):
+        # ``id_B (x) g`` on the middle, carried between the two kernels.
+        fa, incl_a = homology_at(*self._tensored(g.source))
+        fb, incl_b = homology_at(*self._tensored(g.target))
+        mid = tensor_mor(Morphism.identity(self.middle), g)
+        carried = mid.compose(incl_a).factor_through(incl_b)
+        return Morphism(fa, fb, carried.mat)
+
     def __repr__(self):
         return (f"H(MiddleFinite({len(self.a_ends)} -> {self.middle!r} -> "
                 f"{len(self.c_ends)}) (x) -)")
+
+
+class ComplexHomology(MiddleFiniteFunctor):
+    """``N -> H_i(P (x) N)`` for a complex ``P2 -> P1 -> P0`` with zero composite.
+
+    ``d2`` must end in the presentation of ``P1`` that ``d1`` starts from.
+    It is the middle-finite functor of ``P_(i+1) -> P_i -> P_(i-1)`` with
+    plain ends; ``H_0`` has no ``c`` end and ``H_2`` no ``a`` end.
+    """
+
+    def __init__(self, d2, d1, index):
+        if index not in (0, 1, 2):
+            raise ValueError("homology index must be 0, 1 or 2")
+        if d2.target.relations != d1.source.relations:
+            raise ValueError("complex maps do not meet in one middle term")
+        if not d1.compose(d2).is_zero():
+            raise ValueError("complex has nonzero composite")
+        p2, p1, p0 = d2.source, d1.source, d1.target
+        a_ends, b, c_ends, d_a, d_b = (([p1], p0, [], d1.mat, None),
+                                       ([p2], p1, [p0], d2.mat, d1.mat),
+                                       ([], p2, [p1], None, d2.mat))[index]
+        super().__init__(map(EndSummand, a_ends), b, map(EndSummand, c_ends), d_a, d_b)
+        self.index = index
+
+    def __repr__(self):
+        return f"H_{self.index}(P (x) -)"
 
 
 def gamma_as_middle_finite(ideal):
@@ -367,7 +351,7 @@ EMPTY_EXPONENTS = ExponentSet()
 
 
 class SkeletonFormError(DomainViolation):
-    """An object or morphism endpoint is not a sorted prime-power presentation."""
+    """A module is not torsion, so it has no skeleton, or is not in skeleton form."""
 
 
 def skeleton(n):
@@ -401,7 +385,7 @@ def skeleton(n):
 def _prime_power_pairs(n):
     """``(p, e, factor index)`` per prime power of ``n``, in skeleton order."""
     if not n.is_torsion():
-        raise DomainViolation("skeleton is defined for torsion modules only")
+        raise SkeletonFormError("skeleton is defined for torsion modules only")
     D = n.domain
     pairs = [(p, e, idx) for idx, d in enumerate(n.factors) for p, e in D.factor(d)]
     pairs.sort(key=lambda t: (D.prime_key(t[0]), t[1], t[2]))
@@ -409,29 +393,15 @@ def _prime_power_pairs(n):
 
 
 def skeleton_pairs(module):
-    """Read ``[(p, e), ...]`` off a skeleton-form module, or raise."""
+    """Read ``[(p, e), ...]`` off a skeleton-form module, or raise.
+
+    A module is in skeleton form when its relations are those of the
+    skeleton rebuilt from its own prime powers, ``diag(p1^e1, ..., pj^ej)``.
+    """
+    pairs = [(p, e) for p, e, _ in _prime_power_pairs(module)]
     D = module.domain
-    rel = module.relations
-    if module.rank != 0 or rel.cols != module.ambient:
+    if module.relations != _diag_module(D, [D.pow(p, e) for p, e in pairs]).relations:
         raise SkeletonFormError("not a skeleton presentation")
-    pairs = []
-    for j in range(rel.cols):
-        col = rel.col(j)
-        if any(not D.is_zero(a) for i, a in enumerate(col) if i != j):
-            raise SkeletonFormError("relations are not diagonal")
-        d = col[j]
-        if D.is_zero(d) or D.is_unit(d):
-            raise SkeletonFormError("diagonal entries must be prime powers")
-        fac = D.factor(d)
-        if len(fac) != 1:
-            raise SkeletonFormError("diagonal entries must be prime powers")
-        p, e = fac[0]
-        if D.canon(d)[0] != d:
-            raise SkeletonFormError("diagonal entries must be canonical")
-        pairs.append((p, e))
-    keys = [(D.prime_key(p), e) for p, e in pairs]
-    if keys != sorted(keys):
-        raise SkeletonFormError("summands are not canonically sorted")
     return pairs
 
 
@@ -455,6 +425,9 @@ class OscillatingFunctor(Functor):
             fac = domain.factor(c)
             if len(fac) != 1 or fac[0][1] != 1:
                 raise ValueError(f"{domain.elem_str(p)} is not prime")
+            if c in canon_rules:
+                raise ValueError(f"{domain.elem_str(p)} repeats the prime "
+                                 f"{domain.elem_str(c)}")
             canon_rules[c] = exps
         self.rules = canon_rules
 

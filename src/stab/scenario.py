@@ -176,6 +176,8 @@ def _exponent_set(doc, path):
     if not isinstance(doc, dict):
         raise ScenarioError(path, "exponent set must be an object")
     if "parity" in doc:
+        if "members" in doc or "progressions" in doc:
+            raise ScenarioError(path, "parity cannot be combined with members or progressions")
         if doc["parity"] not in ("even", "odd"):
             raise ScenarioError(path, "parity must be 'even' or 'odd'")
         return ExponentSet(progressions=[(2 if doc["parity"] == "even" else 1, 2)])
@@ -247,10 +249,16 @@ def _oscillating(env, doc, path):
                  for i, rule in enumerate(_require(doc, "rules", path, list))]
     else:
         rules = [(path, doc)]
-    return OscillatingFunctor(env.domain, {
-        _elem(env.domain, _require(rule, "prime", at), f"{at}.prime"):
-            _exponent_set(_require(rule, "set", at), f"{at}.set")
-        for at, rule in rules})
+    D = env.domain
+    by_prime, first_at = {}, {}
+    for at, rule in rules:
+        p = _elem(D, _require(rule, "prime", at), f"{at}.prime")
+        # Associate primes name one rule; a repeat would silently replace it.
+        first = first_at.setdefault(D.canon(p)[0], at)
+        if first != at:
+            raise ScenarioError(f"{at}.prime", f"repeats the prime of {first}")
+        by_prime[p] = _exponent_set(_require(rule, "set", at), f"{at}.set")
+    return OscillatingFunctor(D, by_prime)
 
 
 def build_family(env, doc, scan, path="family"):

@@ -13,6 +13,7 @@ from itertools import product
 from stab.invariants import DEPTH_INF, AssSet
 from stab.matrices import Mat, _pivots
 from stab.modules import FpModule, Ideal, Morphism, tensor_mor
+from stab.functors import homology_at, SkeletonFormError
 
 
 def int_is_prime_trial(n):
@@ -366,7 +367,10 @@ def decomposition_reference(module):
 # localized tensor with one extra relation per invariant factor (units
 # included), complex homology read per index, and the periodic-tail verdict
 # by trying every start and period in order.  Differential tests compare the
-# shared library bodies against them up to isomorphism.
+# shared library bodies against them up to isomorphism.  Complex homology
+# tensored term by term, zero ends included, and the skeleton-form reader
+# that checks each diagonal entry are compared exactly: the same relations,
+# map matrices, pairs and errors.
 
 def loc_tensor_reference(module, x, n):
     """``(module[1/x]) (x) N`` with one extra relation per invariant factor."""
@@ -394,6 +398,62 @@ def complex_homology_reference(d2, d1, index, n):
     k, incl = t1.kernel()
     image = t2.factor_through(incl)
     return FpModule(k.domain, k.ambient, k.relations.hstack(image.mat))
+
+
+class TensoredComplexHomologyReference:
+    """``H_index(P (x) -)`` as homology at the middle of the two tensored maps
+    around ``P_index``, with a zero map into or out of the zero module at the
+    ends, each tensored as it stands."""
+
+    def __init__(self, d2, d1, index):
+        zero = FpModule.zero(d1.source.domain)
+        self.maps = ((d1, Morphism.zero_map(d1.target, zero)), (d2, d1),
+                     (Morphism.zero_map(zero, d2.source), d2))[index]
+        self.middle = self.maps[1].source
+
+    def _tensored(self, n):
+        d, e = self.maps
+        ident = Mat.identity(n.domain, n.ambient)
+        b_n = self.middle.tensor(n)
+        return (Morphism(d.source.tensor(n), b_n, d.mat.kron(ident), check=False),
+                Morphism(b_n, e.target.tensor(n), e.mat.kron(ident), check=False))
+
+    def __call__(self, n):
+        return homology_at(*self._tensored(n))[0]
+
+    def map(self, g):
+        fa, incl_a = homology_at(*self._tensored(g.source))
+        fb, incl_b = homology_at(*self._tensored(g.target))
+        mid = tensor_mor(Morphism.identity(self.middle), g)
+        carried = mid.compose(incl_a).factor_through(incl_b)
+        return Morphism(fa, fb, carried.mat)
+
+
+def skeleton_pairs_reference(module):
+    """``[(p, e), ...]`` read entry by entry: diagonal, prime powers, canonical,
+    sorted by prime then exponent; raises :class:`SkeletonFormError` otherwise."""
+    D = module.domain
+    rel = module.relations
+    if module.rank != 0 or rel.cols != module.ambient:
+        raise SkeletonFormError("not a skeleton presentation")
+    pairs = []
+    for j in range(rel.cols):
+        col = rel.col(j)
+        if any(not D.is_zero(a) for i, a in enumerate(col) if i != j):
+            raise SkeletonFormError("relations are not diagonal")
+        d = col[j]
+        if D.is_zero(d) or D.is_unit(d):
+            raise SkeletonFormError("diagonal entries must be prime powers")
+        fac = D.factor(d)
+        if len(fac) != 1:
+            raise SkeletonFormError("diagonal entries must be prime powers")
+        if D.canon(d)[0] != d:
+            raise SkeletonFormError("diagonal entries must be canonical")
+        pairs.append(fac[0])
+    keys = [(D.prime_key(p), e) for p, e in pairs]
+    if keys != sorted(keys):
+        raise SkeletonFormError("summands are not canonically sorted")
+    return pairs
 
 
 def periodic_tail_reference(values, window):

@@ -19,7 +19,8 @@ from stab.functors import (IdentityFunctor, HomFrom, CoherentFunctor,
                            presentation_map)
 from stab.laws import (check_functor_laws, random_module, random_morphism,
                        random_torsion_module)
-from oracles import cyclic_hom_oracle, cyclic_ext_oracle, complex_homology_reference
+from oracles import (cyclic_hom_oracle, cyclic_ext_oracle, complex_homology_reference,
+                     TensoredComplexHomologyReference, skeleton_pairs_reference)
 
 F2 = poly_ring(2)
 F5 = poly_ring(5)
@@ -285,6 +286,30 @@ def test_complex_homology_matches_per_index_reference(case):
         assert got.is_isomorphic_to(complex_homology_reference(d2, d1, i, n)), i
 
 
+@st.composite
+def complex_maps(draw):
+    """``(d2, d1, g)``: a complex from :func:`complexes` and a map ``g : N -> N'``."""
+    d2, d1, n = draw(complexes())
+    rng = draw(st.randoms(use_true_random=False))
+    return d2, d1, random_morphism(n, random_module(n.domain, rng), rng)
+
+
+@given(complex_maps())
+@settings(max_examples=60, deadline=None)
+def test_complex_homology_equals_the_tensored_reference(case):
+    # The middle-finite body with plain ends gives the presentations and map
+    # matrices of the complex tensored term by term, zero ends included.
+    d2, d1, g = case
+    for i in (0, 1, 2):
+        got, want = ComplexHomology(d2, d1, i), TensoredComplexHomologyReference(d2, d1, i)
+        for n in (g.source, g.target):
+            assert got(n).relations == want(n).relations, i
+        mapped, expected = got.map(g), want.map(g)
+        assert mapped.mat == expected.mat, i
+        assert mapped.source.relations == expected.source.relations, i
+        assert mapped.target.relations == expected.target.relations, i
+
+
 @pytest.mark.parametrize("index", [0, 1, 2])
 def test_complex_homology_tensors_each_term_once(monkeypatch, index):
     pres = presentation_map(cyc(4, 12).direct_sum(R))
@@ -294,7 +319,9 @@ def test_complex_homology_tensors_each_term_once(monkeypatch, index):
     tensored, tensor = [], FpModule.tensor
     monkeypatch.setattr(FpModule, "tensor", lambda a, b: tensored.append(a) or tensor(a, b))
     value = functor(n)
-    assert len(tensored) == 3 and tensored.count(functor.middle) == 1
+    # Each nonzero term once: H_0 and H_2 have an empty end, which is not tensored.
+    assert len(tensored) == (3 if index == 1 else 2)
+    assert tensored.count(functor.middle) == 1
     assert value.is_isomorphic_to(complex_homology_reference(d2, pres, index, n))
 
 
@@ -450,6 +477,58 @@ def test_skeleton_pairs_rejects_unsorted():
         skeleton_pairs(merged)
 
 
+# Primes of each backend; F2 has no unit but 1, so its associates are equal.
+SKELETON_PRIMES = {ZZ: [2, 3, 5],
+                   F2: [F2.elem_from_json(c) for c in ([0, 1], [1, 1], [1, 1, 1])],
+                   F5: [F5.elem_from_json(c) for c in ([0, 1], [1, 1], [2, 0, 1])]}
+SKELETON_FLAWS = ("none", "merged", "unit", "associate", "free", "off_diagonal",
+                  "mixed", "swapped")
+
+
+@st.composite
+def skeleton_candidates(draw):
+    """Diagonal prime-power modules, sorted or not, with at most one flaw."""
+    D = draw(st.sampled_from([ZZ, F2, F5]))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(SKELETON_PRIMES[D]), st.integers(1, 3)),
+                          max_size=4))
+    if draw(st.booleans()):
+        pairs.sort(key=lambda t: (D.prime_key(t[0]), t[1]))
+    diag = [D.pow(p, e) for p, e in pairs]
+    flaw = draw(st.sampled_from(SKELETON_FLAWS))
+    if flaw == "merged" and len(diag) >= 2:
+        diag[:2] = [D.mul(diag[0], diag[1])]
+    elif flaw in ("unit", "free"):
+        diag.insert(draw(st.integers(0, len(diag))), D.one if flaw == "unit" else D.zero)
+    elif flaw == "associate" and diag:
+        diag[0] = D.mul(-1 if D is ZZ else D.const(D.p - 1), diag[0])
+    k = len(diag)
+    rows = [[diag[i] if i == j else D.zero for j in range(k)] for i in range(k)]
+    if flaw == "off_diagonal" and k >= 2:
+        i, j = draw(st.permutations(range(k)))[:2]
+        rows[i][j] = draw(_elems(D))
+    elif flaw == "swapped" and k >= 2:
+        rows = [row[::-1] for row in rows]
+    rel = Mat(D, rows, k, k)
+    if flaw == "mixed" and k >= 2:
+        # A change of generators: the module is the same, its presentation is not.
+        mix = Mat.identity(D, k).data
+        rel = Mat(D, [mix[0], tuple(map(D.add, mix[0], mix[1])), *mix[2:]]) @ rel
+    return FpModule(D, k, rel)
+
+
+def _read(reader, module):
+    try:
+        return reader(module)
+    except SkeletonFormError:
+        return SkeletonFormError
+
+
+@given(skeleton_candidates())
+@settings(max_examples=300, deadline=None)
+def test_skeleton_pairs_reads_as_the_entrywise_reference(module):
+    assert _read(skeleton_pairs, module) == _read(skeleton_pairs_reference, module)
+
+
 def test_oscillating_object_rule():
     osc = OscillatingFunctor(ZZ, {2: ExponentSet(progressions=[(2, 2)])})
     seq = [ass(osc(cyc(2**n))) for n in range(1, 6)]
@@ -504,6 +583,18 @@ def test_oscillating_mixed_primes_blockwise():
 def test_oscillating_rejects_non_prime_rule():
     with pytest.raises(ValueError):
         OscillatingFunctor(ZZ, {4: ExponentSet(members=[1])})
+
+
+def test_oscillating_rejects_repeated_primes_up_to_associates():
+    with pytest.raises(ValueError, match="-2 repeats the prime 2"):
+        OscillatingFunctor(ZZ, {2: ExponentSet(members=[1]), -2: ExponentSet(members=[2])})
+    x1 = F5.elem_from_json([1, 1])
+    with pytest.raises(ValueError, match="repeats the prime"):
+        OscillatingFunctor(F5, {x1: ExponentSet(members=[1]),
+                                F5.mul(F5.const(3), x1): ExponentSet(members=[1])})
+    # Distinct primes keep one rule each.
+    osc = OscillatingFunctor(ZZ, {-2: ExponentSet(members=[1]), 3: ExponentSet(members=[2])})
+    assert osc.exponents_of(2).members == {1} and osc.exponents_of(3).members == {2}
 
 
 def test_exponent_set_membership():

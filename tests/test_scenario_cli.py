@@ -204,6 +204,19 @@ MALFORMED = [
     ("modules.M: factors", {"modules": dict(BASE["modules"], M={"factors": ["2"] * 1100})}),
     ("modules.M: factors", {"modules": dict(BASE["modules"],
                                             M={"rank": 1000, "factors": ["2"] * 100})}),
+    # Repeated oscillating primes, equal or associate, and parity beside other fields:
+    # each silently dropped a rule or a field.
+    ("functor.rules[1].prime", {"functor": {"kind": "oscillating", "rules": [
+        {"prime": "2", "set": {"members": [1]}}, {"prime": "-2", "set": {"members": [2]}}]}}),
+    ("functor.rules[2].prime", {"functor": {"kind": "oscillating", "rules": [
+        {"prime": "3", "set": {"members": [1]}}, {"prime": "2", "set": {"members": [1]}},
+        {"prime": "3", "set": {"members": [2]}}]}}),
+    ("functor.set", {"functor": {"kind": "oscillating", "prime": "2",
+                                 "set": {"parity": "even", "members": [1]}}}),
+    ("functor.set", {"functor": {"kind": "oscillating", "prime": "2",
+                                 "set": {"parity": "odd", "progressions": [[2, 2]]}}}),
+    ("functor.rules[0].set", {"functor": {"kind": "oscillating", "rules": [
+        {"prime": "2", "set": {"parity": "odd", "members": []}}]}}),
     # A complex whose maps meet in Z and Z/4: equal ambient ranks, different middle terms.
     ("functor", {"functor": {"kind": "complex", "index": 1,
                              "d2": {"source": "R", "target": "R", "matrix": [["2"]]},
