@@ -27,9 +27,9 @@ from typing import NamedTuple
 
 from .domains import int_in_range
 from .matrices import Mat
-from .modules import (FpModule, Morphism, Ideal, HomSpace,
+from .modules import (FpModule, Morphism, HomSpace,
                       _diag_module, hom_induced, loc_tensor, tensor_mor,
-                      sub_contains, DomainViolation, NotWellDefined)
+                      sub_contains, torsion_gens, DomainViolation, NotWellDefined)
 from .invariants import gamma, tau
 
 
@@ -243,8 +243,7 @@ class MiddleFiniteFunctor(Functor):
             if summand.invert is None:
                 ok = module.contains(block)
             else:
-                torsion = gamma(Ideal(b.domain, summand.invert), module)
-                ok = sub_contains(module, torsion.include.mat, block)
+                ok = sub_contains(module, torsion_gens(module, summand.invert), block)
             if not ok:
                 raise ValueError("middle-finite complex has nonzero composite")
 

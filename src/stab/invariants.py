@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .modules import FpModule, Morphism, Ideal, DomainViolation, torsion_gens
+from .modules import FpModule, Morphism, Ideal, DomainViolation, killed_by, torsion_gens
 
 DEPTH_INF = float("inf")
 
@@ -138,20 +138,20 @@ class TorsionPart(NamedTuple):
     project: Morphism
 
 
+def _torsion_part(m, gens):
+    """The submodule of ``m`` spanned by ``gens``, and the quotient by it."""
+    part, incl = m.submodule(gens)
+    quot, proj = incl.cokernel()
+    return TorsionPart(part, incl, quot, proj)
+
+
 def gamma(i, m):
     """``Gamma_I(M)``: elements killed by a power of I, with inclusion and quotient.
 
-    Each cyclic summand ``R/(d)`` contributes ``R/(s)`` with ``s`` the part of
-    ``d`` supported on primes of ``I``; for the zero ideal the whole module is
-    returned.
+    One kernel of multiplication (:func:`~stab.modules.torsion_gens`); the
+    zero ideal kills the whole module.
     """
-    if i.is_zero():
-        incl = Morphism.identity(m)
-        quot, proj = incl.cokernel()
-        return TorsionPart(m, incl, quot, proj)
-    part, incl = m.submodule(torsion_gens(m, i.gen))
-    quot, proj = incl.cokernel()
-    return TorsionPart(part, incl, quot, proj)
+    return _torsion_part(m, torsion_gens(m, i.gen))
 
 
 class CmcSet:
@@ -196,16 +196,13 @@ class CmcSet:
         return self.closure_gens is None
 
     def is_cmc(self):
-        """For every pair (r, s) some member is divisible by lcm(r, s)."""
-        if not self.is_explicit():
-            return True
-        D = self.domain
-        for r in self.elems:
-            for s in self.elems:
-                target = D.lcm(r, s)
-                if not any(D.divides(target, t) for t in self.elems):
-                    return False
-        return True
+        """Whether every pair (r, s) has a member divisible by lcm(r, s).
+
+        A finite set is cmc exactly when it has a cogenerator: a member over
+        the lcm of the first two, then one over the lcm of that member and
+        the third, and so on, ends at one.
+        """
+        return not self.is_explicit() or self.cogenerator() is not None
 
     def cogenerator(self):
         """Some member divisible by every member, or ``None``."""
@@ -247,20 +244,16 @@ class NotCmc(DomainViolation):
 def tau(s, m):
     """``tau_S(M)``: elements killed by some member of S.
 
-    Explicit finite cmc sets are coprincipal, so the torsion part is the
-    kernel of multiplication by a cogenerator; multiplicative closures reduce
-    to ``Gamma`` at the product of the generators.
+    A finite cmc set has a cogenerator, so the torsion part is the kernel of
+    multiplication by it; multiplicative closures reduce to ``Gamma`` at the
+    product of the generators.
     """
     D = m.domain
-    if not s.is_cmc():
-        raise NotCmc(f"{s!r} is not common multiplicatively closed")
     if s.is_explicit():
         s0 = s.cogenerator()
         if s0 is None:
-            raise NotCmc("finite cmc set lost its cogenerator")
-        part, incl = Morphism.mult_by(s0, m).kernel()
-        quot, proj = incl.cokernel()
-        return TorsionPart(part, incl, quot, proj)
+            raise NotCmc(f"{s!r} is not common multiplicatively closed")
+        return _torsion_part(m, killed_by(m, s0))
     prod = D.one
     for g in s.closure_gens:
         prod = D.mul(prod, g)

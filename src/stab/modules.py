@@ -516,20 +516,23 @@ def loc_tensor(module, x, n):
 
 
 def torsion_gens(module, g):
-    """Ambient columns generating the elements killed by a power of ``g != 0``.
+    """Ambient columns generating the elements killed by a power of ``g``.
 
-    Each invariant factor ``d`` whose part ``s`` supported on the primes of
-    ``g`` is not a unit contributes its summand generator times ``d / s``.
+    For ``g != 0`` these are the elements killed by ``s``, the part of the
+    largest invariant factor supported on the primes of ``g``: every factor
+    divides it, and a free summand has no element killed by a nonzero ``s``.
+    A module without torsion, or ``g == 0``, takes ``g`` itself.
     """
-    # Read before the invariants, so that one full Smith form gives both.
-    frommat = module._from_dec
     D = module.domain
-    entries = []
-    for idx, d in enumerate(module.factors):
-        s = D.saturate_part(d, g)
-        if not D.is_unit(s):
-            entries.append((idx, D.exact_div(d, s)))
-    return frommat @ Mat.monomial(D, frommat.cols, entries)
+    c = g
+    if module.factors and not D.is_zero(g):
+        c = D.saturate_part(module.factors[-1], g)
+    return killed_by(module, c)
+
+
+def killed_by(module, c):
+    """Ambient columns generating the kernel of multiplication by ``c``."""
+    return Mat.scalar(module.domain, module.ambient, c).preimage(module.relations)
 
 
 class HomSpace:

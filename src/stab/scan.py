@@ -256,24 +256,18 @@ def scan_rows(family, functor=None, depth_ideal=None, horizon=50, window=10):
 
 
 def artin_rees_probe(beta, n_prime, ideal, horizon=10):
-    """Least ``d`` with ``beta(M) * I^n N' = I^(n-d)(beta(M) * I^d N')`` for
-    all ``n`` in ``[d, horizon]`` (``*`` denoting intersection), or ``None``.
+    """Least ``d`` with ``cut(n) = I^(n-d) cut(d)`` for all ``n`` in
+    ``[d, horizon]``, where ``cut(n) = beta(M) * I^n N'`` (``*`` denoting
+    intersection); an int, as ``d = horizon`` always holds.  That is
+    ``cut(n + 1) = I cut(n)`` for every ``n >= d``, so ``d`` is one past the
+    last failing step, read backwards from the horizon.
     """
     target = beta.target
     if n_prime.rows != target.ambient:
         raise ValueError("N' generators must live in the target module")
-    image = beta.mat
-    cuts = []
-    for n in range(horizon + 1):
-        scaled = n_prime.scale(ideal.power_gen(n))
-        cuts.append(sub_intersect(target, image, scaled))
-    for d in range(horizon + 1):
-        ok = True
-        for n in range(d, horizon + 1):
-            rhs = cuts[d].scale(ideal.power_gen(n - d))
-            if not sub_equal(target, cuts[n], rhs):
-                ok = False
-                break
-        if ok:
-            return d
-    return None
+    cuts = [sub_intersect(target, beta.mat, n_prime.scale(ideal.power_gen(n)))
+            for n in range(horizon + 1)]
+    for n in reversed(range(horizon)):
+        if not sub_equal(target, cuts[n + 1], cuts[n].scale(ideal.gen)):
+            return n + 1
+    return 0

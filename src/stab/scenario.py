@@ -175,6 +175,9 @@ def _cmc_set(domain, doc, path):
 def _exponent_set(doc, path):
     if not isinstance(doc, dict):
         raise ScenarioError(path, "exponent set must be an object")
+    for key in doc:
+        if key not in ("members", "progressions", "parity"):
+            raise ScenarioError(path, f"unknown key {key!r}")
     if "parity" in doc:
         if "members" in doc or "progressions" in doc:
             raise ScenarioError(path, "parity cannot be combined with members or progressions")

@@ -12,7 +12,7 @@ from itertools import product
 
 from stab.invariants import DEPTH_INF, AssSet
 from stab.matrices import Mat, _pivots
-from stab.modules import FpModule, Ideal, Morphism, tensor_mor
+from stab.modules import FpModule, Ideal, Morphism, sub_equal, sub_intersect, tensor_mor
 from stab.functors import homology_at, SkeletonFormError
 
 
@@ -454,6 +454,50 @@ def skeleton_pairs_reference(module):
     if keys != sorted(keys):
         raise SkeletonFormError("summands are not canonically sorted")
     return pairs
+
+
+# The torsion part, the cmc predicate and the Artin-Rees probe as they were
+# built before each became one kernel, one cogenerator search and one
+# backward scan: read off the decomposition transform one invariant factor at
+# a time, checked pair by pair, and tried for every ``d`` in turn.
+
+def torsion_gens_reference(module, g):
+    """Generators of the elements killed by a power of ``g``: each invariant
+    factor ``d`` whose part ``s`` on the primes of ``g`` is not a unit gives its
+    summand generator times ``d / s``; for ``g == 0`` every generator."""
+    D = module.domain
+    if D.is_zero(g):
+        return Mat.identity(D, module.ambient)
+    frommat = module._from_dec
+    entries = []
+    for idx, d in enumerate(module.factors):
+        s = D.saturate_part(d, g)
+        if not D.is_unit(s):
+            entries.append((idx, D.exact_div(d, s)))
+    return frommat @ Mat.monomial(D, frommat.cols, entries)
+
+
+def is_cmc_reference(cmc_set):
+    """For every pair ``(r, s)`` of an explicit set some member is divisible by
+    ``lcm(r, s)``; closures are always cmc."""
+    if not cmc_set.is_explicit():
+        return True
+    D, elems = cmc_set.domain, cmc_set.elems
+    return all(any(D.divides(D.lcm(r, s), t) for t in elems)
+               for r in elems for s in elems)
+
+
+def artin_rees_probe_reference(beta, n_prime, ideal, horizon):
+    """The least ``d`` for which every ``n`` in ``[d, horizon]`` has
+    ``cut(n) = I^(n-d) cut(d)``, trying each ``d`` from 0 up."""
+    target = beta.target
+    cuts = [sub_intersect(target, beta.mat, n_prime.scale(ideal.power_gen(n)))
+            for n in range(horizon + 1)]
+    for d in range(horizon + 1):
+        if all(sub_equal(target, cuts[n], cuts[d].scale(ideal.power_gen(n - d)))
+               for n in range(d, horizon + 1)):
+            return d
+    return None
 
 
 def periodic_tail_reference(values, window):

@@ -9,7 +9,7 @@ from stab.matrices import Mat
 from stab.modules import FpModule, Ideal
 from stab.invariants import (AssSet, CmcSet, DEPTH_INF,
                              ass, ann, depth, gamma, tau, NotCmc, ann_contains)
-from oracles import ass_oracle, ass_reference
+from oracles import ass_oracle, ass_reference, is_cmc_reference
 
 F2 = poly_ring(2)
 F5 = poly_ring(5)
@@ -261,6 +261,26 @@ def test_singleton_and_pair_cmc():
     # (s) strictly inside (r): {r, s} is cmc and coprincipal, not mult. closed
     s = CmcSet.explicit(ZZ, [3, 12])
     assert s.is_cmc() and s.cogenerator() == 12 and not closed_under_products(s)
+
+
+# Small members with zero and units among them, as JSON coefficients over
+# GF(p)[x]; many pairs share primes, so cmc and non-cmc sets both come up.
+CMC_POOLS = [
+    (ZZ, [0, 1, -1, 2, -2, 3, 4, 6, 8, 12]),
+    (F2, [[], [1], [0, 1], [1, 1], [0, 0, 1], [0, 1, 1], [0, 0, 1, 1]]),
+    (F5, [[], [1], [2], [0, 1], [0, 2], [2, 1], [0, 2, 1], [0, 0, 1], [0, 0, 3]]),
+]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_is_cmc_agrees_with_the_pairwise_loop(data):
+    D, pool = data.draw(st.sampled_from(CMC_POOLS))
+    elems = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    s = CmcSet.explicit(D, [D.elem_from_json(e) for e in elems])
+    assert s.is_cmc() == is_cmc_reference(s)
+    if s.is_cmc():
+        assert all(D.divides(r, s.cogenerator()) for r in s.elems)
 
 
 def test_tau_examples():

@@ -11,10 +11,10 @@ from stab.matrices import Mat
 from stab.modules import (FpModule, Morphism, Ideal, HomSpace, MAX_GENERATORS,
                           hom, hom_induced, loc_tensor, tensor_mor,
                           NotWellDefined, SubmoduleError, DomainViolation,
-                          sub_equal, sub_intersect)
+                          sub_equal, sub_intersect, torsion_gens)
 from stab.laws import random_module, random_torsion_module
 from oracles import (hom_count_oracle, elementary_divisors, decomposition_reference,
-                     loc_tensor_reference)
+                     loc_tensor_reference, torsion_gens_reference)
 
 F2 = poly_ring(2)
 F5 = poly_ring(5)
@@ -705,3 +705,32 @@ def test_hom_induced_of_an_endomorphism_builds_one_hom_space(monkeypatch):
     # A map between two presentations still builds both spaces.
     hom_induced(Morphism(cyc(2), m, Mat(ZZ, [[0], [2]])), n)
     assert len(built) == 3
+
+
+# -- torsion parts as one kernel -------------------------------------------------
+# The elements killed by a power of g are the kernel of multiplication by the
+# g-part of the largest invariant factor, or by g itself without torsion or
+# for g = 0; they must span what the decomposition transform gives factor by
+# factor.
+
+@st.composite
+def torsion_gens_cases(draw):
+    """``(M, g)``: a random relation matrix (the zero module, free modules and
+    non-diagonal presentations among them) or a diagonal module with torsion
+    and up to two free summands; ``g`` zero, a unit or any small element."""
+    if draw(st.booleans()):
+        module = draw(relation_modules())
+    else:
+        domain = draw(st.sampled_from([ZZ, F2, F5]))
+        module = random_module(domain, draw(st.randoms(use_true_random=False)), max_rank=2)
+    return module, draw(ideal_gens(module.domain))
+
+
+@given(torsion_gens_cases())
+# Factors 2 | 4 with different 2-parts, and g = 0 beside a free summand.
+@example((cyc(2, 4), 2))
+@example((R.direct_sum(cyc(4)), 0))
+@settings(max_examples=300, deadline=None)
+def test_torsion_gens_spans_the_decomposition_reference(case):
+    module, g = case
+    assert sub_equal(module, torsion_gens(module, g), torsion_gens_reference(module, g))

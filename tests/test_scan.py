@@ -16,8 +16,10 @@ from stab.scan import (QuotientPowers, Layers, GradedLayers, SubquotientFamily,
                        artin_rees_probe, AnnihilatorViolation)
 from stab.scenario import parse_scenario, run_scenario
 from stab.cli import _iter_packaged_scenarios
+from stab.laws import random_module, random_morphism
 from oracles import (HOM_KINDS, TORSION_KINDS, periodic_tail_reference,
-                     quotient_scan_reference, elementary_divisors_over)
+                     quotient_scan_reference, elementary_divisors_over,
+                     artin_rees_probe_reference)
 
 F2 = poly_ring(2)
 F5 = poly_ring(5)
@@ -440,6 +442,45 @@ def test_artin_rees_poly():
     x = (0, 1)
     beta = Morphism(rp, rp, Mat(F2, [[F2.mul(x, x)]]))
     assert artin_rees_probe(beta, Mat(F2, [[F2.one]]), Ideal(F2, x), horizon=10) == 2
+
+
+@st.composite
+def artin_rees_cases(draw):
+    """``(beta, N', I, horizon)``: ``beta`` a random map between random modules
+    (free summands included) times a power of the generator of ``I``, so that
+    several steps can fail; ``N'`` the whole target or up to two random
+    generators of it; ``I`` zero, a unit, or an ideal on the primes of the
+    modules or off them."""
+    domain = draw(st.sampled_from([ZZ, F2, F5]))
+    rng = draw(st.randoms(use_true_random=False))
+    if domain is ZZ:
+        elems, near = st.integers(-8, 8), [2, -2, 3, 4, 6, 5]
+    else:
+        elems = st.lists(st.integers(0, domain.p - 1), max_size=3).map(domain.elem_from_json)
+        near = [domain.elem_from_json(c) for c in ([0, 1], [1, 1], [0, 0, 1], [1, 0, 1])]
+    gen = draw(st.sampled_from([domain.zero, domain.one] + near))
+    beta = random_morphism(random_module(domain, rng, max_rank=2),
+                           random_module(domain, rng, max_rank=2), rng)
+    beta = Morphism(beta.source, beta.target,
+                    beta.mat.scale(domain.pow(gen, draw(st.integers(0, 3)))))
+    rows = beta.target.ambient
+    if draw(st.booleans()):
+        n_prime = Mat.identity(domain, rows)
+    else:
+        cols = draw(st.integers(0, 2))
+        n_prime = Mat(domain, draw(st.lists(st.lists(elems, min_size=cols, max_size=cols),
+                                            min_size=rows, max_size=rows)), rows, cols)
+    return beta, n_prime, Ideal(domain, gen), draw(st.integers(0, 8))
+
+
+@given(artin_rees_cases())
+# beta = *8 on Z with I = (2) fails its first three steps (d = 3).
+@example((Morphism(R, R, Mat(ZZ, [[8]])), Mat(ZZ, [[1]]), I2, 8))
+@settings(max_examples=150, deadline=None)
+def test_artin_rees_probe_matches_the_nested_loop(case):
+    beta, n_prime, ideal, horizon = case
+    assert artin_rees_probe(beta, n_prime, ideal, horizon) == \
+        artin_rees_probe_reference(beta, n_prime, ideal, horizon)
 
 
 # -- quotient and layer scans against their closed form --------------------------

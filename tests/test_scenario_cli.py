@@ -217,6 +217,11 @@ MALFORMED = [
                                  "set": {"parity": "odd", "progressions": [[2, 2]]}}}),
     ("functor.rules[0].set", {"functor": {"kind": "oscillating", "rules": [
         {"prime": "2", "set": {"parity": "odd", "members": []}}]}}),
+    # A misspelt exponent-set key was read as the empty set.
+    ("functor.set", {"functor": {"kind": "oscillating", "prime": "2",
+                                 "set": {"member": [1]}}}),
+    ("functor.rules[0].set", {"functor": {
+        "kind": "oscillating", "rules": [{"prime": "2", "set": {"progression": [[1, 2]]}}]}}),
     # A complex whose maps meet in Z and Z/4: equal ambient ranks, different middle terms.
     ("functor", {"functor": {"kind": "complex", "index": 1,
                              "d2": {"source": "R", "target": "R", "matrix": [["2"]]},
@@ -375,7 +380,12 @@ def test_cli_compute_bad_input_exit_1(tmp_path):
                      ' "argument": {"factors": [4]}}', "functor"),
             ("ass", json.dumps({"module": {"factors": ["2"] * 1100}}), "module: factors"),
             ("ass", json.dumps({"module": {"rank": 1000, "factors": ["2"] * 100}}),
-             "module: factors")]:
+             "module: factors"),
+            ("eval", '{"functor": {"kind": "oscillating", "prime": "2", "set": {"member": [1]}},'
+                     ' "argument": {"factors": ["2"]}}', "functor.set"),
+            ("eval", '{"functor": {"kind": "oscillating", "rules": [{"prime": "2",'
+                     ' "set": {"parity": "odd", "odd": true}}]}, "argument": {"factors": ["2"]}}',
+             "functor.rules[0].set")]:
         proc = _run_cli(["compute", sub, arg], tmp_path)
         assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
         assert proc.stderr.startswith(f"error: {prefix}: "), proc.stderr
