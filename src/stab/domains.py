@@ -150,12 +150,26 @@ def _pollard_rho(n):
             return g
 
 
+def _valuation(n, p):
+    """``(v, n // p^v)`` for the multiplicity ``v`` of ``p`` in ``n != 0``:
+    divide by ``p, p^2, p^4, ...`` while they divide, then by each of them
+    again, largest first, for the binary digits of the rest of ``v``."""
+    powers = []
+    while n % p == 0:
+        powers.append(p)
+        n, p = n // p, p * p
+    v = (1 << len(powers)) - 1
+    for k in reversed(range(len(powers))):
+        if n % powers[k] == 0:
+            n, v = n // powers[k], v + (1 << k)
+    return v, n
+
+
 def _factor_int(n):
     factors = {}
     for p in (2, 3, 5, 7, 11, 13):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
+        if n % p == 0:
+            factors[p], n = _valuation(n, p)
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

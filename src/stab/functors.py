@@ -30,7 +30,7 @@ from .matrices import Mat
 from .modules import (FpModule, Morphism, HomSpace,
                       _diag_module, hom_induced, loc_tensor, tensor_mor,
                       sub_contains, torsion_gens, DomainViolation, NotWellDefined)
-from .invariants import gamma, tau
+from .invariants import gamma, gamma_gens, tau, tau_gens
 
 
 def homology_at(f, h):
@@ -80,10 +80,14 @@ class CoherentFunctor(Functor):
         self.presenting = presenting
 
     def __call__(self, n):
+        return self._value(HomSpace(self.presenting.source, n))
+
+    def _value(self, hk):
+        """The value at ``N``, a quotient of the given ``hk = Hom(K, N)``."""
         if not self.presenting.target.ambient:
             # ``Hom(L, N)`` is zero, so the cokernel is ``Hom(K, N)`` itself.
-            return HomSpace(self.presenting.source, n).module
-        value, _ = hom_induced(self.presenting, n).cokernel()
+            return hk.module
+        value, _ = hom_induced(self.presenting, hk.target, hk).cokernel()
         return value
 
     def map(self, g):
@@ -92,7 +96,7 @@ class CoherentFunctor(Functor):
         ha, hb = HomSpace(k, g.source), HomSpace(k, g.target)
         cols = [hb.coords(g.compose(u)) for u in ha.generators()]
         mat = Mat.from_cols(k.domain, cols, len(hb.pairs))
-        return Morphism(self(g.source), self(g.target), mat)
+        return Morphism(self._value(ha), self._value(hb), mat)
 
     def __repr__(self):
         return f"coker(h_{self.presenting.target!r} -> h_{self.presenting.source!r})"
@@ -135,10 +139,12 @@ def tor_functor(m, i=1):
 
 
 class _TorsionSplitFunctor(Functor):
-    """A functor read off ``split(subset, N)``, a :class:`TorsionPart`.
+    """A functor of the torsion part of ``N`` at ``subset``.
 
-    Subclasses set ``split`` to :func:`gamma` or :func:`tau` and ``label`` to
-    the name shown before the subset.
+    The part functors set ``split`` to :func:`gamma` or :func:`tau`, which
+    build a :class:`TorsionPart`; the quotient functors set ``gens`` to
+    :func:`gamma_gens` or :func:`tau_gens`, the part's generators.  Each sets
+    ``label`` to the name shown before the subset.
     """
 
     def __init__(self, subset):
@@ -160,15 +166,14 @@ class _TorsionPartFunctor(_TorsionSplitFunctor):
 
 
 class _TorsionQuotientFunctor(_TorsionSplitFunctor):
-    """The quotient by the torsion part; maps keep their matrix."""
+    """``N/<gens>``, the quotient by the torsion part without the part's own
+    presentation; maps keep their matrix."""
 
     def __call__(self, n):
-        return self.split(self.subset, n).quotient
+        return n.quotient(self.gens(self.subset, n))
 
     def map(self, g):
-        qa = self.split(self.subset, g.source).quotient
-        qb = self.split(self.subset, g.target).quotient
-        return Morphism(qa, qb, g.mat)
+        return Morphism(self(g.source), self(g.target), g.mat)
 
 
 class GammaFunctor(_TorsionPartFunctor):
@@ -176,7 +181,7 @@ class GammaFunctor(_TorsionPartFunctor):
 
 
 class ModGamma(_TorsionQuotientFunctor):
-    split, label = staticmethod(gamma), "Id/Gamma"
+    gens, label = staticmethod(gamma_gens), "Id/Gamma"
 
 
 class TauFunctor(_TorsionPartFunctor):
@@ -184,7 +189,7 @@ class TauFunctor(_TorsionPartFunctor):
 
 
 class ModTau(_TorsionQuotientFunctor):
-    split, label = staticmethod(tau), "Id/tau"
+    gens, label = staticmethod(tau_gens), "Id/tau"
 
 
 class EndSummand(NamedTuple):

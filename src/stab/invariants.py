@@ -145,13 +145,15 @@ def _torsion_part(m, gens):
     return TorsionPart(part, incl, quot, proj)
 
 
-def gamma(i, m):
-    """``Gamma_I(M)``: elements killed by a power of I, with inclusion and quotient.
+def gamma_gens(i, m):
+    """Ambient columns generating ``Gamma_I(M)``, the elements killed by a
+    power of I (:func:`~stab.modules.torsion_gens`; I = 0 kills everything)."""
+    return torsion_gens(m, i.gen)
 
-    One kernel of multiplication (:func:`~stab.modules.torsion_gens`); the
-    zero ideal kills the whole module.
-    """
-    return _torsion_part(m, torsion_gens(m, i.gen))
+
+def gamma(i, m):
+    """``Gamma_I(M)`` with its inclusion and quotient."""
+    return _torsion_part(m, gamma_gens(i, m))
 
 
 class CmcSet:
@@ -241,8 +243,9 @@ class NotCmc(DomainViolation):
     """tau_S needs a common multiplicatively closed set."""
 
 
-def tau(s, m):
-    """``tau_S(M)``: elements killed by some member of S.
+def tau_gens(s, m):
+    """Ambient columns generating ``tau_S(M)``, the elements killed by some
+    member of S.
 
     A finite cmc set has a cogenerator, so the torsion part is the kernel of
     multiplication by it; multiplicative closures reduce to ``Gamma`` at the
@@ -253,8 +256,13 @@ def tau(s, m):
         s0 = s.cogenerator()
         if s0 is None:
             raise NotCmc(f"{s!r} is not common multiplicatively closed")
-        return _torsion_part(m, killed_by(m, s0))
+        return killed_by(m, s0)
     prod = D.one
     for g in s.closure_gens:
         prod = D.mul(prod, g)
-    return gamma(Ideal(D, prod), m)
+    return gamma_gens(Ideal(D, prod), m)
+
+
+def tau(s, m):
+    """``tau_S(M)`` with its inclusion and quotient."""
+    return _torsion_part(m, tau_gens(s, m))

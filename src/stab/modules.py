@@ -640,11 +640,12 @@ def hom(m, n):
     return HomSpace(m, n)
 
 
-def hom_induced(f, n):
-    """Precomposition ``Hom(L, N) -> Hom(K, N)`` for ``f : K -> L``; one Hom
-    space serves both ends when ``K`` and ``L`` share a presentation."""
-    hl = HomSpace(f.target, n)
-    hk = hl if f.source.relations == f.target.relations else HomSpace(f.source, n)
+def hom_induced(f, n, hk=None):
+    """Precomposition ``Hom(L, N) -> Hom(K, N)`` for ``f : K -> L``; ``hk`` is
+    ``Hom(K, N)`` when the caller has built it.  One Hom space serves both
+    ends when ``K`` and ``L`` share a presentation."""
+    hk = HomSpace(f.source, n) if hk is None else hk
+    hl = hk if f.source.relations == f.target.relations else HomSpace(f.target, n)
     cols = [hk.coords(g.compose(f)) for g in hl.generators()]
     return Morphism(hl.module, hk.module, Mat.from_cols(f.source.domain, cols, len(hk.pairs)))
 

@@ -16,6 +16,7 @@ reports.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from contextlib import contextmanager
 from typing import NamedTuple, Optional
 
@@ -442,18 +443,30 @@ def _check_expect(sc, result, artin_d):
 
 
 def _report_cells(D, rows):
-    """Each row's invariant factors (a ``"0"`` per free summand) and depth,
-    rendered once for both reports."""
-    return tuple((("0",) * row.value.rank + tuple(map(D.elem_str, row.value.factors)),
-                  _depth_str(row.depth_value)) for row in rows)
+    """Each row's invariant factors (a ``"0"`` per free summand), ``Ass``
+    strings and depth, rendered once for both reports; a row whose value,
+    primes and depth are the previous row's, as a reused row's are, shares
+    that row's cells."""
+    cells = []
+    for i, row in enumerate(rows):
+        cells.append(cells[-1] if i and row[1:] == rows[i - 1][1:] else (
+            ("0",) * row.value.rank + tuple(map(D.elem_str, row.value.factors)),
+            tuple(map(repr, row.ass_set)), _depth_str(row.depth_value)))
+    return tuple(cells)
+
+
+def _rendered(outcome, render):
+    """``(n, render(*cells))`` per row, rendering each run of shared cells once."""
+    last = text = None
+    for row, cells in zip(outcome.result.rows, outcome.cells):
+        if cells is not last:
+            last, text = cells, render(*cells)
+        yield row.n, text
 
 
 def report_csv(sc, outcome):
-    lines = ["n,invariant_factors,ass,depth"]
-    for row, (factors, depth) in zip(outcome.result.rows, outcome.cells):
-        ass_cell = ";".join(repr(p) for p in row.ass_set)
-        lines.append(f"{row.n},{';'.join(factors)},{ass_cell},{depth}")
-    return "\n".join(lines) + "\n"
+    tails = _rendered(outcome, lambda f, a, d: f"{';'.join(f)},{';'.join(a)},{d}")
+    return "".join(["n,invariant_factors,ass,depth\n", *(f"{n},{t}\n" for n, t in tails)])
 
 
 def _report_verdict(report):
@@ -463,18 +476,27 @@ def _report_verdict(report):
             "window": report.window}
 
 
+def _json_strs(strs):
+    return "[\n        " + ",\n        ".join(map(_quote, strs)) + "\n      ]" if strs else "[]"
+
+
+def _json_row_prefix(factors, ass, depth):
+    # A row object as ``json.dumps`` lays it out, in sorted key order up to ``n``.
+    return (f'    {{\n      "ass": {_json_strs(ass)},\n      "depth": {_quote(depth)},\n'
+            f'      "invariant_factors": {_json_strs(factors)},\n      "n": ')
+
+
 def report_json(sc, outcome):
-    D = sc.domain
-    rows = []
-    for row, (factors, depth) in zip(outcome.result.rows, outcome.cells):
-        rows.append({"n": row.n, "invariant_factors": factors,
-                     "ass": row.ass_set.to_json(), "depth": depth})
+    """``json.dumps(doc, indent=2, sort_keys=True)`` and a newline.  The rows,
+    rendered with json's C string encoder, replace a ``"rows": []`` that only
+    the key can match, as a quote inside a JSON string is escaped."""
+    rows = [f"{prefix}{n}\n    }}" for n, prefix in _rendered(outcome, _json_row_prefix)]
     doc = {
         "name": sc.name,
-        "backend": D.descriptor(),
+        "backend": sc.domain.descriptor(),
         "horizon": outcome.horizon,
         "window": outcome.window,
-        "rows": rows,
+        "rows": [],
         "ass_verdict": _report_verdict(outcome.result.ass_report),
         "depth_verdict": _report_verdict(outcome.result.depth_report),
         "artin_rees_d": outcome.artin_d,
@@ -482,4 +504,7 @@ def report_json(sc, outcome):
         "expect_ok": outcome.expect_ok if sc.expect is not None else None,
         "expect_failures": list(outcome.expect_failures),
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    if rows:
+        text = text.replace('"rows": []', '"rows": [\n' + ",\n".join(rows) + "\n  ]", 1)
+    return text + "\n"

@@ -7,12 +7,15 @@ constructions keep the direct, separately built forms of code the library
 now shares, and differential tests compare the two.
 """
 
+import json
 import math
 from itertools import product
 
+from stab.domains import _is_probable_prime, _pollard_rho
 from stab.invariants import DEPTH_INF, AssSet
 from stab.matrices import Mat, _pivots
-from stab.modules import FpModule, Ideal, Morphism, sub_equal, sub_intersect, tensor_mor
+from stab.modules import (FpModule, HomSpace, Ideal, Morphism, sub_equal, sub_intersect,
+                          tensor_mor)
 from stab.functors import homology_at, SkeletonFormError
 
 
@@ -684,3 +687,99 @@ def quotient_scan_reference(domain, rank, factors, g, ns, kind="identity", fixed
         ass_gens |= {p for p in primes if any(D.divides(p, q) for q in powers)}
         rows.append((r, powers, ass_gens, None if j is None else depth_over(D, r, powers, j)))
     return rows, primes
+
+
+# Integer factoring as it stripped the trial primes before valuations by
+# squaring: one ``n //= p`` per unit of multiplicity.
+
+def valuation_reference(n, p):
+    """``(v, n // p^v)`` for the multiplicity ``v`` of ``p`` in ``n != 0``."""
+    v = 0
+    while n % p == 0:
+        v, n = v + 1, n // p
+    return v, n
+
+
+def factor_int_reference(n):
+    """``{p: e}`` for ``n >= 1``, dividing out 2, 3, 5, 7, 11 and 13 one at a
+    time, then splitting the rest with the library's primality test and rho."""
+    factors = {}
+    for p in (2, 3, 5, 7, 11, 13):
+        if n % p == 0:
+            factors[p], n = valuation_reference(n, p)
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if _is_probable_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+            continue
+        d = _pollard_rho(m)
+        stack += [d, m // d]
+    return factors
+
+
+# The functor-layer constructions as they were before each value and map was
+# built once: the torsion quotient read off the whole torsion part, and a
+# coherent map whose values build their own Hom spaces.
+
+def torsion_quotient_reference(split, subset, n):
+    """``N`` modulo its torsion part, as the cokernel of the part's inclusion
+    in ``split(subset, N)`` (:func:`~stab.invariants.gamma` or ``tau``)."""
+    return split(subset, n).include.cokernel()[0]
+
+
+def coherent_map_reference(functor, g):
+    """``F(g)`` for a coherent ``F``: the push on ``Hom(K, -)`` between the
+    values ``F`` evaluates afresh at both ends."""
+    k = functor.presenting.source
+    ha, hb = HomSpace(k, g.source), HomSpace(k, g.target)
+    cols = [hb.coords(g.compose(u)) for u in ha.generators()]
+    mat = Mat.from_cols(k.domain, cols, len(hb.pairs))
+    return Morphism(functor(g.source), functor(g.target), mat)
+
+
+# The reports as one ``json.dumps`` call and a CSV loop, each row's cells
+# rendered afresh from its value, primes and depth.
+
+def _report_rows_reference(domain, rows):
+    for row in rows:
+        depth = row.depth_value
+        depth = "" if depth is None else "inf" if depth == DEPTH_INF else str(int(depth))
+        factors = ["0"] * row.value.rank + [domain.elem_str(a) for a in row.value.factors]
+        yield row.n, factors, [repr(p) for p in row.ass_set], depth
+
+
+def report_csv_reference(sc, outcome):
+    lines = ["n,invariant_factors,ass,depth"]
+    for n, factors, ass, depth in _report_rows_reference(sc.domain, outcome.result.rows):
+        lines.append(f"{n},{';'.join(factors)},{';'.join(ass)},{depth}")
+    return "\n".join(lines) + "\n"
+
+
+def _verdict_reference(report):
+    if report is None:
+        return None
+    return {"status": report.status, "n0": report.n0, "period": report.period,
+            "window": report.window}
+
+
+def report_json_reference(sc, outcome):
+    rows = [{"n": n, "invariant_factors": factors, "ass": ass, "depth": depth}
+            for n, factors, ass, depth in _report_rows_reference(sc.domain,
+                                                                 outcome.result.rows)]
+    doc = {
+        "name": sc.name,
+        "backend": sc.domain.descriptor(),
+        "horizon": outcome.horizon,
+        "window": outcome.window,
+        "rows": rows,
+        "ass_verdict": _verdict_reference(outcome.result.ass_report),
+        "depth_verdict": _verdict_reference(outcome.result.depth_report),
+        "artin_rees_d": outcome.artin_d,
+        "annihilator_checks": outcome.result.ann_checks,
+        "expect_ok": outcome.expect_ok if sc.expect is not None else None,
+        "expect_failures": list(outcome.expect_failures),
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -1,10 +1,11 @@
 import copy
 import itertools
+import math
 import pickle
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stab import domains
 from stab.domains import ZZ, poly_ring, BackendMismatch, ZeroInputError, FACTOR_MEMO_BOUND
@@ -138,6 +139,39 @@ def test_factor_product_of_primes_property(primes):
         assert domains._is_probable_prime(p)
         prod *= p**e
     assert prod == n
+
+
+# Valuations by squaring strip each trial prime in O(log v) divisions; they
+# must agree with one ``n //= p`` per unit of multiplicity, the reference.
+
+TRIAL_PRIMES = (2, 3, 5, 7, 11, 13)
+LARGE_PRIMES = (17, 2**31 - 1, 2**61 - 1, 2**89 - 1, 2**127 - 1)
+
+
+@st.composite
+def trial_prime_products(draw):
+    """Products of trial-prime powers, each small or above 2,000 bits, and at
+    most one large prime (a cofactor rho would split slowly is avoided)."""
+    n = 1
+    for p in draw(st.lists(st.sampled_from(TRIAL_PRIMES), unique=True, max_size=6)):
+        least = math.ceil(2001 / math.log2(p))  # p^least has over 2,000 bits
+        n *= p ** draw(st.integers(0, 40) | st.integers(least, least + 70))
+    return n * draw(st.sampled_from((1,) + LARGE_PRIMES))
+
+
+@given(trial_prime_products())
+@example(1)
+@example(2 ** 2001)
+@example(13 ** 541 * (2**127 - 1))
+@example(2 ** 2047 * 3 ** 1263 * 5 ** 1023 * 7 ** 800 * 11 ** 600 * 13 ** 541)
+@settings(max_examples=200, deadline=None)
+def test_factor_int_strips_trial_primes_as_the_reference(n):
+    # Each valuation on its own, as a short one would leave a trial-prime
+    # power for the rest of the factoring to find.
+    for p in TRIAL_PRIMES:
+        if n % p == 0:
+            assert domains._valuation(n, p) == oracles.valuation_reference(n, p)
+    assert domains._factor_int(n) == oracles.factor_int_reference(n)
 
 
 # The least strong pseudoprime to every prime base up to 37, and its factors.

@@ -9,7 +9,7 @@ from stab.domains import ZZ, poly_ring
 from stab.matrices import Mat
 from stab.modules import (FpModule, Morphism, Ideal, HomSpace, DomainViolation, hom_induced,
                           sub_contains)
-from stab.invariants import CmcSet, ass, ann, gamma, ann_contains
+from stab.invariants import CmcSet, ass, ann, gamma, tau, ann_contains
 from stab.functors import (IdentityFunctor, HomFrom, CoherentFunctor,
                            ComplexHomology, GammaFunctor, ModGamma, TauFunctor,
                            ModTau, MiddleFiniteFunctor,
@@ -20,7 +20,8 @@ from stab.functors import (IdentityFunctor, HomFrom, CoherentFunctor,
 from stab.laws import (check_functor_laws, random_module, random_morphism,
                        random_torsion_module)
 from oracles import (cyclic_hom_oracle, cyclic_ext_oracle, complex_homology_reference,
-                     TensoredComplexHomologyReference, skeleton_pairs_reference)
+                     TensoredComplexHomologyReference, skeleton_pairs_reference,
+                     torsion_quotient_reference, coherent_map_reference)
 
 F2 = poly_ring(2)
 F5 = poly_ring(5)
@@ -113,16 +114,22 @@ def test_sub_contains_agrees_with_a_stacked_solve(case):
     assert sub_contains(m, a, b) == (a.hstack(m.relations).solve(b) is not None)
 
 
+def _mixed(D, m, draw):
+    """``m``, or ``m`` on a changed generating set, so that its presentation
+    is not diagonal."""
+    if m.ambient >= 2 and draw(st.booleans()):
+        mix = Mat.identity(D, m.ambient).data
+        mix = Mat(D, [mix[0], tuple(map(D.add, mix[0], mix[1])), *mix[2:]])
+        m = FpModule(D, m.ambient, mix @ m.relations)
+    return m
+
+
 @st.composite
 def hom_from_cases(draw):
     D = draw(st.sampled_from([ZZ, F2, F5]))
     rng = draw(st.randoms(use_true_random=False))
-    m = FpModule.zero(D) if draw(st.integers(0, 3)) == 0 else random_module(D, rng)
-    if m.ambient >= 2 and draw(st.booleans()):
-        # A change of generators, so that the presentation is not diagonal.
-        mix = Mat.identity(D, m.ambient).data
-        mix = Mat(D, [mix[0], tuple(map(D.add, mix[0], mix[1])), *mix[2:]])
-        m = FpModule(D, m.ambient, mix @ m.relations)
+    m = _mixed(D, FpModule.zero(D) if draw(st.integers(0, 3)) == 0 else random_module(D, rng),
+               draw)
     n, n2 = random_module(D, rng), random_module(D, rng)
     return m, random_morphism(n, n2, rng)
 
@@ -602,3 +609,90 @@ def test_exponent_set_membership():
     assert 5 in s and 2 in s and 8 in s and 11 in s
     assert 3 not in s and 1 not in s
     assert 4 not in s
+
+
+# -- each value and map built once ---------------------------------------------
+# ``ModGamma`` and ``ModTau`` take ``N/<gens>`` without presenting the torsion
+# part, and a coherent map reads both values off the Hom spaces it pushes
+# between; each must equal the construction it replaced.
+
+@st.composite
+def torsion_quotient_cases(draw):
+    """A quotient functor at a zero, unit or small ideal, an explicit set
+    made cmc by adding the product of its members, or a closure; and a
+    morphism between random modules with up to two free summands."""
+    D = draw(st.sampled_from([ZZ, F2, F5]))
+    rng = draw(st.randoms(use_true_random=False))
+    elems = st.lists(_elems(D).filter(lambda a: not D.is_zero(a)), min_size=1, max_size=3)
+    kind = draw(st.sampled_from(["gamma", "explicit", "closure"]))
+    if kind == "gamma":
+        functor, split, subset = ModGamma, gamma, Ideal(D, draw(_elems(D)))
+    else:
+        members = draw(elems)
+        if kind == "explicit":
+            prod = D.one
+            for a in members:
+                prod = D.mul(prod, a)
+            subset = CmcSet.explicit(D, members + [prod])
+        else:
+            subset = CmcSet.closure(D, members)
+        functor, split = ModTau, tau
+    n = _mixed(D, random_module(D, rng, max_rank=2), draw)
+    g = random_morphism(n, random_module(D, rng, max_rank=2), rng)
+    return functor(subset), split, subset, g
+
+
+@given(torsion_quotient_cases())
+@settings(max_examples=150, deadline=None)
+def test_torsion_quotients_match_the_quotient_of_the_whole_part(case):
+    functor, split, subset, g = case
+    for n in (g.source, g.target):
+        assert functor(n).relations == torsion_quotient_reference(split, subset, n).relations
+    mapped = functor.map(g)
+    assert mapped.mat == g.mat
+    assert mapped.source.relations == functor(g.source).relations
+    assert mapped.target.relations == functor(g.target).relations
+
+
+@st.composite
+def coherent_map_cases(draw):
+    """A coherent functor presented by a random ``f : K -> L`` (``L`` zero for
+    ``Hom(K, -)``, a free presentation for ``Ext^1``), and a random map."""
+    D = draw(st.sampled_from([ZZ, F2, F5]))
+    rng = draw(st.randoms(use_true_random=False))
+    k = _mixed(D, random_module(D, rng), draw)
+    kind = draw(st.sampled_from(["hom", "ext1", "user"]))
+    if kind == "hom":
+        functor = HomFrom(k)
+    elif kind == "ext1":
+        functor = ext_functor(k, 1)
+    else:
+        functor = CoherentFunctor(random_morphism(k, random_module(D, rng), rng))
+    n = random_module(D, rng)
+    return functor, random_morphism(n, random_module(D, rng), rng)
+
+
+def _same_morphism(f, g):
+    return (f.source.relations == g.source.relations and f.mat == g.mat
+            and f.target.relations == g.target.relations)
+
+
+@given(coherent_map_cases())
+@settings(max_examples=100, deadline=None)
+def test_coherent_map_matches_the_reference(case):
+    functor, g = case
+    assert _same_morphism(functor.map(g), coherent_map_reference(functor, g))
+
+
+@pytest.mark.parametrize("functor", [HomFrom(cyc(6)), ext_functor(cyc(6), 1)],
+                         ids=["hom_from", "ext1"])
+def test_coherent_map_builds_each_hom_space_once(monkeypatch, functor):
+    source, target = R.direct_sum(cyc(4)), R.direct_sum(cyc(8))
+    g = Morphism(source, target, Mat(ZZ, [[1, 0], [0, 2]]))
+    expected = coherent_map_reference(functor, g)
+    built, init = [], HomSpace.__init__
+    monkeypatch.setattr(HomSpace, "__init__",
+                        lambda self, a, b: built.append(b) or init(self, a, b))
+    mapped = functor.map(g)
+    assert built == [source, target]
+    assert _same_morphism(mapped, expected)
