@@ -8,7 +8,8 @@ isomorphism testing, tensor products, Hom modules, and kernels/cokernels.
 """
 
 from stab import ZZ, Mat, FpModule, Morphism, Ideal
-from stab.modules import hom, hom_induced, loc_tensor
+from stab.modules import HomSpace, hom_induced, loc_tensor
+from stab.scan import Layers
 
 # coker of a relation matrix: Z^2 / <(2,6), (4,8)> = Z/2 (+) Z/4.
 M = FpModule.from_relations(ZZ, [[2, 4], [6, 8]])
@@ -22,7 +23,7 @@ print("Z/4 (x) Z/6:", Z4.tensor(Z6).decompose())         # Z/2
 print("R (x) M iso to M:", R.tensor(M).is_isomorphic_to(M))
 
 # Hom(Z/6, Z/4) = Z/2, realized by an actual morphism (multiplication by 2).
-H = hom(Z6, Z4)
+H = HomSpace(Z6, Z4)
 print("Hom(Z/6, Z/4):", H.module.decompose())
 gen = H.generators()[0]
 print("its generator sends 1 to", gen.mat.data[0][0], "in Z/4")
@@ -30,7 +31,7 @@ print("its generator sends 1 to", gen.mat.data[0][0], "in Z/4")
 # Precomposition: Hom(R, Z/4) --(.2)--> Hom(R, Z/4) is multiplication by 2.
 doubling = Morphism(R, R, Mat(ZZ, [[2]]))
 print("induced map is *2:",
-      hom_induced(doubling, Z4).equals(Morphism.mult_by(2, hom(R, Z4).module)))
+      hom_induced(doubling, Z4).equals(Morphism.mult_by(2, HomSpace(R, Z4).module)))
 
 # Kernels, cokernels, images of a morphism of presentations.
 f = Morphism.mult_by(2, Z4)
@@ -46,7 +47,7 @@ print("(4Z + 8Z)/16Z:", sq.decompose())
 # M/I^n M and the layers I^(n-1) M / I^n M.
 big = R.direct_sum(FpModule.cyclic(ZZ, 8))
 print("M/I^5 M for M = Z (+) Z/8:", big.power_quotient(I, 5).decompose())
-print("layer at n=3 for M = Z:", R.power_layer(I, 3).decompose())
+print("layer at n=3 for M = Z:", Layers(R, I).generate(3).decompose())
 
 # Inverting an element kills the matching primary part of a torsion module.
 print("R[1/2] (x) Z/12:", loc_tensor(R, 2, FpModule.cyclic(ZZ, 12)).decompose())

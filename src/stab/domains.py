@@ -51,7 +51,7 @@ import math
 import random
 import sys
 from array import array
-from itertools import zip_longest
+from itertools import compress, zip_longest
 
 
 FACTOR_MEMO_BOUND = 1024
@@ -617,10 +617,8 @@ class PolyOverFp(_Backend):
         if not a:
             return "0"
         terms = []
-        for i in range(len(a) - 1, -1, -1):
+        for i in reversed(list(compress(range(len(a)), a))):
             c = a[i]
-            if c == 0:
-                continue
             if i == 0:
                 terms.append(str(c))
             elif i == 1:

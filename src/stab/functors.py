@@ -11,8 +11,9 @@ Variants:
   homology of ``0 -> R -> R[1/g]``; :class:`ComplexHomology` is the
   middle-finite functor of a complex of finitely presented modules with plain
   ends, and houses ``Tor_i(M, -)`` through a free resolution;
-* ``Gamma_I``, ``tau_S`` and their quotient companions, which share one body
-  for the torsion part and one for the quotient;
+* ``Gamma_I`` and ``tau_S``, which restrict maps through the inclusions that
+  :func:`gamma` and :func:`tau` return, and their quotient companions, the
+  only builders of ``N/<gens>``;
 * the oscillating functor on the skeleton of finite torsion modules, with
   per-prime exponent sets.
 
@@ -139,13 +140,8 @@ def tor_functor(m, i=1):
 
 
 class _TorsionSplitFunctor(Functor):
-    """A functor of the torsion part of ``N`` at ``subset``.
-
-    The part functors set ``split`` to :func:`gamma` or :func:`tau`, which
-    build a :class:`TorsionPart`; the quotient functors set ``gens`` to
-    :func:`gamma_gens` or :func:`tau_gens`, the part's generators.  Each sets
-    ``label`` to the name shown before the subset.
-    """
+    """A functor of the torsion part of ``N`` at ``subset``; subclasses set
+    ``label``, the name shown before the subset."""
 
     def __init__(self, subset):
         self.subset = subset
@@ -155,19 +151,20 @@ class _TorsionSplitFunctor(Functor):
 
 
 class _TorsionPartFunctor(_TorsionSplitFunctor):
-    """The torsion part; maps restrict to it."""
+    """The part of :func:`gamma` or :func:`tau`; maps restrict to it."""
 
     def __call__(self, n):
-        return self.split(self.subset, n).part
+        return self.split(self.subset, n)[0]
 
     def map(self, g):
-        a, b = self.split(self.subset, g.source), self.split(self.subset, g.target)
-        return g.compose(a.include).factor_through(b.include)
+        include_a = self.split(self.subset, g.source)[1]
+        include_b = self.split(self.subset, g.target)[1]
+        return g.compose(include_a).factor_through(include_b)
 
 
 class _TorsionQuotientFunctor(_TorsionSplitFunctor):
-    """``N/<gens>``, the quotient by the torsion part without the part's own
-    presentation; maps keep their matrix."""
+    """``N/<gens>``, the only builder of ``N/Gamma_I(N)`` and ``N/tau_S(N)``;
+    maps keep their matrix."""
 
     def __call__(self, n):
         return n.quotient(self.gens(self.subset, n))

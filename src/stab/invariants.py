@@ -1,6 +1,7 @@
 """Module invariants over a Euclidean backend: associated primes, annihilator,
-depth, the local-torsion functor values Gamma_I and tau_S, and the
-common-multiplicatively-closed predicate and cogenerator of element sets.
+depth, the local-torsion parts Gamma_I(M) and tau_S(M) as submodules with
+their inclusions, and the common-multiplicatively-closed predicate and
+cogenerator of element sets.
 
 Over these one-dimensional backends an associated-prime set consists of the
 zero ideal (iff the module has free rank) plus one prime ideal for every
@@ -14,9 +15,7 @@ families well-defined.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .modules import FpModule, Morphism, Ideal, DomainViolation, killed_by, torsion_gens
+from .modules import Ideal, DomainViolation, killed_by, torsion_gens
 
 DEPTH_INF = float("inf")
 
@@ -129,22 +128,6 @@ def depth(j, m, primes=None):
     return DEPTH_INF
 
 
-class TorsionPart(NamedTuple):
-    """A torsion-part computation: submodule, inclusion, quotient, projection."""
-
-    part: FpModule
-    include: Morphism
-    quotient: FpModule
-    project: Morphism
-
-
-def _torsion_part(m, gens):
-    """The submodule of ``m`` spanned by ``gens``, and the quotient by it."""
-    part, incl = m.submodule(gens)
-    quot, proj = incl.cokernel()
-    return TorsionPart(part, incl, quot, proj)
-
-
 def gamma_gens(i, m):
     """Ambient columns generating ``Gamma_I(M)``, the elements killed by a
     power of I (:func:`~stab.modules.torsion_gens`; I = 0 kills everything)."""
@@ -152,8 +135,8 @@ def gamma_gens(i, m):
 
 
 def gamma(i, m):
-    """``Gamma_I(M)`` with its inclusion and quotient."""
-    return _torsion_part(m, gamma_gens(i, m))
+    """``(Gamma_I(M), include)``, the part and its inclusion into ``M``."""
+    return m.submodule(gamma_gens(i, m))
 
 
 class CmcSet:
@@ -264,5 +247,5 @@ def tau_gens(s, m):
 
 
 def tau(s, m):
-    """``tau_S(M)`` with its inclusion and quotient."""
-    return _torsion_part(m, tau_gens(s, m))
+    """``(tau_S(M), include)``, the part and its inclusion into ``M``."""
+    return m.submodule(tau_gens(s, m))

@@ -290,15 +290,6 @@ class FpModule:
             raise ValueError("n must be nonnegative")
         return self.quotient(Mat.scalar(self.domain, self.ambient, ideal.power_gen(n)))
 
-    def power_layer(self, ideal, n):
-        """``I^(n-1) M / I^n M`` for n >= 1."""
-        if n < 1:
-            raise ValueError("layers need n >= 1")
-        D = self.domain
-        gens = Mat.identity(D, self.ambient)
-        scaled = Mat.scalar(D, self.ambient, ideal.gen)
-        return self.subquotient(Mat.zero(D, self.ambient, 0), gens, scaled, ideal, n - 1)
-
     def subquotient(self, u, v, w, ideal, n):
         """``(<U> + I^n <V>) / I^n <W>`` inside this module; requires W inside V.
 
@@ -543,7 +534,7 @@ class HomSpace:
     factor, then free summands).
 
     >>> from stab.domains import ZZ
-    >>> H = hom(FpModule.cyclic(ZZ, 6), FpModule.cyclic(ZZ, 4))
+    >>> H = HomSpace(FpModule.cyclic(ZZ, 6), FpModule.cyclic(ZZ, 4))
     >>> H.module.decompose()
     (0, [2])
     """
@@ -634,10 +625,6 @@ def _diag_module(domain, anns):
     """One generator per entry of ``anns``, killed by it (zero entries stay free)."""
     entries = [(i, a) for i, a in enumerate(anns) if not domain.is_zero(a)]
     return FpModule(domain, len(anns), Mat.monomial(domain, len(anns), entries))
-
-
-def hom(m, n):
-    return HomSpace(m, n)
 
 
 def hom_induced(f, n, hk=None):

@@ -193,6 +193,24 @@ def poly_mul_schoolbook(p, a, b):
     return _trim(tuple(out))
 
 
+def poly_elem_str_reference(a):
+    """A GF(p)[x] element as text, walking every coefficient from the top."""
+    if not a:
+        return "0"
+    terms = []
+    for i in range(len(a) - 1, -1, -1):
+        c = a[i]
+        if c == 0:
+            continue
+        if i == 0:
+            terms.append(str(c))
+        elif i == 1:
+            terms.append("x" if c == 1 else f"{c}x")
+        else:
+            terms.append(f"x^{i}" if c == 1 else f"{c}x^{i}")
+    return "+".join(terms)
+
+
 def poly_add_reference(p, a, b):
     n = max(len(a), len(b))
     a, b = a + (0,) * (n - len(a)), b + (0,) * (n - len(b))
@@ -721,13 +739,30 @@ def factor_int_reference(n):
 
 
 # The functor-layer constructions as they were before each value and map was
-# built once: the torsion quotient read off the whole torsion part, and a
-# coherent map whose values build their own Hom spaces.
+# built once: the torsion part with its quotient and projection, the torsion
+# quotient read off the whole part, and a coherent map whose values build
+# their own Hom spaces.
 
-def torsion_quotient_reference(split, subset, n):
-    """``N`` modulo its torsion part, as the cokernel of the part's inclusion
-    in ``split(subset, N)`` (:func:`~stab.invariants.gamma` or ``tau``)."""
-    return split(subset, n).include.cokernel()[0]
+def torsion_part_reference(gens, subset, n):
+    """``(part, include, quotient, project)`` for the torsion part of ``N``
+    spanned by ``gens(subset, N)`` (:func:`~stab.invariants.gamma_gens` or
+    ``tau_gens``): the submodule, then the cokernel of its inclusion."""
+    part, include = n.submodule(gens(subset, n))
+    quotient, project = include.cokernel()
+    return part, include, quotient, project
+
+
+def torsion_part_map_reference(gens, subset, g):
+    """``g`` restricted to the torsion parts of its ends: ``g`` after the
+    source part's inclusion, factored through the target part's."""
+    include_a = torsion_part_reference(gens, subset, g.source)[1]
+    include_b = torsion_part_reference(gens, subset, g.target)[1]
+    return g.compose(include_a).factor_through(include_b)
+
+
+def torsion_quotient_reference(gens, subset, n):
+    """``N`` modulo its torsion part, the cokernel of the part's inclusion."""
+    return torsion_part_reference(gens, subset, n)[2]
 
 
 def coherent_map_reference(functor, g):
@@ -783,3 +818,100 @@ def report_json_reference(sc, outcome):
         "expect_failures": list(outcome.expect_failures),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# Finite modules over Z and GF(2)[x] by enumeration, sharing no code with the
+# library's arithmetic or normal forms.  A module killed by ``e`` is the box
+# ``(R/e)^k`` modulo the subgroup ``H`` that its relation columns generate.
+# A residue mod ``e`` is an int: over Z the residue itself, over GF(2)[x] a
+# bit mask whose bit i is the coefficient of x^i, with carry-less products.
+
+def _gf2_mask(a):
+    return sum(c << i for i, c in enumerate(a))
+
+
+def _gf2_mul(a, b):
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a, b = a << 1, b >> 1
+    return out
+
+
+def _gf2_mod(a, e):
+    while a.bit_length() >= e.bit_length():
+        a ^= e << (a.bit_length() - e.bit_length())
+    return a
+
+
+class EnumeratedModule:
+    """``M``, killed by ``e``, as the vectors of ``(R/e)^k`` and the subgroup
+    ``H`` of those that are zero in ``M``, closed by breadth-first search from
+    zero: add a relation column, or (over GF(2)[x]) multiply by x.  Both steps
+    stay in the submodule, and by Horner's rule they reach all of it."""
+
+    def __init__(self, module, e):
+        D = module.domain
+        self.integers = D.kind == "integers"
+        assert self.integers or D.p == 2
+        self.e = abs(e) if self.integers else _gf2_mask(e)
+        size = self.e if self.integers else 1 << (self.e.bit_length() - 1)
+        self.box = list(product(range(size), repeat=module.ambient))
+        rel = module.relations
+        cols = [tuple(self.residue(rel.data[i][j]) for i in range(rel.rows))
+                for j in range(rel.cols)]
+        steps = [lambda v, c=c: self.add(v, c) for c in cols]
+        if not self.integers:
+            steps.append(lambda v: self.scale(0b10, v))
+        zero = (0,) * module.ambient
+        self.zero_set, frontier = {zero}, [zero]
+        while frontier:
+            fresh = {step(v) for v in frontier for step in steps} - self.zero_set
+            self.zero_set |= fresh
+            frontier = fresh
+
+    def residue(self, a):
+        return a % self.e if self.integers else _gf2_mod(_gf2_mask(a), self.e)
+
+    def add(self, v, w):
+        if self.integers:
+            return tuple((x + y) % self.e for x, y in zip(v, w))
+        return tuple(x ^ y for x, y in zip(v, w))
+
+    def scale(self, c, v):
+        """``c v`` for a residue ``c``."""
+        if self.integers:
+            return tuple(c * x % self.e for x in v)
+        return tuple(_gf2_mod(_gf2_mul(c, x), self.e) for x in v)
+
+    def killed(self, killers):
+        """The vectors ``v`` with ``c v`` in ``H`` for some ring element ``c``
+        of ``killers``: the lift of the part they kill."""
+        cs = [self.residue(c) for c in killers]
+        return {v for v in self.box if any(self.scale(c, v) in self.zero_set for c in cs)}
+
+    def counts(self, lift, zero, powers):
+        """``|L/Z|`` and, per ring element ``q`` of ``powers``, the number of
+        classes of ``L/Z`` that ``q`` kills, for lifts ``Z <= L`` of
+        submodules of ``M`` given as vector sets."""
+        qs = [self.residue(q) for q in powers]
+        killed = [sum(self.scale(q, v) in zero for v in lift) for q in qs]
+        return len(lift) // len(zero), [k // len(zero) for k in killed]
+
+
+def invariant_counts(domain, factors, powers):
+    """``|M|`` and, per ring element ``q`` of ``powers``, the number of
+    elements of ``M = (+) R/(d)`` killed by ``q``: ``|R/gcd(d, q)|`` per
+    summand.  Over Z or GF(2)[x] only, with no free rank."""
+    if domain.kind == "integers":
+        def norm_of_gcd(d, q):
+            return math.gcd(d, q)
+    else:
+        def norm_of_gcd(d, q):
+            a, b = _gf2_mask(d), _gf2_mask(q)
+            while b:
+                a, b = b, _gf2_mod(a, b)
+            return 1 << (a.bit_length() - 1)
+    order = math.prod(norm_of_gcd(d, d) for d in factors)
+    return order, [math.prod(norm_of_gcd(d, q) for d in factors) for q in powers]

@@ -337,6 +337,35 @@ def test_element_serialization_roundtrip():
     assert F5.elem_str((1, 0, 2)) == "2x^2+1"
 
 
+@st.composite
+def sparse_polys(draw):
+    """A characteristic and an element: zero, a constant, ``x``, or a few
+    terms at degrees up to 400, so that most coefficients are zero."""
+    p = draw(st.sampled_from([2, 5, 7]))
+    kind = draw(st.sampled_from(["zero", "constant", "x", "sparse"]))
+    if kind == "zero":
+        return p, ()
+    if kind == "constant":
+        return p, (draw(st.integers(1, p - 1)),)
+    if kind == "x":
+        return p, (0, 1)
+    terms = draw(st.dictionaries(st.integers(0, 400), st.integers(1, p - 1),
+                                 min_size=1, max_size=5))
+    coeffs = [0] * (max(terms) + 1)
+    for i, c in terms.items():
+        coeffs[i] = c
+    return p, tuple(coeffs)
+
+
+@given(sparse_polys())
+@settings(max_examples=300, deadline=None)
+@example((2, (0,) * 200 + (1,)))
+@example((7, (6, 6, 0, 1)))
+def test_poly_elem_str_matches_the_dense_loop(case):
+    p, a = case
+    assert poly_ring(p).elem_str(a) == oracles.poly_elem_str_reference(a)
+
+
 # Differential tests of GF(p)[x] arithmetic against the reference loops in
 # ``oracles``, at degrees up to 300.  These characteristics cover one-, two-
 # and eight-byte packing slots and, at 2^31 - 1, the schoolbook product for

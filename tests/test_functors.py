@@ -9,7 +9,7 @@ from stab.domains import ZZ, poly_ring
 from stab.matrices import Mat
 from stab.modules import (FpModule, Morphism, Ideal, HomSpace, DomainViolation, hom_induced,
                           sub_contains)
-from stab.invariants import CmcSet, ass, ann, gamma, tau, ann_contains
+from stab.invariants import CmcSet, ass, ann, gamma, gamma_gens, tau, tau_gens, ann_contains
 from stab.functors import (IdentityFunctor, HomFrom, CoherentFunctor,
                            ComplexHomology, GammaFunctor, ModGamma, TauFunctor,
                            ModTau, MiddleFiniteFunctor,
@@ -21,6 +21,7 @@ from stab.laws import (check_functor_laws, random_module, random_morphism,
                        random_torsion_module)
 from oracles import (cyclic_hom_oracle, cyclic_ext_oracle, complex_homology_reference,
                      TensoredComplexHomologyReference, skeleton_pairs_reference,
+                     torsion_part_reference, torsion_part_map_reference,
                      torsion_quotient_reference, coherent_map_reference)
 
 F2 = poly_ring(2)
@@ -362,8 +363,9 @@ def test_gamma_functor_map_restricts():
     assert induced.source.is_isomorphic_to(cyc(4))
     assert induced.target.is_isomorphic_to(cyc(8))
     # composing with inclusions commutes
-    ga, gb = gamma(I2, f.source), gamma(I2, f.target)
-    assert gb.include.compose(induced).equals(f.compose(ga.include))
+    _, include_a = gamma(I2, f.source)
+    _, include_b = gamma(I2, f.target)
+    assert include_b.compose(induced).equals(f.compose(include_a))
 
 
 def test_middle_finite_matches_gamma_on_torsion_corpus():
@@ -461,7 +463,7 @@ def test_middle_finite_poly_backend():
     mf = gamma_as_middle_finite(ideal)
     n = FpModule.from_invariants(F2, 0, [F2.mul(F2.mul(x, x), (1, 1))])
     got = mf(n)
-    want = gamma(ideal, n).part
+    want = gamma(ideal, n)[0]
     assert got.is_isomorphic_to(want)
 
 
@@ -612,21 +614,27 @@ def test_exponent_set_membership():
 
 
 # -- each value and map built once ---------------------------------------------
-# ``ModGamma`` and ``ModTau`` take ``N/<gens>`` without presenting the torsion
-# part, and a coherent map reads both values off the Hom spaces it pushes
-# between; each must equal the construction it replaced.
+# ``GammaFunctor`` and ``TauFunctor`` take the part of ``gamma`` or ``tau``, a
+# submodule with its inclusion; ``ModGamma`` and ``ModTau`` take ``N/<gens>``
+# without presenting the part; and a coherent map reads both values off the
+# Hom spaces it pushes between.  Each must equal the construction it replaced.
+
+# (part functor, quotient functor, part, generators) per kind of subset.
+TORSION_FUNCTORS = {Ideal: (GammaFunctor, ModGamma, gamma, gamma_gens),
+                    CmcSet: (TauFunctor, ModTau, tau, tau_gens)}
+
 
 @st.composite
-def torsion_quotient_cases(draw):
-    """A quotient functor at a zero, unit or small ideal, an explicit set
-    made cmc by adding the product of its members, or a closure; and a
-    morphism between random modules with up to two free summands."""
+def torsion_cases(draw):
+    """A zero, unit or small ideal, an explicit set made cmc by adding the
+    product of its members, or a closure; and a morphism between random
+    modules with up to two free summands, its source on changed generators."""
     D = draw(st.sampled_from([ZZ, F2, F5]))
     rng = draw(st.randoms(use_true_random=False))
     elems = st.lists(_elems(D).filter(lambda a: not D.is_zero(a)), min_size=1, max_size=3)
     kind = draw(st.sampled_from(["gamma", "explicit", "closure"]))
     if kind == "gamma":
-        functor, split, subset = ModGamma, gamma, Ideal(D, draw(_elems(D)))
+        subset = Ideal(D, draw(_elems(D)))
     else:
         members = draw(elems)
         if kind == "explicit":
@@ -636,22 +644,39 @@ def torsion_quotient_cases(draw):
             subset = CmcSet.explicit(D, members + [prod])
         else:
             subset = CmcSet.closure(D, members)
-        functor, split = ModTau, tau
     n = _mixed(D, random_module(D, rng, max_rank=2), draw)
     g = random_morphism(n, random_module(D, rng, max_rank=2), rng)
-    return functor(subset), split, subset, g
+    return subset, g
 
 
-@given(torsion_quotient_cases())
+@given(torsion_cases())
 @settings(max_examples=150, deadline=None)
 def test_torsion_quotients_match_the_quotient_of_the_whole_part(case):
-    functor, split, subset, g = case
+    subset, g = case
+    _, quotient_functor, _, gens = TORSION_FUNCTORS[type(subset)]
+    functor = quotient_functor(subset)
     for n in (g.source, g.target):
-        assert functor(n).relations == torsion_quotient_reference(split, subset, n).relations
+        assert functor(n).relations == torsion_quotient_reference(gens, subset, n).relations
     mapped = functor.map(g)
     assert mapped.mat == g.mat
     assert mapped.source.relations == functor(g.source).relations
     assert mapped.target.relations == functor(g.target).relations
+
+
+@given(torsion_cases())
+@settings(max_examples=150, deadline=None)
+def test_torsion_parts_match_the_submodule_reference(case):
+    subset, g = case
+    part_functor, _, part_of, gens = TORSION_FUNCTORS[type(subset)]
+    functor = part_functor(subset)
+    for n in (g.source, g.target):
+        part, include = part_of(subset, n)
+        want_part, want_include, _, _ = torsion_part_reference(gens, subset, n)
+        assert part.ambient == want_part.ambient
+        assert part.relations == want_part.relations
+        assert _same_morphism(include, want_include)
+        assert functor(n).relations == want_part.relations
+    assert _same_morphism(functor.map(g), torsion_part_map_reference(gens, subset, g))
 
 
 @st.composite

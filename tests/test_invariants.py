@@ -9,7 +9,9 @@ from stab.matrices import Mat
 from stab.modules import FpModule, Ideal
 from stab.invariants import (AssSet, CmcSet, DEPTH_INF,
                              ass, ann, depth, gamma, tau, NotCmc, ann_contains)
-from oracles import ass_oracle, ass_reference, is_cmc_reference
+from stab.functors import ModGamma, ModTau
+from oracles import (ass_oracle, ass_reference, is_cmc_reference, EnumeratedModule,
+                     invariant_counts)
 
 F2 = poly_ring(2)
 F5 = poly_ring(5)
@@ -196,24 +198,23 @@ def test_depth_definition_edge_cases():
 
 
 def test_gamma_examples():
-    g = gamma(Ideal(ZZ, 2), cyc(12))
-    assert g.part.decompose() == (0, [4])
-    assert g.quotient.decompose() == (0, [3])
-    full = gamma(Ideal(ZZ, 0), cyc(12))
-    assert full.part.is_isomorphic_to(cyc(12))
-    assert full.quotient.is_zero()
-    mixed = gamma(Ideal(ZZ, 2), R.direct_sum(cyc(12)))
-    assert mixed.part.decompose() == (0, [4])
-    assert mixed.quotient.decompose() == (1, [3])
+    assert gamma(Ideal(ZZ, 2), cyc(12))[0].decompose() == (0, [4])
+    assert ModGamma(Ideal(ZZ, 2))(cyc(12)).decompose() == (0, [3])
+    assert gamma(Ideal(ZZ, 0), cyc(12))[0].is_isomorphic_to(cyc(12))
+    assert ModGamma(Ideal(ZZ, 0))(cyc(12)).is_zero()
+    mixed = R.direct_sum(cyc(12))
+    assert gamma(Ideal(ZZ, 2), mixed)[0].decompose() == (0, [4])
+    assert ModGamma(Ideal(ZZ, 2))(mixed).decompose() == (1, [3])
     # unit ideal: no prime contains it, so the torsion part is zero
-    assert gamma(Ideal(ZZ, 1), cyc(12)).part.is_zero()
-    assert gamma(Ideal(ZZ, 2), R).part.is_zero()
+    assert gamma(Ideal(ZZ, 1), cyc(12))[0].is_zero()
+    assert gamma(Ideal(ZZ, 2), R)[0].is_zero()
 
 
 def test_gamma_inclusion_and_projection_compose():
-    g = gamma(Ideal(ZZ, 2), R.direct_sum(cyc(12)))
-    comp = g.project.compose(g.include)
-    assert comp.is_zero()
+    # The quotient kills the part: the inclusion's columns are zero in it.
+    m = R.direct_sum(cyc(12))
+    _, include = gamma(Ideal(ZZ, 2), m)
+    assert ModGamma(Ideal(ZZ, 2))(m).contains(include.mat)
 
 
 def random_module(rng):
@@ -228,10 +229,9 @@ def test_gamma_ass_formulas_randomized():
         m = random_module(rng)
         g = rng.choice([0, 1, 2, 3, 6, 12, 5])
         ideal = Ideal(ZZ, g)
-        res = gamma(ideal, m)
         a = ass(m)
-        assert ass(res.part) == a.restrict_to_v(ideal)
-        assert ass(res.quotient) == a.remove_v(ideal)
+        assert ass(gamma(ideal, m)[0]) == a.restrict_to_v(ideal)
+        assert ass(ModGamma(ideal)(m)) == a.remove_v(ideal)
 
 
 def test_cmc_examples():
@@ -285,20 +285,20 @@ def test_is_cmc_agrees_with_the_pairwise_loop(data):
 
 def test_tau_examples():
     s = CmcSet.explicit(ZZ, [2])
-    res = tau(s, cyc(4))
-    assert res.part.decompose() == (0, [2])
-    assert res.quotient.decompose() == (0, [2])
-    assert ass(res.quotient) == prime_set(2)  # pinned: (2) meets S yet survives
+    assert tau(s, cyc(4))[0].decompose() == (0, [2])
+    quotient = ModTau(s)(cyc(4))
+    assert quotient.decompose() == (0, [2])
+    assert ass(quotient) == prime_set(2)  # pinned: (2) meets S yet survives
 
     # a singleton unit kills nothing
-    assert tau(CmcSet.explicit(ZZ, [1]), cyc(4)).part.is_zero()
+    assert tau(CmcSet.explicit(ZZ, [1]), cyc(4))[0].is_zero()
     # a unit in S does not flatten tau: {1, 2} still catches 2-torsion
-    assert tau(CmcSet.explicit(ZZ, [1, 2]), cyc(4)).part.decompose() == (0, [2])
+    assert tau(CmcSet.explicit(ZZ, [1, 2]), cyc(4))[0].decompose() == (0, [2])
 
     closure = CmcSet.closure(ZZ, [2])
-    res2 = tau(closure, cyc(12))
-    assert res2.part.decompose() == (0, [4])
-    assert res2.part.is_isomorphic_to(gamma(Ideal(ZZ, 2), cyc(12)).part)
+    part = tau(closure, cyc(12))[0]
+    assert part.decompose() == (0, [4])
+    assert part.is_isomorphic_to(gamma(Ideal(ZZ, 2), cyc(12))[0])
 
 
 def test_tau_matches_union_definition_on_finite_modules():
@@ -310,13 +310,13 @@ def test_tau_matches_union_definition_on_finite_modules():
         s = CmcSet.explicit(ZZ, elems)
         if not s.is_cmc():
             continue
-        res = tau(s, m)
+        part, _ = tau(s, m)
         killed = 0
         for vec in m.elements():
             if any(m.contains(Mat.from_cols(ZZ, [[r * x for x in vec]], m.ambient))
                    for r in elems):
                 killed += 1
-        assert res.part.element_count() == killed
+        assert part.element_count() == killed
 
 
 def test_tau_rejects_non_cmc():
@@ -330,12 +330,11 @@ def test_tau_ass_formulas_for_multiplicative_sets():
         m = random_module(rng)
         gens = [rng.choice([2, 3, 5, 6]) for _ in range(rng.randint(1, 2))]
         s = CmcSet.closure(ZZ, gens)
-        res = tau(s, m)
         a = ass(m)
         meets = AssSet([p for p in a if s.meets_prime(p)])
         avoid = AssSet([p for p in a if not s.meets_prime(p)])
-        assert ass(res.part) == meets
-        assert ass(res.quotient) == avoid
+        assert ass(tau(s, m)[0]) == meets
+        assert ass(ModTau(s)(m)) == avoid
 
 
 def test_tau_first_formula_for_merely_cmc_sets():
@@ -344,11 +343,110 @@ def test_tau_first_formula_for_merely_cmc_sets():
         m = random_module(rng)
         base = rng.choice([2, 3, 6])
         s = CmcSet.explicit(ZZ, [base, base**2])
-        res = tau(s, m)
         a = ass(m)
         meets = AssSet([p for p in a if s.meets_prime(p)])
-        assert ass(res.part) == meets
+        assert ass(tau(s, m)[0]) == meets
         # second formula intentionally NOT asserted for non-multiplicative sets
+
+
+# -- Gamma and tau by enumeration ----------------------------------------------
+# Small finite modules over Z and GF(2)[x], built from an exponent ``e`` that
+# the strategy knows, so that the box ``(R/e)^k`` has at most 2^10 vectors.
+# The oracle counts the elements that the killers of ``Gamma`` and ``tau``
+# send into the relations, and the elements that each power of each prime of
+# ``e`` kills in the part and in the quotient; these counts fix each one's
+# isomorphism type, and must be the counts read off the invariant factors.
+
+ENUM_PRIMES = {ZZ: (2, 3, 5), F2: ((0, 1), (1, 1), (1, 1, 1))}
+ENUM_OTHER = {ZZ: 7, F2: (1, 1, 0, 1)}  # a prime that divides no ``e``
+
+
+def _norm(D, a):
+    return abs(a) if D is ZZ else 2 ** (len(a) - 1)
+
+
+def _product(D, elems):
+    out = D.one
+    for a in elems:
+        out = D.mul(out, a)
+    return out
+
+
+@st.composite
+def enumerable_cases(draw):
+    """``(M, e, prime exponents of e, subset, killers)``: ``M`` has ``k``
+    generators, summands ``R/d`` with ``d | e`` and ``|R/e|^k <= 2^10``, on
+    changed generators and with a redundant relation; the subset is a zero,
+    unit or small ideal, an explicit set made cmc by adding the product of its
+    members, or a closure, and its killers send exactly the torsion part to 0."""
+    D = draw(st.sampled_from([ZZ, F2]))
+    # Two or more generators first, and a nonzero exponent of the first
+    # prime, so that most modules have several distinct invariant factors.
+    k = draw(st.sampled_from([2, 3, 1]))
+    budget, exps = 2 ** (10 // k), {}
+    for q in ENUM_PRIMES[D]:
+        top = 0
+        while _norm(D, q) ** (top + 1) <= budget:
+            top += 1
+        exps[q] = draw(st.integers(0 if exps else 1, top))
+        budget //= _norm(D, q) ** exps[q]
+    e = _product(D, [D.pow(q, v) for q, v in exps.items()])
+    diag = [_product(D, [D.pow(q, draw(st.integers(0, v))) for q, v in exps.items()])
+            for _ in range(k)]
+    rows = [[diag[i] if i == j else D.zero for j in range(k)] for i in range(k)]
+    small = st.sampled_from([D.one] + list(ENUM_PRIMES[D]) + [ENUM_OTHER[D]])
+    for _ in range(draw(st.integers(0, 3)) if k >= 2 else 0):
+        # Add a multiple of one row to another: a change of generators.
+        i, j = draw(st.permutations(range(k)))[:2]
+        c = draw(small)
+        rows[i] = [D.add(a, D.mul(c, b)) for a, b in zip(rows[i], rows[j])]
+    if draw(st.booleans()):
+        # A redundant relation: a combination of the others.
+        c1, c2 = draw(small), draw(small)
+        for row in rows:
+            row.append(D.add(D.mul(c1, row[0]), D.mul(c2, row[-1])))
+    module = FpModule(D, k, Mat(D, rows, k, len(rows[0])))
+    top = max(exps.values()) or 1
+    # Primes first: Hypothesis favours the first entries.
+    pool = [*ENUM_PRIMES[D], ENUM_OTHER[D], D.one, D.zero]
+    kind = draw(st.sampled_from(["gamma", "explicit", "closure"]))
+    # An explicit set draws two members or more, so that its cogenerator,
+    # their product, is not always one of them.
+    members = draw(st.lists(st.sampled_from(pool[:-1]), min_size=1 + (kind == "explicit"),
+                            max_size=3))
+    if kind == "gamma":
+        g = _product(D, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2)))
+        subset, killers = Ideal(D, g), [D.pow(g, top)]
+    elif kind == "explicit":
+        subset = CmcSet.explicit(D, members + [_product(D, members)])
+        killers = list(subset.elems)
+    else:
+        subset = CmcSet.closure(D, members)
+        killers = [D.pow(_product(D, members), top)]
+    return module, e, exps, subset, killers
+
+
+@given(enumerable_cases())
+@settings(max_examples=50, deadline=None)
+def test_gamma_and_tau_match_the_enumeration(case):
+    module, e, exps, subset, killers = case
+    D = module.domain
+    enum = EnumeratedModule(module, e)
+    assert len(enum.box) <= 2 ** 10
+    powers = [D.pow(q, j) for q, v in exps.items() for j in range(1, v + 1)]
+    assert module.rank == 0
+    assert enum.counts(enum.box, enum.zero_set, powers) == \
+        invariant_counts(D, module.factors, powers)
+    if isinstance(subset, Ideal):
+        part, _ = gamma(subset, module)
+        quotient = ModGamma(subset)(module)
+    else:
+        part, _ = tau(subset, module)
+        quotient = ModTau(subset)(module)
+    lift = enum.killed(killers)
+    assert part.rank == 0 and quotient.rank == 0
+    assert enum.counts(lift, enum.zero_set, powers) == invariant_counts(D, part.factors, powers)
+    assert enum.counts(enum.box, lift, powers) == invariant_counts(D, quotient.factors, powers)
 
 
 def test_asset_serialization():

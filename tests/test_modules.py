@@ -9,10 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 from stab.domains import ZZ, BackendMismatch, poly_ring
 from stab.matrices import Mat
 from stab.modules import (FpModule, Morphism, Ideal, HomSpace, MAX_GENERATORS,
-                          hom, hom_induced, loc_tensor, tensor_mor,
+                          hom_induced, loc_tensor, tensor_mor,
                           NotWellDefined, SubmoduleError, DomainViolation,
                           sub_equal, sub_intersect, torsion_gens)
 from stab.laws import random_module, random_torsion_module
+from stab.scan import Layers
 from oracles import (hom_count_oracle, elementary_divisors, decomposition_reference,
                      loc_tensor_reference, torsion_gens_reference)
 
@@ -74,15 +75,15 @@ def test_tensor_and_sum_match_decomposition_formula(fs, r1, gs, r2):
 
 
 def test_hom_examples():
-    assert hom(cyc(6), cyc(4)).module.decompose() == (0, [2])
+    assert HomSpace(cyc(6), cyc(4)).module.decompose() == (0, [2])
     m = FpModule.from_relations(ZZ, [[2, 4], [6, 8]])
-    assert hom(R, m).module.is_isomorphic_to(m)
-    assert hom(cyc(2), R).module.is_zero()
-    assert hom(R.direct_sum(R), R).module.decompose() == (2, [])
+    assert HomSpace(R, m).module.is_isomorphic_to(m)
+    assert HomSpace(cyc(2), R).module.is_zero()
+    assert HomSpace(R.direct_sum(R), R).module.decompose() == (2, [])
 
 
 def test_hom_realize_produces_well_defined_maps():
-    h = hom(cyc(6), cyc(4))
+    h = HomSpace(cyc(6), cyc(4))
     for g in h.generators():
         assert g.source.ambient == 1 and g.target.ambient == 1
     # the generator of Hom(Z/6, Z/4) = Z/2 is multiplication by 2
@@ -96,7 +97,7 @@ def test_hom_coords_inverse_to_realize():
     for _ in range(60):
         m = mods[rng.randrange(len(mods))]
         n = mods[rng.randrange(len(mods))]
-        h = hom(m, n)
+        h = HomSpace(m, n)
         coords = [rng.randint(-6, 6) for _ in h.pairs]
         f = h.realize(coords)
         again = h.realize(h.coords(f))
@@ -107,7 +108,7 @@ def test_hom_count_matches_enumeration_small():
     cases = [(cyc(6), cyc(4)), (cyc(4), cyc(4)), (cyc(2, 4), cyc(8)),
              (cyc(12), cyc(9)), (cyc(2, 2), cyc(2, 4))]
     for m, n in cases:
-        h = hom(m, n)
+        h = HomSpace(m, n)
         assert h.module.element_count() == hom_count_oracle(m, n)
 
 
@@ -115,13 +116,13 @@ def test_hom_induced_examples():
     n = cyc(4)
     ident = Morphism.identity(cyc(6))
     ind = hom_induced(ident, n)
-    assert ind.equals(Morphism.identity(hom(cyc(6), n).module))
+    assert ind.equals(Morphism.identity(HomSpace(cyc(6), n).module))
     zero = Morphism.zero_map(cyc(6), cyc(6))
     assert hom_induced(zero, n).is_zero()
     # f = *2 on R induces *2 on Hom(R, Z/4) = Z/4
     f = Morphism(R, R, Mat(ZZ, [[2]]))
     ind = hom_induced(f, n)
-    assert ind.equals(Morphism.mult_by(2, hom(R, n).module))
+    assert ind.equals(Morphism.mult_by(2, HomSpace(R, n).module))
 
 
 def test_morphism_well_definedness_enforced():
@@ -200,7 +201,7 @@ def test_kernel_image_random_exactness():
     for _ in range(40):
         m = mods[rng.randrange(len(mods))]
         n = mods[rng.randrange(len(mods))]
-        h = hom(m, n)
+        h = HomSpace(m, n)
         f = h.realize([rng.randint(-5, 5) for _ in h.pairs])
         k, incl = f.kernel()
         assert f.compose(incl).is_zero()
@@ -231,9 +232,11 @@ def test_power_quotient_examples():
 
 
 def test_power_layer_examples():
-    assert R.power_layer(I2, 3).decompose() == (0, [2])
-    assert R.power_layer(Ideal(ZZ, 0), 1).is_isomorphic_to(R)
-    assert R.power_layer(Ideal(ZZ, 0), 2).is_zero()
+    assert Layers(R, I2).generate(3).decompose() == (0, [2])
+    assert Layers(R, Ideal(ZZ, 0)).generate(1).is_isomorphic_to(R)
+    assert Layers(R, Ideal(ZZ, 0)).generate(2).is_zero()
+    with pytest.raises(ValueError, match="layers need n >= 1"):
+        Layers(R, I2).generate(0)
 
 
 def test_layer_agrees_with_scaled_subquotient():
@@ -246,7 +249,7 @@ def test_layer_agrees_with_scaled_subquotient():
         g = rng.choice([2, 3, 6])
         n = rng.randint(1, 4)
         ideal = Ideal(ZZ, g)
-        direct = m.power_layer(ideal, n)
+        direct = Layers(m, ideal).generate(n)
         via_subq = m.subquotient(Mat.zero(ZZ, m.ambient, 0),
                                  Mat.identity(ZZ, m.ambient),
                                  Mat.scalar(ZZ, m.ambient, g), ideal, n - 1)
@@ -678,7 +681,7 @@ def test_every_slot_refuses_setattr_before_and_after_the_lazy_fill():
     ideal = Ideal(ZZ, 6)
     m = FpModule.from_relations(ZZ, [[4, 6], [0, 3]])
     f = Morphism(m, m, Mat.identity(ZZ, 2))
-    for obj in (Mat(ZZ, [[1, 2]]), ideal, m, f, hom(m, m)):
+    for obj in (Mat(ZZ, [[1, 2]]), ideal, m, f, HomSpace(m, m)):
         for _ in range(2):
             for name in type(obj).__slots__:
                 with pytest.raises(AttributeError):

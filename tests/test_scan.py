@@ -77,8 +77,9 @@ def test_a_subquotient_family_checks_w_inside_v_once(monkeypatch, kind):
     assert len(result.rows) == 12 and checks == [M8]
     # Each row is what the checked construction gives, which checks per call.
     for row in result.rows:
-        direct = (M8.power_layer(I2, row.n) if kind == "layers" else
-                  M8.subquotient(family.u, family.v, family.w, I2, row.n))
+        # Layer n is the subquotient at exponent n - 1.
+        n = row.n - 1 if kind == "layers" else row.n
+        direct = M8.subquotient(family.u, family.v, family.w, I2, n)
         assert row.value.relations == direct.relations
     assert len(checks) == 1 + len(result.rows)
 
