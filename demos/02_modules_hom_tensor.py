@@ -8,7 +8,7 @@ isomorphism testing, tensor products, Hom modules, and kernels/cokernels.
 """
 
 from stab import ZZ, Mat, FpModule, Morphism, Ideal
-from stab.modules import HomSpace, hom_induced, loc_tensor
+from stab.modules import HomSpace, loc_tensor
 from stab.scan import Layers
 
 # coker of a relation matrix: Z^2 / <(2,6), (4,8)> = Z/2 (+) Z/4.
@@ -30,8 +30,9 @@ print("its generator sends 1 to", gen.mat.data[0][0], "in Z/4")
 
 # Precomposition: Hom(R, Z/4) --(.2)--> Hom(R, Z/4) is multiplication by 2.
 doubling = Morphism(R, R, Mat(ZZ, [[2]]))
-print("induced map is *2:",
-      hom_induced(doubling, Z4).equals(Morphism.mult_by(2, HomSpace(R, Z4).module)))
+H = HomSpace(R, Z4)
+induced = Morphism(H.module, H.module, H.precomposition(doubling))
+print("induced map is *2:", induced.equals(Morphism.mult_by(2, H.module)))
 
 # Kernels, cokernels, images of a morphism of presentations.
 f = Morphism.mult_by(2, Z4)

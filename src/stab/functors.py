@@ -4,16 +4,20 @@ Variants:
 
 * identity;
 * coherent functors presented by a morphism ``f : K -> L``, evaluated as
-  ``coker(Hom(L, N) -> Hom(K, N))``; ``Hom(M, -)`` is the one presented by
-  ``M -> 0``, whose value is ``Hom(M, N)`` itself, as ``Hom(0, N)`` is zero;
+  ``coker(Hom(L, N) -> Hom(K, N))``, with the precomposition matrix read off
+  one product (:meth:`HomSpace.precomposition`); ``Hom(M, -)`` is the one
+  presented by ``M -> 0``, whose value is ``Hom(M, N)`` itself, as
+  ``Hom(0, N)`` is zero;
 * homology at the middle of a tensored three-term complex whose ends may be
   localized, :class:`MiddleFiniteFunctor`, which houses ``Gamma_(g)`` as the
   homology of ``0 -> R -> R[1/g]``; :class:`ComplexHomology` is the
   middle-finite functor of a complex of finitely presented modules with plain
-  ends, and houses ``Tor_i(M, -)`` through a free resolution;
-* ``Gamma_I`` and ``tau_S``, which restrict maps through the inclusions that
-  :func:`gamma` and :func:`tau` return, and their quotient companions, the
-  only builders of ``N/<gens>``;
+  ends, and houses ``Tor_i(M, -)`` through a free resolution.  Each value is
+  :func:`homology`, presented on the kernel generators by one preimage;
+* ``Gamma_I`` and ``tau_S``, whose values are the parts of :func:`gamma`
+  and :func:`tau` built without their inclusions, and whose maps restrict
+  through the inclusions, and their quotient companions, the only builders
+  of ``N/<gens>``;
 * the oscillating functor on the skeleton of finite torsion modules, with
   per-prime exponent sets.
 
@@ -28,20 +32,26 @@ from typing import NamedTuple
 
 from .domains import int_in_range
 from .matrices import Mat
-from .modules import (FpModule, Morphism, HomSpace,
-                      _diag_module, hom_induced, loc_tensor, tensor_mor,
-                      sub_contains, torsion_gens, DomainViolation, NotWellDefined)
-from .invariants import gamma, gamma_gens, tau, tau_gens
+from .modules import (FpModule, Morphism, HomSpace, _diag_module, loc_tensor,
+                      sub_contains, torsion_gens, DomainViolation, NotWellDefined,
+                      SubmoduleError)
+from .invariants import gamma_gens, tau_gens
 
 
-def homology_at(f, h):
-    """Homology ``ker(h)/im(f)`` at the middle of ``A --f--> B --h--> C``.
+def homology(f_mat, h):
+    """``(H, gens)``: ``H = ker(h)/im(f)`` at the middle of
+    ``A --f--> B --h--> C``, with ``f`` given by its matrix.
 
-    Returns ``(H, include)`` where ``include : K -> B`` embeds the kernel
-    whose generators present ``H``.
+    ``gens = h.mat.preimage(C.relations)`` generate ``ker(h)``, and ``H`` is
+    the submodule of ``B/im(f)`` they span, or ``B/im(f)`` itself when the
+    kernel is all of ``B``.  Raises :class:`SubmoduleError` unless ``h f = 0``.
     """
-    k, incl = h.kernel()
-    return k.quotient(f.factor_through(incl).mat), incl
+    b, c = h.source, h.target
+    if not c.contains(h.mat @ f_mat):
+        raise SubmoduleError("the image of f is not inside the kernel of h")
+    cok = b.quotient(f_mat)
+    gens = h.mat.preimage(c.relations) if c.ambient else Mat.identity(b.domain, b.ambient)
+    return (cok if gens._is_identity() else cok.spanned(gens)), gens
 
 
 class Functor:
@@ -85,11 +95,11 @@ class CoherentFunctor(Functor):
 
     def _value(self, hk):
         """The value at ``N``, a quotient of the given ``hk = Hom(K, N)``."""
-        if not self.presenting.target.ambient:
+        f = self.presenting
+        if not f.target.ambient:
             # ``Hom(L, N)`` is zero, so the cokernel is ``Hom(K, N)`` itself.
             return hk.module
-        value, _ = hom_induced(self.presenting, hk.target, hk).cokernel()
-        return value
+        return hk.module.quotient(hk.precomposition(f))
 
     def map(self, g):
         # ``g_*`` on the generators of ``Hom(K, -)``, which present both values.
@@ -141,6 +151,7 @@ def tor_functor(m, i=1):
 
 class _TorsionSplitFunctor(Functor):
     """A functor of the torsion part of ``N`` at ``subset``; subclasses set
+    ``gens``, its generators (:func:`gamma_gens` or :func:`tau_gens`), and
     ``label``, the name shown before the subset."""
 
     def __init__(self, subset):
@@ -151,14 +162,15 @@ class _TorsionSplitFunctor(Functor):
 
 
 class _TorsionPartFunctor(_TorsionSplitFunctor):
-    """The part of :func:`gamma` or :func:`tau`; maps restrict to it."""
+    """The part that :func:`gamma` or :func:`tau` returns, without its
+    inclusion; maps restrict to it through the inclusions."""
 
     def __call__(self, n):
-        return self.split(self.subset, n)[0]
+        return n.spanned(self.gens(self.subset, n))
 
     def map(self, g):
-        include_a = self.split(self.subset, g.source)[1]
-        include_b = self.split(self.subset, g.target)[1]
+        include_a = g.source.submodule(self.gens(self.subset, g.source))[1]
+        include_b = g.target.submodule(self.gens(self.subset, g.target))[1]
         return g.compose(include_a).factor_through(include_b)
 
 
@@ -174,7 +186,7 @@ class _TorsionQuotientFunctor(_TorsionSplitFunctor):
 
 
 class GammaFunctor(_TorsionPartFunctor):
-    split, label = staticmethod(gamma), "Gamma"
+    gens, label = staticmethod(gamma_gens), "Gamma"
 
 
 class ModGamma(_TorsionQuotientFunctor):
@@ -182,7 +194,7 @@ class ModGamma(_TorsionQuotientFunctor):
 
 
 class TauFunctor(_TorsionPartFunctor):
-    split, label = staticmethod(tau), "tau"
+    gens, label = staticmethod(tau_gens), "tau"
 
 
 class ModTau(_TorsionQuotientFunctor):
@@ -264,17 +276,22 @@ class MiddleFiniteFunctor(Functor):
             raise DomainViolation(f"maps do not descend to localizations: {exc}") from exc
         return f, h
 
+    def _homology(self, n):
+        f, h = self._tensored(n)
+        return homology(f.mat, h)
+
     def __call__(self, n):
-        value, _ = homology_at(*self._tensored(n))
-        return value
+        return self._homology(n)[0]
 
     def map(self, g):
-        # ``id_B (x) g`` on the middle, carried between the two kernels.
-        fa, incl_a = homology_at(*self._tensored(g.source))
-        fb, incl_b = homology_at(*self._tensored(g.target))
-        mid = tensor_mor(Morphism.identity(self.middle), g)
-        carried = mid.compose(incl_a).factor_through(incl_b)
-        return Morphism(fa, fb, carried.mat)
+        # ``id_B (x) g`` on the middle, carried between the two kernels; their
+        # generators are independent, so the solution is unique.
+        (fa, gens_a), (fb, gens_b) = self._homology(g.source), self._homology(g.target)
+        mid = Mat.identity(g.mat.domain, self.middle.ambient).kron(g.mat) @ gens_a
+        carried = gens_b.solve(mid)
+        if carried is None:
+            raise SubmoduleError("the map does not carry kernel into kernel")
+        return Morphism(fa, fb, carried)
 
     def __repr__(self):
         return (f"H(MiddleFinite({len(self.a_ends)} -> {self.middle!r} -> "

@@ -80,12 +80,10 @@ def ass(m):
         primes.append(Ideal(D, D.zero))
     # The quotients d1, d2/d1, ... of the chain have together exactly the
     # primes of the largest factor, and each is cheaper to factor than it.
-    prev = D.one
-    for d in m.factors:
-        q = D.exact_div(d, prev)
+    fs = m.factors
+    for q in fs[:1] + tuple(D.exact_div(d, prev) for prev, d in zip(fs, fs[1:])):
         if not D.is_unit(q):
             primes.extend(Ideal(D, p) for p, _ in D.factor(q))
-        prev = d
     return AssSet(primes)
 
 

@@ -19,8 +19,12 @@ def random_torsion_module(domain, rng, max_summands=3, pool=None):
             pool = [2, 3, 4, 8, 9, 12]
         else:
             x = (0, domain.one[0])
-            pool = [domain.add(x, domain.one), x,
-                    domain.mul(x, x), domain.mul(x, domain.add(x, domain.one))]
+            x1 = domain.add(x, domain.one)
+            pool = [x1, x, domain.mul(x, x), domain.mul(x, x1)]
+            if domain.p > 2:
+                # A third prime, x - 1, alone and times x + 1.
+                x_1 = domain.sub(x, domain.one)
+                pool += [x_1, domain.mul(x1, x_1)]
     k = rng.randint(1, max_summands)
     factors = [pool[rng.randrange(len(pool))] for _ in range(k)]
     return FpModule.from_invariants(domain, 0, factors)

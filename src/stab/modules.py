@@ -323,11 +323,15 @@ class FpModule:
 
         Returns ``(S, include)`` with ``include`` the inclusion into this module.
         """
-        D = self.domain
+        sub = self.spanned(gens)
+        return sub, Morphism(sub, self, gens)
+
+    def spanned(self, gens):
+        """The submodule of :meth:`submodule` without its inclusion: the span
+        of the columns of ``gens``, presented on them by one preimage."""
         if gens.rows != self.ambient:
             raise ValueError("generators must live in the ambient module")
-        sub = FpModule(D, gens.cols, gens.preimage(self.relations))
-        return sub, Morphism(sub, self, gens)
+        return FpModule(self.domain, gens.cols, gens.preimage(self.relations))
 
     def _check(self, other):
         if self.domain != other.domain:
@@ -582,15 +586,23 @@ class HomSpace:
     def coords(self, f):
         """Coordinates of a morphism ``source -> target`` over the generators."""
         D = self.source.domain
-        dec = self.target._to_dec @ f.mat @ self.source._from_dec
-        out = []
-        for (i, j, ann, mult) in self.pairs:
-            t = dec.data[j][i]
-            c = D.exact_div(t, mult) if not D.is_unit(mult) else D.mul(t, D.unit_inv(mult))
-            if not D.is_zero(ann):
-                c = D.divmod(c, ann)[1]
-            out.append(c)
-        return out
+        dec = (self.target._to_dec @ f.mat @ self.source._from_dec).data
+        return [_hom_coord(D, dec[j][i], ann, mult) for i, j, ann, mult in self.pairs]
+
+    def precomposition(self, f):
+        """The matrix of ``u -> u f`` from ``Hom(L, N)`` to this ``Hom(K, N)``
+        for ``f : K -> L``, read off ``T = L._to_dec @ f.mat @ K._from_dec``:
+        as ``N._to_dec @ N._from_dec`` is the identity, generator
+        ``(i, j, _, m)`` after ``f`` has decomposed entries ``m T[i][i']`` in
+        row ``j`` only.  No generator is realized, and one Hom space serves
+        both ends when ``K`` and ``L`` share a presentation."""
+        D = self.source.domain
+        hl = self if f.source.relations == f.target.relations else HomSpace(f.target, self.target)
+        t = (f.target._to_dec @ f.mat @ self.source._from_dec).data
+        cols = [[_hom_coord(D, D.mul(m, t[i][i2]), ann, m2) if j2 == j and t[i][i2]
+                 else D.zero for i2, j2, ann, m2 in self.pairs]
+                for i, j, _, m in hl.pairs]
+        return Mat.from_cols(D, cols, len(self.pairs))
 
     def generators(self):
         """The generator morphisms themselves."""
@@ -604,6 +616,13 @@ class HomSpace:
 
 
 _set_hom_source, _set_hom_target, _set_hom_module, _set_pairs = _slot_setters(HomSpace)
+
+
+def _hom_coord(D, t, ann, mult):
+    """The coordinate of decomposed entry ``t`` at a Hom generator: ``t / mult``
+    reduced modulo ``ann``."""
+    c = D.exact_div(t, mult) if not D.is_unit(mult) else D.mul(t, D.unit_inv(mult))
+    return c if D.is_zero(ann) else D.divmod(c, ann)[1]
 
 
 def _pruned(rel):
@@ -625,16 +644,6 @@ def _diag_module(domain, anns):
     """One generator per entry of ``anns``, killed by it (zero entries stay free)."""
     entries = [(i, a) for i, a in enumerate(anns) if not domain.is_zero(a)]
     return FpModule(domain, len(anns), Mat.monomial(domain, len(anns), entries))
-
-
-def hom_induced(f, n, hk=None):
-    """Precomposition ``Hom(L, N) -> Hom(K, N)`` for ``f : K -> L``; ``hk`` is
-    ``Hom(K, N)`` when the caller has built it.  One Hom space serves both
-    ends when ``K`` and ``L`` share a presentation."""
-    hk = HomSpace(f.source, n) if hk is None else hk
-    hl = hk if f.source.relations == f.target.relations else HomSpace(f.target, n)
-    cols = [hk.coords(g.compose(f)) for g in hl.generators()]
-    return Morphism(hl.module, hk.module, Mat.from_cols(f.source.domain, cols, len(hk.pairs)))
 
 
 def sub_contains(ambient_mod, g1, g2):

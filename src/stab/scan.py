@@ -20,7 +20,7 @@ from .matrices import Mat
 from .modules import (FpModule, Morphism, sub_equal, sub_intersect,
                       sub_contains)
 from .invariants import ass, ann, depth, ann_contains
-from .functors import IdentityFunctor, homology_at
+from .functors import IdentityFunctor, homology
 
 
 class AnnihilatorViolation(RuntimeError):
@@ -130,8 +130,7 @@ class KwHomology(Family):
         else:
             shifted = self.alpha_l2.scale(self.ideal.power_gen(n - self.shift[2]))
             image_gens = self.alpha_l1.hstack(shifted)
-        carrier = Morphism(FpModule.free(m_n.domain, image_gens.cols), m_n, image_gens)
-        return homology_at(carrier, beta_n)[0]
+        return homology(image_gens, beta_n)[0]
 
 
 class StabilizationReport(NamedTuple):

@@ -16,7 +16,7 @@ from stab.invariants import DEPTH_INF, AssSet
 from stab.matrices import Mat, _pivots
 from stab.modules import (FpModule, HomSpace, Ideal, Morphism, sub_equal, sub_intersect,
                           tensor_mor)
-from stab.functors import homology_at, SkeletonFormError
+from stab.functors import SkeletonFormError
 
 
 def int_is_prime_trial(n):
@@ -408,6 +408,20 @@ def loc_tensor_reference(module, x, n):
     return FpModule(D, base.ambient, base.relations.hstack(add))
 
 
+def homology_at_reference(f, h):
+    """``(ker(h)/im(f), include)`` at the middle of ``A --f--> B --h--> C``:
+    the kernel with its inclusion, ``f`` factored through it, then the
+    quotient by that factor."""
+    k, incl = h.kernel()
+    return k.quotient(f.factor_through(incl).mat), incl
+
+
+def same_span(a, b):
+    """Whether two presentations share their generators and relation span."""
+    free = FpModule.free(a.domain, a.ambient)
+    return a.ambient == b.ambient and sub_equal(free, a.relations, b.relations)
+
+
 def complex_homology_reference(d2, d1, index, n):
     """``H_index(P (x) N)``: a cokernel for 0, a kernel for 2, else ker/im."""
     ident = Morphism.identity(n)
@@ -440,11 +454,11 @@ class TensoredComplexHomologyReference:
                 Morphism(b_n, e.target.tensor(n), e.mat.kron(ident), check=False))
 
     def __call__(self, n):
-        return homology_at(*self._tensored(n))[0]
+        return homology_at_reference(*self._tensored(n))[0]
 
     def map(self, g):
-        fa, incl_a = homology_at(*self._tensored(g.source))
-        fb, incl_b = homology_at(*self._tensored(g.target))
+        fa, incl_a = homology_at_reference(*self._tensored(g.source))
+        fb, incl_b = homology_at_reference(*self._tensored(g.target))
         mid = tensor_mor(Morphism.identity(self.middle), g)
         carried = mid.compose(incl_a).factor_through(incl_b)
         return Morphism(fa, fb, carried.mat)
@@ -739,15 +753,20 @@ def factor_int_reference(n):
 
 
 # The functor-layer constructions as they were before each value and map was
-# built once: the torsion part with its quotient and projection, the torsion
-# quotient read off the whole part, and a coherent map whose values build
-# their own Hom spaces.
+# built once, or by its shortest route: the torsion part with its quotient
+# and projection, the torsion quotient read off the whole part, a coherent
+# value as the cokernel of the realized precomposition, a coherent map whose
+# values build their own Hom spaces, and homology through the kernel's
+# inclusion (above, with the complex references).
 
 def torsion_part_reference(gens, subset, n):
     """``(part, include, quotient, project)`` for the torsion part of ``N``
     spanned by ``gens(subset, N)`` (:func:`~stab.invariants.gamma_gens` or
-    ``tau_gens``): the submodule, then the cokernel of its inclusion."""
-    part, include = n.submodule(gens(subset, n))
+    ``tau_gens``): the submodule presented inline, then the cokernel of its
+    inclusion."""
+    g = gens(subset, n)
+    part = FpModule(n.domain, g.cols, g.preimage(n.relations))
+    include = Morphism(part, n, g)
     quotient, project = include.cokernel()
     return part, include, quotient, project
 
@@ -765,14 +784,34 @@ def torsion_quotient_reference(gens, subset, n):
     return torsion_part_reference(gens, subset, n)[2]
 
 
+def hom_induced_reference(f, n, hk=None):
+    """Precomposition ``Hom(L, N) -> Hom(K, N)`` for ``f : K -> L``, each
+    generator of ``Hom(L, N)`` realized, composed with ``f`` and read back;
+    ``hk`` is ``Hom(K, N)`` when the caller has built it.  One Hom space
+    serves both ends when ``K`` and ``L`` share a presentation."""
+    hk = HomSpace(f.source, n) if hk is None else hk
+    hl = hk if f.source.relations == f.target.relations else HomSpace(f.target, n)
+    cols = [hk.coords(g.compose(f)) for g in hl.generators()]
+    return Morphism(hl.module, hk.module, Mat.from_cols(f.source.domain, cols, len(hk.pairs)))
+
+
+def coherent_value_reference(functor, n):
+    """A coherent ``F(N)`` as the cokernel of the realized precomposition."""
+    f = functor.presenting
+    if not f.target.ambient:
+        return HomSpace(f.source, n).module
+    return hom_induced_reference(f, n).cokernel()[0]
+
+
 def coherent_map_reference(functor, g):
     """``F(g)`` for a coherent ``F``: the push on ``Hom(K, -)`` between the
-    values ``F`` evaluates afresh at both ends."""
+    values evaluated afresh at both ends, each by the realized precomposition."""
     k = functor.presenting.source
     ha, hb = HomSpace(k, g.source), HomSpace(k, g.target)
     cols = [hb.coords(g.compose(u)) for u in ha.generators()]
     mat = Mat.from_cols(k.domain, cols, len(hb.pairs))
-    return Morphism(functor(g.source), functor(g.target), mat)
+    return Morphism(coherent_value_reference(functor, g.source),
+                    coherent_value_reference(functor, g.target), mat)
 
 
 # The reports as one ``json.dumps`` call and a CSV loop, each row's cells

@@ -9,13 +9,14 @@ from hypothesis import example, given, settings, strategies as st
 from stab.domains import ZZ, BackendMismatch, poly_ring
 from stab.matrices import Mat
 from stab.modules import (FpModule, Morphism, Ideal, HomSpace, MAX_GENERATORS,
-                          hom_induced, loc_tensor, tensor_mor,
+                          loc_tensor, tensor_mor,
                           NotWellDefined, SubmoduleError, DomainViolation,
                           sub_equal, sub_intersect, torsion_gens)
 from stab.laws import random_module, random_torsion_module
 from stab.scan import Layers
+from stab.functors import CoherentFunctor
 from oracles import (hom_count_oracle, elementary_divisors, decomposition_reference,
-                     loc_tensor_reference, torsion_gens_reference)
+                     loc_tensor_reference, torsion_gens_reference, hom_induced_reference)
 
 F2 = poly_ring(2)
 F5 = poly_ring(5)
@@ -113,16 +114,19 @@ def test_hom_count_matches_enumeration_small():
 
 
 def test_hom_induced_examples():
+    # The precomposition read off one product, against the realized reference.
     n = cyc(4)
-    ident = Morphism.identity(cyc(6))
-    ind = hom_induced(ident, n)
-    assert ind.equals(Morphism.identity(HomSpace(cyc(6), n).module))
-    zero = Morphism.zero_map(cyc(6), cyc(6))
-    assert hom_induced(zero, n).is_zero()
+    hk = HomSpace(cyc(6), n)
+    for f in (Morphism.identity(cyc(6)), Morphism.zero_map(cyc(6), cyc(6))):
+        assert hk.precomposition(f) == hom_induced_reference(f, n).mat
+    assert hom_induced_reference(Morphism.identity(cyc(6)), n).equals(
+        Morphism.identity(hk.module))
+    assert hom_induced_reference(Morphism.zero_map(cyc(6), cyc(6)), n).is_zero()
     # f = *2 on R induces *2 on Hom(R, Z/4) = Z/4
     f = Morphism(R, R, Mat(ZZ, [[2]]))
-    ind = hom_induced(f, n)
-    assert ind.equals(Morphism.mult_by(2, HomSpace(R, n).module))
+    hr = HomSpace(R, n)
+    assert Morphism(hr.module, hr.module, hr.precomposition(f)).equals(
+        Morphism.mult_by(2, hr.module))
 
 
 def test_morphism_well_definedness_enforced():
@@ -701,12 +705,12 @@ def test_hom_induced_of_an_endomorphism_builds_one_hom_space(monkeypatch):
     built, init = [], HomSpace.__init__
     monkeypatch.setattr(HomSpace, "__init__",
                         lambda self, a, b: built.append(a) or init(self, a, b))
-    induced = hom_induced(f, n)
+    # The coherent value of f is the cokernel of its precomposition.
+    value = CoherentFunctor(f)(n)
     assert len(built) == 1
-    assert induced.mat == Mat.from_cols(ZZ, cols, len(hk.pairs))
-    assert induced.source is induced.target
+    assert value.relations == hk.module.quotient(Mat.from_cols(ZZ, cols, len(hk.pairs))).relations
     # A map between two presentations still builds both spaces.
-    hom_induced(Morphism(cyc(2), m, Mat(ZZ, [[0], [2]])), n)
+    CoherentFunctor(Morphism(cyc(2), m, Mat(ZZ, [[0], [2]])))(n)
     assert len(built) == 3
 
 

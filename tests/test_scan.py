@@ -19,7 +19,7 @@ from stab.cli import _iter_packaged_scenarios
 from stab.laws import random_module, random_morphism
 from oracles import (HOM_KINDS, TORSION_KINDS, periodic_tail_reference,
                      quotient_scan_reference, elementary_divisors_over,
-                     artin_rees_probe_reference)
+                     artin_rees_probe_reference, homology_at_reference, same_span)
 
 F2 = poly_ring(2)
 F5 = poly_ring(5)
@@ -117,6 +117,33 @@ def test_kw_homology_shifted():
     assert fam.generate(1).decompose() == (0, [2])
     for n in (2, 3, 6):
         assert fam.generate(n).decompose() == (0, [4])
+
+
+@st.composite
+def kw_cases(draw):
+    """A family ``L/I^n L -> M/I^n M -> N/I^n N`` of a random complex whose
+    first map lands in the kernel of the second, and an index."""
+    D = draw(st.sampled_from([ZZ, F2, F5]))
+    rng = draw(st.randoms(use_true_random=False))
+    beta = random_morphism(random_module(D, rng), random_module(D, rng), rng)
+    k, incl = beta.kernel()
+    alpha = incl.compose(random_morphism(random_module(D, rng), k, rng))
+    g = draw(st.sampled_from([2, 3] if D is ZZ else [D.elem_from_json(c)
+                                                    for c in ([0, 1], [1, 1])]))
+    subs = [Mat.identity(D, m.ambient) for m in (alpha.source, alpha.target, beta.target)]
+    return KwHomology(alpha, beta, *subs, Ideal(D, g)), draw(st.integers(0, 4))
+
+
+@given(kw_cases())
+@settings(max_examples=100, deadline=None)
+def test_kw_homology_matches_the_kernel_route(case):
+    fam, n = case
+    g_n = fam.ideal.power_gen(n)
+    m_n = fam.alpha.target.quotient(fam.m_sub.scale(g_n))
+    n_n = fam.beta.target.quotient(fam.n_sub.scale(g_n))
+    carrier = Morphism(FpModule.free(m_n.domain, fam.alpha.mat.cols), m_n, fam.alpha.mat)
+    want, _ = homology_at_reference(carrier, Morphism(m_n, n_n, fam.beta.mat))
+    assert same_span(fam.generate(n), want)
 
 
 def test_kw_homology_validates_complex():
