@@ -4,7 +4,8 @@ Finitely presented modules and their constructions
 
 A module is R^k modulo the column span of a relation matrix.  The invariant
 factor decomposition is computed once, by Smith reduction, and drives
-isomorphism testing, tensor products, Hom modules, and kernels/cokernels.
+isomorphism testing, tensor products and Hom modules.  Kernels and images are
+submodules spanned by matrix columns, and cokernels are quotients.
 """
 
 from stab import ZZ, Mat, FpModule, Morphism, Ideal
@@ -25,19 +26,20 @@ print("R (x) M iso to M:", R.tensor(M).is_isomorphic_to(M))
 # Hom(Z/6, Z/4) = Z/2, realized by an actual morphism (multiplication by 2).
 H = HomSpace(Z6, Z4)
 print("Hom(Z/6, Z/4):", H.module.decompose())
-gen = H.generators()[0]
+gen = H.realize([1])
 print("its generator sends 1 to", gen.mat.data[0][0], "in Z/4")
 
 # Precomposition: Hom(R, Z/4) --(.2)--> Hom(R, Z/4) is multiplication by 2.
 doubling = Morphism(R, R, Mat(ZZ, [[2]]))
 H = HomSpace(R, Z4)
-induced = Morphism(H.module, H.module, H.precomposition(doubling))
+induced = Morphism(H.module, H.module, H.induced(H, f=doubling))
 print("induced map is *2:", induced.equals(Morphism.mult_by(2, H.module)))
 
-# Kernels, cokernels, images of a morphism of presentations.
+# The kernel of a morphism is the submodule spanned by the preimage of the
+# target's relations, and its image the submodule spanned by its matrix.
 f = Morphism.mult_by(2, Z4)
-kernel, include = f.kernel()
-image, _ = f.image()
+kernel, include = Z4.submodule(f.mat.preimage(Z4.relations))
+image, _ = Z4.submodule(f.mat)
 print("ker(2 on Z/4):", kernel.decompose(), " im:", image.decompose())
 
 # Ideal-power subquotients: (4Z + I^3 Z) / I^3 (2Z) for I = (2) is Z/4.

@@ -4,10 +4,10 @@ Variants:
 
 * identity;
 * coherent functors presented by a morphism ``f : K -> L``, evaluated as
-  ``coker(Hom(L, N) -> Hom(K, N))``, with the precomposition matrix read off
-  one product (:meth:`HomSpace.precomposition`); ``Hom(M, -)`` is the one
-  presented by ``M -> 0``, whose value is ``Hom(M, N)`` itself, as
-  ``Hom(0, N)`` is zero;
+  ``coker(Hom(L, N) -> Hom(K, N))``, with the precomposition matrix and the
+  map ``g_*`` on ``Hom(K, -)`` each read off one product
+  (:meth:`HomSpace.induced`); ``Hom(M, -)`` is the one presented by
+  ``M -> 0``, whose value is ``Hom(M, N)`` itself, as ``Hom(0, N)`` is zero;
 * homology at the middle of a tensored three-term complex whose ends may be
   localized, :class:`MiddleFiniteFunctor`, which houses ``Gamma_(g)`` as the
   homology of ``0 -> R -> R[1/g]``; :class:`ComplexHomology` is the
@@ -15,15 +15,17 @@ Variants:
   ends, and houses ``Tor_i(M, -)`` through a free resolution.  Each value is
   :func:`homology`, presented on the kernel generators by one preimage;
 * ``Gamma_I`` and ``tau_S``, whose values are the parts of :func:`gamma`
-  and :func:`tau` built without their inclusions, and whose maps restrict
-  through the inclusions, and their quotient companions, the only builders
-  of ``N/<gens>``;
+  and :func:`tau` built without their inclusions, and their quotient
+  companions, which alone build ``N/<gens>``;
 * the oscillating functor on the skeleton of finite torsion modules, with
   per-prime exponent sets.
 
 Every functor is immutable and pure: ``F(N)`` returns a fresh module with a
 deterministic presentation, and ``F.map(g)`` returns the induced morphism
-between the recomputed values.
+between the recomputed values, read off the presentations they already
+have.  A value presented on generators that span a submodule (homology, the
+torsion parts) takes ``g``'s images of the source's generators written over
+the target's, one ``solve``; a quotient value keeps ``g``'s matrix.
 """
 
 from __future__ import annotations
@@ -52,6 +54,16 @@ def homology(f_mat, h):
     cok = b.quotient(f_mat)
     gens = h.mat.preimage(c.relations) if c.ambient else Mat.identity(b.domain, b.ambient)
     return (cok if gens._is_identity() else cok.spanned(gens)), gens
+
+
+def _carried(source, target, gens, images):
+    """The morphism ``source -> target`` that writes ``images`` over ``gens``,
+    the target's generators; they are independent, so the solution is
+    unique.  Raises :class:`SubmoduleError` when an image is outside their span."""
+    carried = gens.solve(images)
+    if carried is None:
+        raise SubmoduleError("the map does not carry generators into generators")
+    return Morphism(source, target, carried)
 
 
 class Functor:
@@ -99,15 +111,15 @@ class CoherentFunctor(Functor):
         if not f.target.ambient:
             # ``Hom(L, N)`` is zero, so the cokernel is ``Hom(K, N)`` itself.
             return hk.module
-        return hk.module.quotient(hk.precomposition(f))
+        # One Hom space serves both ends when ``K`` and ``L`` share a presentation.
+        hl = hk if f.source.relations == f.target.relations else HomSpace(f.target, hk.target)
+        return hk.module.quotient(hk.induced(hl, f=f))
 
     def map(self, g):
         # ``g_*`` on the generators of ``Hom(K, -)``, which present both values.
         k = self.presenting.source
         ha, hb = HomSpace(k, g.source), HomSpace(k, g.target)
-        cols = [hb.coords(g.compose(u)) for u in ha.generators()]
-        mat = Mat.from_cols(k.domain, cols, len(hb.pairs))
-        return Morphism(self._value(ha), self._value(hb), mat)
+        return Morphism(self._value(ha), self._value(hb), hb.induced(ha, g=g))
 
     def __repr__(self):
         return f"coker(h_{self.presenting.target!r} -> h_{self.presenting.source!r})"
@@ -163,15 +175,16 @@ class _TorsionSplitFunctor(Functor):
 
 class _TorsionPartFunctor(_TorsionSplitFunctor):
     """The part that :func:`gamma` or :func:`tau` returns, without its
-    inclusion; maps restrict to it through the inclusions."""
+    inclusion."""
 
     def __call__(self, n):
         return n.spanned(self.gens(self.subset, n))
 
     def map(self, g):
-        include_a = g.source.submodule(self.gens(self.subset, g.source))[1]
-        include_b = g.target.submodule(self.gens(self.subset, g.target))[1]
-        return g.compose(include_a).factor_through(include_b)
+        # ``g`` on the source part's generators, written over the target part's.
+        gens_a, gens_b = self.gens(self.subset, g.source), self.gens(self.subset, g.target)
+        return _carried(g.source.spanned(gens_a), g.target.spanned(gens_b), gens_b,
+                        g.mat @ gens_a)
 
 
 class _TorsionQuotientFunctor(_TorsionSplitFunctor):
@@ -284,14 +297,10 @@ class MiddleFiniteFunctor(Functor):
         return self._homology(n)[0]
 
     def map(self, g):
-        # ``id_B (x) g`` on the middle, carried between the two kernels; their
-        # generators are independent, so the solution is unique.
+        # ``id_B (x) g`` on the middle, carried between the two kernels.
         (fa, gens_a), (fb, gens_b) = self._homology(g.source), self._homology(g.target)
         mid = Mat.identity(g.mat.domain, self.middle.ambient).kron(g.mat) @ gens_a
-        carried = gens_b.solve(mid)
-        if carried is None:
-            raise SubmoduleError("the map does not carry kernel into kernel")
-        return Morphism(fa, fb, carried)
+        return _carried(fa, fb, gens_b, mid)
 
     def __repr__(self):
         return (f"H(MiddleFinite({len(self.a_ends)} -> {self.middle!r} -> "

@@ -1,10 +1,14 @@
 """The constructive category of finitely presented modules over a backend.
 
 A module is ``R^k / <columns of a relation matrix>``.  Submodules are always
-given by generator matrices inside an ambient presentation; kernels and
-subquotients route through exact solving and syzygy computation on
-augmented matrices, and membership through ``solve`` or, when no relation
-column has two nonzeros, one divisibility test per entry.
+given by generator matrices inside an ambient presentation: a map's kernel is
+the :meth:`FpModule.submodule` of ``mat.preimage(target.relations)``, its
+image that of ``mat``, and its cokernel ``target.quotient(mat)``.
+Subquotients route through syzygy computation on augmented matrices, and
+membership through ``solve`` or, when no relation column has two nonzeros,
+one divisibility test per entry.  :class:`HomSpace` reads the map that
+composing with ``f`` and ``g`` induces between Hom spaces off one product
+per side (:meth:`HomSpace.induced`), without realizing a generator.
 
 The constructor prunes the presentation: a relation matrix in which no
 column has two nonzero entries (``[diag(d) | g^n I]`` from
@@ -448,40 +452,6 @@ class Morphism:
             return False
         return (self - other).is_zero()
 
-    def kernel(self):
-        """``(K, include)`` with ``include`` the inclusion of the kernel."""
-        if not self.target.ambient:
-            # Everything maps into the zero module: the kernel is the source.
-            return self.source, Morphism.identity(self.source)
-        return self.source.submodule(self.mat.preimage(self.target.relations))
-
-    def cokernel(self):
-        """``(C, project)``; the cokernel shares the target's ambient generators."""
-        C = self.target.quotient(self.mat)
-        return C, Morphism(self.target, C, Mat.identity(self.target.domain,
-                                                        self.target.ambient), check=False)
-
-    def image(self):
-        """``(I, include)``: the image as a submodule of the target."""
-        return self.target.submodule(self.mat)
-
-    def factor_through(self, include):
-        """Express this morphism through a submodule inclusion of its target.
-
-        ``include`` is a morphism ``S -> target`` whose image contains the
-        image of ``self``; returns ``f' : source -> S`` with
-        ``include . f' == self``.
-        """
-        S = include.source
-        if S.relations == self.target.relations and \
-                include.mat == Mat.identity(S.domain, S.ambient):
-            # ``include`` is the identity of the target: ``self`` already factors.
-            return Morphism(self.source, S, self.mat, check=False)
-        sol = include.mat.hstack(self.target.relations).solve(self.mat)
-        if sol is None:
-            raise SubmoduleError("morphism does not factor through the submodule")
-        return Morphism(self.source, include.source, sol.take_rows(range(include.mat.cols)))
-
     def __repr__(self):
         return f"Morphism({self.source!r} -> {self.target!r})"
 
@@ -574,6 +544,8 @@ class HomSpace:
 
     def realize(self, coords):
         """The morphism with the given coordinates over the Hom generators."""
+        if len(coords) != len(self.pairs):
+            raise ValueError(f"{len(coords)} coordinates for {len(self.pairs)} generators")
         D = self.source.domain
         sdim = len(self.source.factors) + self.source.rank
         tdim = len(self.target.factors) + self.target.rank
@@ -589,30 +561,29 @@ class HomSpace:
         dec = (self.target._to_dec @ f.mat @ self.source._from_dec).data
         return [_hom_coord(D, dec[j][i], ann, mult) for i, j, ann, mult in self.pairs]
 
-    def precomposition(self, f):
-        """The matrix of ``u -> u f`` from ``Hom(L, N)`` to this ``Hom(K, N)``
-        for ``f : K -> L``, read off ``T = L._to_dec @ f.mat @ K._from_dec``:
-        as ``N._to_dec @ N._from_dec`` is the identity, generator
-        ``(i, j, _, m)`` after ``f`` has decomposed entries ``m T[i][i']`` in
-        row ``j`` only.  No generator is realized, and one Hom space serves
-        both ends when ``K`` and ``L`` share a presentation."""
+    def induced(self, other, f=None, g=None):
+        """The matrix of ``u -> g u f`` from ``other = Hom(L, A)`` to this
+        ``Hom(K, B)`` for ``f : K -> L`` and ``g : A -> B``, each omitted for
+        the identity.  As ``_to_dec @ _from_dec`` is the identity on each
+        module, generator ``(i, j, _, m)`` goes to the decomposed entries
+        ``Tg[j2][j] m Tf[i][i2]``, with ``Tf = L._to_dec @ f.mat @ K._from_dec``
+        and ``Tg = B._to_dec @ g.mat @ A._from_dec``; no generator is realized."""
         D = self.source.domain
-        hl = self if f.source.relations == f.target.relations else HomSpace(f.target, self.target)
-        t = (f.target._to_dec @ f.mat @ self.source._from_dec).data
-        cols = [[_hom_coord(D, D.mul(m, t[i][i2]), ann, m2) if j2 == j and t[i][i2]
-                 else D.zero for i2, j2, ann, m2 in self.pairs]
-                for i, j, _, m in hl.pairs]
-        return Mat.from_cols(D, cols, len(self.pairs))
+        tf = None if f is None else (other.source._to_dec @ f.mat @ self.source._from_dec).data
+        tg = None if g is None else (self.target._to_dec @ g.mat @ other.target._from_dec).data
 
-    def generators(self):
-        """The generator morphisms themselves."""
-        D = self.source.domain
-        n = len(self.pairs)
-        outs = []
-        for k in range(n):
-            coords = [D.one if t == k else D.zero for t in range(n)]
-            outs.append(self.realize(coords))
-        return outs
+        def entry(i, j, m, i2, j2, ann, m2):
+            # An omitted map's entry is whether it lies on the diagonal, and a
+            # zero factor skips the products.
+            a = i2 == i if tf is None else tf[i][i2]
+            b = j2 == j if tg is None else tg[j2][j]
+            if not (a and b):
+                return D.zero
+            t = m if tf is None else D.mul(m, a)
+            return _hom_coord(D, t if tg is None else D.mul(b, t), ann, m2)
+
+        return Mat.from_cols(D, [[entry(i, j, m, *pair) for pair in self.pairs]
+                                 for i, j, _, m in other.pairs], len(self.pairs))
 
 
 _set_hom_source, _set_hom_target, _set_hom_module, _set_pairs = _slot_setters(HomSpace)

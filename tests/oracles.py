@@ -14,8 +14,8 @@ from itertools import product
 from stab.domains import _is_probable_prime, _pollard_rho
 from stab.invariants import DEPTH_INF, AssSet
 from stab.matrices import Mat, _pivots
-from stab.modules import (FpModule, HomSpace, Ideal, Morphism, sub_equal, sub_intersect,
-                          tensor_mor)
+from stab.modules import (FpModule, HomSpace, Ideal, Morphism, SubmoduleError, sub_equal,
+                          sub_intersect, tensor_mor)
 from stab.functors import SkeletonFormError
 
 
@@ -408,12 +408,30 @@ def loc_tensor_reference(module, x, n):
     return FpModule(D, base.ambient, base.relations.hstack(add))
 
 
+def factor_through_reference(f, include):
+    """``f' : source -> S`` with ``include f' == f``, for a submodule
+    inclusion ``include : S -> target`` whose image holds that of ``f``:
+    ``f`` itself when ``include`` is the target's identity, else one solve
+    over the inclusion's columns and the target's relations."""
+    S, target = include.source, f.target
+    if S.relations == target.relations and include.mat == Mat.identity(S.domain, S.ambient):
+        return Morphism(f.source, S, f.mat, check=False)
+    sol = include.mat.hstack(target.relations).solve(f.mat)
+    if sol is None:
+        raise SubmoduleError("morphism does not factor through the submodule")
+    return Morphism(f.source, S, sol.take_rows(range(include.mat.cols)))
+
+
 def homology_at_reference(f, h):
     """``(ker(h)/im(f), include)`` at the middle of ``A --f--> B --h--> C``:
-    the kernel with its inclusion, ``f`` factored through it, then the
-    quotient by that factor."""
-    k, incl = h.kernel()
-    return k.quotient(f.factor_through(incl).mat), incl
+    the kernel with its inclusion (``B`` itself when ``C`` has no
+    generators), ``f`` factored through it, then the quotient by that
+    factor."""
+    if h.target.ambient:
+        k, incl = h.source.submodule(h.mat.preimage(h.target.relations))
+    else:
+        k, incl = h.source, Morphism.identity(h.source)
+    return k.quotient(factor_through_reference(f, incl).mat), incl
 
 
 def same_span(a, b):
@@ -427,11 +445,11 @@ def complex_homology_reference(d2, d1, index, n):
     ident = Morphism.identity(n)
     t2, t1 = tensor_mor(d2, ident), tensor_mor(d1, ident)
     if index == 0:
-        return t1.cokernel()[0]
+        return t1.target.quotient(t1.mat)
     if index == 2:
-        return t2.kernel()[0]
-    k, incl = t1.kernel()
-    image = t2.factor_through(incl)
+        return t2.source.spanned(t2.mat.preimage(t2.target.relations))
+    k, incl = t1.source.submodule(t1.mat.preimage(t1.target.relations))
+    image = factor_through_reference(t2, incl)
     return FpModule(k.domain, k.ambient, k.relations.hstack(image.mat))
 
 
@@ -460,7 +478,7 @@ class TensoredComplexHomologyReference:
         fa, incl_a = homology_at_reference(*self._tensored(g.source))
         fb, incl_b = homology_at_reference(*self._tensored(g.target))
         mid = tensor_mor(Morphism.identity(self.middle), g)
-        carried = mid.compose(incl_a).factor_through(incl_b)
+        carried = factor_through_reference(mid.compose(incl_a), incl_b)
         return Morphism(fa, fb, carried.mat)
 
 
@@ -753,22 +771,22 @@ def factor_int_reference(n):
 
 
 # The functor-layer constructions as they were before each value and map was
-# built once, or by its shortest route: the torsion part with its quotient
-# and projection, the torsion quotient read off the whole part, a coherent
-# value as the cokernel of the realized precomposition, a coherent map whose
-# values build their own Hom spaces, and homology through the kernel's
-# inclusion (above, with the complex references).
+# built once, or by its shortest route: the torsion part with its quotient,
+# its map factored through the target part's inclusion, the torsion quotient
+# read off the whole part, a coherent value as the cokernel of the realized
+# precomposition, a coherent map through realized generators whose values
+# build their own Hom spaces, and homology through the kernel's inclusion
+# (above, with the complex references).
 
 def torsion_part_reference(gens, subset, n):
-    """``(part, include, quotient, project)`` for the torsion part of ``N``
-    spanned by ``gens(subset, N)`` (:func:`~stab.invariants.gamma_gens` or
+    """``(part, include, quotient)`` for the torsion part of ``N`` spanned by
+    ``gens(subset, N)`` (:func:`~stab.invariants.gamma_gens` or
     ``tau_gens``): the submodule presented inline, then the cokernel of its
     inclusion."""
     g = gens(subset, n)
     part = FpModule(n.domain, g.cols, g.preimage(n.relations))
     include = Morphism(part, n, g)
-    quotient, project = include.cokernel()
-    return part, include, quotient, project
+    return part, include, n.quotient(include.mat)
 
 
 def torsion_part_map_reference(gens, subset, g):
@@ -776,7 +794,7 @@ def torsion_part_map_reference(gens, subset, g):
     source part's inclusion, factored through the target part's."""
     include_a = torsion_part_reference(gens, subset, g.source)[1]
     include_b = torsion_part_reference(gens, subset, g.target)[1]
-    return g.compose(include_a).factor_through(include_b)
+    return factor_through_reference(g.compose(include_a), include_b)
 
 
 def torsion_quotient_reference(gens, subset, n):
@@ -784,34 +802,46 @@ def torsion_quotient_reference(gens, subset, n):
     return torsion_part_reference(gens, subset, n)[2]
 
 
-def hom_induced_reference(f, n, hk=None):
-    """Precomposition ``Hom(L, N) -> Hom(K, N)`` for ``f : K -> L``, each
-    generator of ``Hom(L, N)`` realized, composed with ``f`` and read back;
-    ``hk`` is ``Hom(K, N)`` when the caller has built it.  One Hom space
-    serves both ends when ``K`` and ``L`` share a presentation."""
-    hk = HomSpace(f.source, n) if hk is None else hk
-    hl = hk if f.source.relations == f.target.relations else HomSpace(f.target, n)
-    cols = [hk.coords(g.compose(f)) for g in hl.generators()]
-    return Morphism(hl.module, hk.module, Mat.from_cols(f.source.domain, cols, len(hk.pairs)))
+def hom_generators(h):
+    """The generator morphisms of a Hom space, each realized from its unit
+    coordinates."""
+    D, n = h.source.domain, len(h.pairs)
+    return [h.realize([D.one if t == k else D.zero for t in range(n)]) for k in range(n)]
+
+
+def hom_induced_reference(hk, hl, f=None, g=None):
+    """The matrix of ``u -> g u f`` from ``hl = Hom(L, A)`` to
+    ``hk = Hom(K, B)`` for ``f : K -> L`` and ``g : A -> B`` (identities
+    when omitted): each generator of ``hl`` realized, composed and read
+    back."""
+    cols = []
+    for u in hom_generators(hl):
+        u = u if f is None else u.compose(f)
+        cols.append(hk.coords(u if g is None else g.compose(u)))
+    return Mat.from_cols(hk.source.domain, cols, len(hk.pairs))
 
 
 def coherent_value_reference(functor, n):
-    """A coherent ``F(N)`` as the cokernel of the realized precomposition."""
+    """A coherent ``F(N)`` as the cokernel of the realized precomposition;
+    one Hom space serves both ends when ``K`` and ``L`` share a
+    presentation."""
     f = functor.presenting
+    hk = HomSpace(f.source, n)
     if not f.target.ambient:
-        return HomSpace(f.source, n).module
-    return hom_induced_reference(f, n).cokernel()[0]
+        return hk.module
+    hl = hk if f.source.relations == f.target.relations else HomSpace(f.target, n)
+    return hk.module.quotient(hom_induced_reference(hk, hl, f=f))
 
 
 def coherent_map_reference(functor, g):
-    """``F(g)`` for a coherent ``F``: the push on ``Hom(K, -)`` between the
-    values evaluated afresh at both ends, each by the realized precomposition."""
+    """``F(g)`` for a coherent ``F``: the realized push on ``Hom(K, -)``
+    between the values evaluated afresh at both ends, each by the realized
+    precomposition."""
     k = functor.presenting.source
     ha, hb = HomSpace(k, g.source), HomSpace(k, g.target)
-    cols = [hb.coords(g.compose(u)) for u in ha.generators()]
-    mat = Mat.from_cols(k.domain, cols, len(hb.pairs))
     return Morphism(coherent_value_reference(functor, g.source),
-                    coherent_value_reference(functor, g.target), mat)
+                    coherent_value_reference(functor, g.target),
+                    hom_induced_reference(hb, ha, g=g))
 
 
 # The reports as one ``json.dumps`` call and a CSV loop, each row's cells
@@ -923,6 +953,23 @@ class EnumeratedModule:
         if self.integers:
             return tuple(c * x % self.e for x in v)
         return tuple(_gf2_mod(_gf2_mul(c, x), self.e) for x in v)
+
+    def image(self, mat, v):
+        """``mat v`` in this box, for ``v`` in the box of a module killed by
+        the same ``e``: the matrix read residue by residue."""
+        out = (0,) * mat.rows
+        for j, c in enumerate(v):
+            out = self.add(out, self.scale(c, tuple(self.residue(row[j]) for row in mat.data)))
+        return out
+
+    def classes(self):
+        """Each vector of the box mapped to one representative of its class
+        modulo ``H``."""
+        rep = {}
+        for v in self.box:
+            if v not in rep:
+                rep.update((self.add(v, h), v) for h in self.zero_set)
+        return rep
 
     def killed(self, killers):
         """The vectors ``v`` with ``c v`` in ``H`` for some ring element ``c``

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the library in ``src``."""
+"""Every demo script runs to completion against the library in ``src`` and
+prints exactly its pinned output, ``demo_stdout/<name>.txt``."""
 
 import os
 import subprocess
@@ -9,7 +10,8 @@ import pytest
 
 import stab
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+HERE = Path(__file__).resolve().parent
+DEMOS = sorted((HERE.parent / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -22,6 +24,7 @@ def test_demo_runs(demo, tmp_path):
                           cwd=tmp_path, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == (HERE / "demo_stdout" / f"{demo.stem}.txt").read_text()
 
 
 def test_every_demo_is_collected():

@@ -14,9 +14,10 @@ from stab.modules import (FpModule, Morphism, Ideal, HomSpace, MAX_GENERATORS,
                           sub_equal, sub_intersect, torsion_gens)
 from stab.laws import random_module, random_torsion_module
 from stab.scan import Layers
-from stab.functors import CoherentFunctor
+from stab.functors import CoherentFunctor, _carried
 from oracles import (hom_count_oracle, elementary_divisors, decomposition_reference,
-                     loc_tensor_reference, torsion_gens_reference, hom_induced_reference)
+                     loc_tensor_reference, torsion_gens_reference, hom_induced_reference,
+                     hom_generators, factor_through_reference)
 
 F2 = poly_ring(2)
 F5 = poly_ring(5)
@@ -85,10 +86,10 @@ def test_hom_examples():
 
 def test_hom_realize_produces_well_defined_maps():
     h = HomSpace(cyc(6), cyc(4))
-    for g in h.generators():
+    for g in hom_generators(h):
         assert g.source.ambient == 1 and g.target.ambient == 1
     # the generator of Hom(Z/6, Z/4) = Z/2 is multiplication by 2
-    gen = h.generators()[0]
+    gen = h.realize([1])
     assert gen.mat.data[0][0] % 4 in (2,)
 
 
@@ -105,6 +106,16 @@ def test_hom_coords_inverse_to_realize():
         assert again.equals(f)
 
 
+def test_hom_realize_rejects_a_wrong_number_of_coordinates():
+    # Hom(Z/6 (+) Z/4, Z/4) has two generators: too few coordinates or too
+    # many is an error, not a map built from a truncated list.
+    h = HomSpace(cyc(6, 4), cyc(4))
+    assert len(h.pairs) == 2
+    for coords in ([1], [1] * 5, []):
+        with pytest.raises(ValueError, match="for 2 generators"):
+            h.realize(coords)
+
+
 def test_hom_count_matches_enumeration_small():
     cases = [(cyc(6), cyc(4)), (cyc(4), cyc(4)), (cyc(2, 4), cyc(8)),
              (cyc(12), cyc(9)), (cyc(2, 2), cyc(2, 4))]
@@ -114,19 +125,32 @@ def test_hom_count_matches_enumeration_small():
 
 
 def test_hom_induced_examples():
-    # The precomposition read off one product, against the realized reference.
+    # Pre- and post-composition read off one product, against the realized
+    # reference.
     n = cyc(4)
     hk = HomSpace(cyc(6), n)
     for f in (Morphism.identity(cyc(6)), Morphism.zero_map(cyc(6), cyc(6))):
-        assert hk.precomposition(f) == hom_induced_reference(f, n).mat
-    assert hom_induced_reference(Morphism.identity(cyc(6)), n).equals(
-        Morphism.identity(hk.module))
-    assert hom_induced_reference(Morphism.zero_map(cyc(6), cyc(6)), n).is_zero()
+        assert hk.induced(hk, f=f) == hom_induced_reference(hk, hk, f=f)
+    assert Morphism(hk.module, hk.module, hom_induced_reference(
+        hk, hk, f=Morphism.identity(cyc(6)))).equals(Morphism.identity(hk.module))
+    assert Morphism(hk.module, hk.module, hom_induced_reference(
+        hk, hk, f=Morphism.zero_map(cyc(6), cyc(6)))).is_zero()
     # f = *2 on R induces *2 on Hom(R, Z/4) = Z/4
     f = Morphism(R, R, Mat(ZZ, [[2]]))
     hr = HomSpace(R, n)
-    assert Morphism(hr.module, hr.module, hr.precomposition(f)).equals(
+    assert Morphism(hr.module, hr.module, hr.induced(hr, f=f)).equals(
         Morphism.mult_by(2, hr.module))
+    # g = *6 on Z/4 induces *2 on Hom(R, Z/4), read reduced, and zero on
+    # Hom(Z/6, Z/4) = Z/2; on Hom(R, Z/4 (+) Z/8) = Z/4 (+) Z/8 the map is g.
+    six = Morphism.mult_by(6, n)
+    assert hr.induced(hr, g=six) == Mat(ZZ, [[2]])
+    assert hk.induced(hk, g=six) == Mat(ZZ, [[0]])
+    a = cyc(4, 8)
+    shear = Morphism(a, a, Mat(ZZ, [[1, 0], [2, 1]]))
+    ha = HomSpace(R, a)
+    assert ha.induced(ha, g=shear) == shear.mat
+    for h, g in ((hr, six), (hk, six), (ha, shear)):
+        assert h.induced(h, g=g) == hom_induced_reference(h, h, g=g)
 
 
 def test_morphism_well_definedness_enforced():
@@ -146,42 +170,45 @@ def test_morphism_check_reaches_the_last_relation():
     assert not Morphism(m, m, Mat(ZZ, [[2, 0, 0], [0, 2, 0], [0, 0, 1]])).is_zero()
 
 
-def test_factor_through_rejects_an_image_outside_the_submodule():
+def test_carried_map_rejects_an_image_outside_the_generators():
+    # A functor map writes the images over the target's generators, here the
+    # first basis vector of Z^2.
     r2 = FpModule.free(ZZ, 2)
-    include = Morphism(R, r2, Mat(ZZ, [[1], [0]]))
-    inside = Morphism(r2, r2, Mat(ZZ, [[3, 5], [0, 0]]))
-    assert inside.factor_through(include).mat == Mat(ZZ, [[3, 5]])
-    # The first column factors; only the last one leaves the submodule.
+    gens = Mat(ZZ, [[1], [0]])
+    assert _carried(r2, R, gens, Mat(ZZ, [[3, 5], [0, 0]])).mat == Mat(ZZ, [[3, 5]])
+    # The first column is carried; only the last one leaves the span.
     with pytest.raises(SubmoduleError):
-        Morphism(r2, r2, Mat(ZZ, [[3, 0], [0, 1]])).factor_through(include)
+        _carried(r2, R, gens, Mat(ZZ, [[3, 0], [0, 1]]))
 
 
-def test_factor_through_an_identity_matrix():
+def test_carried_map_over_an_identity_matrix():
     z4 = cyc(4)
     f = Morphism(cyc(2), z4, Mat(ZZ, [[2]]))
-    assert f.factor_through(Morphism.identity(z4)).mat == f.mat
-    # The projection Z -> Z/4 also has the identity matrix, but only a map
-    # into Z factors through it; the identity of Z/4 does not.
-    with pytest.raises((NotWellDefined, SubmoduleError)):
-        Morphism.identity(z4).factor_through(Morphism(R, z4, Mat(ZZ, [[1]])))
+    assert _carried(cyc(2), z4, Mat.identity(ZZ, 1), f.mat).mat == f.mat
+    # Z and Z/4 are both spanned by the identity matrix, but only a map into
+    # Z/4 is carried from Z/4: the carried map stays checked.
+    with pytest.raises(NotWellDefined):
+        _carried(z4, R, Mat.identity(ZZ, 1), Mat.identity(ZZ, 1))
 
 
 def test_kernel_cokernel_image_examples():
+    # The kernel and image are submodules, the cokernel a quotient on the
+    # target's generators.
     f = Morphism(R, R, Mat(ZZ, [[2]]))
-    k, _ = f.kernel()
+    k, _ = R.submodule(f.mat.preimage(R.relations))
     assert k.is_zero()
-    c, proj = f.cokernel()
+    c = R.quotient(f.mat)
     assert c.decompose() == (0, [2])
-    assert proj.mat == Mat.identity(ZZ, 1)
+    Morphism(R, c, Mat.identity(ZZ, 1))  # the projection, checked
 
     g = Morphism.mult_by(2, cyc(4))
-    k, incl = g.kernel()
+    k, incl = cyc(4).submodule(g.mat.preimage(cyc(4).relations))
     assert k.decompose() == (0, [2])
-    img, _ = g.image()
+    img, _ = cyc(4).submodule(g.mat)
     assert img.decompose() == (0, [2])
 
     z = Morphism.zero_map(R, R)
-    c, _ = z.cokernel()
+    c = R.quotient(z.mat)
     assert c.decompose() == (1, [])
 
 
@@ -207,10 +234,10 @@ def test_kernel_image_random_exactness():
         n = mods[rng.randrange(len(mods))]
         h = HomSpace(m, n)
         f = h.realize([rng.randint(-5, 5) for _ in h.pairs])
-        k, incl = f.kernel()
+        k, incl = m.submodule(f.mat.preimage(n.relations))
         assert f.compose(incl).is_zero()
-        img, _ = f.image()
-        coker_of_incl, _ = incl.cokernel()
+        img, _ = n.submodule(f.mat)
+        coker_of_incl = m.quotient(incl.mat)
         assert img.is_isomorphic_to(coker_of_incl)
 
 
@@ -440,9 +467,9 @@ def test_presentation_only_modules_run_no_smith_form(monkeypatch):
     src = FpModule.from_relations(ZZ, [[36, 0], [0, 10]])
     tgt = FpModule.from_relations(ZZ, [[12, 0], [0, 20]])
     f = Morphism(src, tgt, Mat(ZZ, [[2, 0], [0, 2]]))
-    k, incl = f.kernel()
+    k, incl = src.submodule(f.mat.preimage(tgt.relations))
     carrier = Morphism(FpModule.free(ZZ, 1), src, Mat(ZZ, [[12], [0]]))
-    inside = carrier.factor_through(incl)
+    inside = factor_through_reference(carrier, incl)
     quotient = FpModule(ZZ, k.ambient, k.relations.hstack(inside.mat))
     assert computed == []
     # The invariants come from the Smith diagonal alone; the first read of a
@@ -701,7 +728,7 @@ def test_hom_induced_of_an_endomorphism_builds_one_hom_space(monkeypatch):
     f = Morphism(m, m, Mat(ZZ, [[2, 0], [1, 2]]))
     # Precomposition read off two separately built spaces.
     hl, hk = HomSpace(m, n), HomSpace(m, n)
-    cols = [hk.coords(g.compose(f)) for g in hl.generators()]
+    cols = [hk.coords(g.compose(f)) for g in hom_generators(hl)]
     built, init = [], HomSpace.__init__
     monkeypatch.setattr(HomSpace, "__init__",
                         lambda self, a, b: built.append(a) or init(self, a, b))
