@@ -13,7 +13,7 @@ import random
 from stab import ZZ, Mat, FpModule, Ideal, Morphism, ass
 from stab.functors import (CoherentFunctor, ext_functor, tor_functor,
                            GammaFunctor, gamma_as_middle_finite,
-                           OscillatingFunctor, ExponentSet, skeleton)
+                           OscillatingFunctor, ExponentSet)
 from stab.laws import check_functor_laws
 
 R = FpModule.free(ZZ, 1)
@@ -36,11 +36,11 @@ n = FpModule.cyclic(ZZ, 12)
 print("middle-finite vs direct torsion part:",
       mf(n).decompose(), gf(n).decompose())
 
-# Torsion modules normalize into sorted prime-power skeletons.
+# A torsion module's skeleton: its prime-power summands, sorted by prime
+# then exponent, read off the invariant factors.
 m = FpModule.cyclic(ZZ, 12).direct_sum(Z2)
-skel, to_skel, from_skel = skeleton(m)
-print("skeleton of Z/12 (+) Z/2:",
-      [ZZ.elem_str(skel.relations.data[i][i]) for i in range(skel.ambient)])
+pairs = sorted((p, e) for d in m.factors for p, e in ZZ.factor(d))
+print("skeleton of Z/12 (+) Z/2:", [ZZ.elem_str(ZZ.pow(p, e)) for p, e in pairs])
 
 # Exponent rules per prime; here: keep even 2-exponents.
 osc = OscillatingFunctor(ZZ, {2: ExponentSet(progressions=[(2, 2)])})

@@ -66,7 +66,7 @@ def _cmd_run(args):
         return _fail_domain(exc)
     _write_reports(outdir, sc, outcome)
     print(_summary_line(sc, outcome))
-    if sc.expect is not None and not outcome.expect_ok:
+    if not outcome.expect_ok:
         for failure in outcome.expect_failures:
             print(f"  mismatch: {failure}", file=sys.stderr)
         return 3
@@ -182,10 +182,9 @@ def _cmd_suite(args):
             failures += 1
             continue
         count += 1
-        ok = outcome.expect_ok if sc.expect is not None else True
-        status = "ok  " if ok else "FAIL"
+        status = "ok  " if outcome.expect_ok else "FAIL"
         print(f"{status} {_summary_line(sc, outcome)}")
-        if not ok:
+        if not outcome.expect_ok:
             failures += 1
         if args.out:
             _write_reports(Path(args.out), sc, outcome)

@@ -3,6 +3,9 @@
 Every higher layer (matrices, modules, functors, scans) is generic over a
 backend object exposing exact ring arithmetic, Euclidean division, extended
 gcd, factorization into canonical primes, and canonical associates.
+``gcd_ext`` has no caller left in the library; it stays as the backends'
+Bezout operation, which the test references call and
+``perfbench/tracer.py`` patches by name.
 
 Backends are interned (``Integers()`` is ``ZZ``, ``PolyOverFp(p)`` is
 ``poly_ring(p)``), so equality and hashing are the default ones, by

@@ -18,14 +18,17 @@ Variants:
   and :func:`tau` built without their inclusions, and their quotient
   companions, which alone build ``N/<gens>``;
 * the oscillating functor on the skeleton of finite torsion modules, with
-  per-prime exponent sets.
+  per-prime exponent sets; value and map read the kept prime powers off the
+  invariant factors and build no skeleton.
 
 Every functor is immutable and pure: ``F(N)`` returns a fresh module with a
 deterministic presentation, and ``F.map(g)`` returns the induced morphism
 between the recomputed values, read off the presentations they already
 have.  A value presented on generators that span a submodule (homology, the
 torsion parts) takes ``g``'s images of the source's generators written over
-the target's, one ``solve``; a quotient value keeps ``g``'s matrix.
+the target's, one ``solve``; a quotient value keeps ``g``'s matrix; an
+oscillating map keeps, reduced mod p, the entries of ``g`` on the
+invariant-factor coordinates between equal kept prime powers, one product.
 """
 
 from __future__ import annotations
@@ -378,58 +381,7 @@ EMPTY_EXPONENTS = ExponentSet()
 
 
 class SkeletonFormError(DomainViolation):
-    """A module is not torsion, so it has no skeleton, or is not in skeleton form."""
-
-
-def skeleton(n):
-    """Normalize a torsion module into its skeleton: sorted prime-power summands.
-
-    Returns ``(skel, to_skel, from_skel)`` with mutually inverse morphisms;
-    the skeleton presentation is ``diag(p1^e1, ..., pj^ej)`` ordered by prime
-    then exponent.
-    """
-    D = n.domain
-    pairs = _prime_power_pairs(n)
-    dim = len(n.factors)
-    qs, crt = [], []
-    split = [[D.zero] * dim for _ in range(len(pairs))]
-    for r, (p, e, idx) in enumerate(pairs):
-        q = D.pow(p, e)
-        qs.append(q)
-        split[r][idx] = D.one
-        d = n.factors[idx]
-        m = D.exact_div(d, q)
-        _, u, _ = D.gcd_ext(m, q)
-        crt.append((idx, D.divmod(D.mul(u, m), d)[1]))
-    skel = _diag_module(D, qs)
-    split_m = Mat(D, split, len(pairs), dim)
-    crt_m = Mat.monomial(D, dim, crt)
-    to_skel = Morphism(n, skel, split_m @ n._to_dec)
-    from_skel = Morphism(skel, n, n._from_dec @ crt_m)
-    return skel, to_skel, from_skel
-
-
-def _prime_power_pairs(n):
-    """``(p, e, factor index)`` per prime power of ``n``, in skeleton order."""
-    if not n.is_torsion():
-        raise SkeletonFormError("skeleton is defined for torsion modules only")
-    D = n.domain
-    pairs = [(p, e, idx) for idx, d in enumerate(n.factors) for p, e in D.factor(d)]
-    pairs.sort(key=lambda t: (D.prime_key(t[0]), t[1], t[2]))
-    return pairs
-
-
-def skeleton_pairs(module):
-    """Read ``[(p, e), ...]`` off a skeleton-form module, or raise.
-
-    A module is in skeleton form when its relations are those of the
-    skeleton rebuilt from its own prime powers, ``diag(p1^e1, ..., pj^ej)``.
-    """
-    pairs = [(p, e) for p, e, _ in _prime_power_pairs(module)]
-    D = module.domain
-    if module.relations != _diag_module(D, [D.pow(p, e) for p, e in pairs]).relations:
-        raise SkeletonFormError("not a skeleton presentation")
-    return pairs
+    """A module is not torsion, so it has no skeleton of prime-power summands."""
 
 
 class OscillatingFunctor(Functor):
@@ -437,9 +389,11 @@ class OscillatingFunctor(Functor):
 
     ``F(R/p^e) = R/p`` when ``e`` lies in the exponent set of ``p`` and 0
     otherwise; on morphisms only the blocks between summands with the same
-    prime and same exponent survive, reduced mod p.  Arbitrary torsion inputs
-    are normalized into skeleton form first and morphisms are conjugated by
-    the normalization isomorphisms.
+    prime and same exponent survive, reduced mod p.  Value and map read the
+    kept prime powers off the invariant factors, sorted by prime then
+    exponent, without building the skeleton: the map's block entries are
+    those of ``g`` on the invariant-factor coordinates, reduced mod p, since
+    the skeleton's CRT embedding of ``R/p^e`` into ``R/d`` is 1 mod ``p^e``.
     """
 
     def __init__(self, domain, rules):
@@ -461,40 +415,28 @@ class OscillatingFunctor(Functor):
     def exponents_of(self, p):
         return self.rules.get(p, EMPTY_EXPONENTS)
 
-    def eval_skeleton(self, module):
-        """Object rule on a module already in skeleton form."""
-        pairs = skeleton_pairs(module)
-        kept = [p for (p, e) in pairs if e in self.exponents_of(p)]
-        return _diag_module(self.domain, kept)
-
-    def map_skeleton(self, g):
-        """Morphism rule when both endpoints are in skeleton form."""
+    def _kept(self, n):
+        """``(p, e, factor index)`` per prime power ``p^e`` of ``n`` whose
+        exponent lies in the set of ``p``, in skeleton order."""
+        if not n.is_torsion():
+            raise SkeletonFormError("skeleton is defined for torsion modules only")
         D = self.domain
-        spairs = skeleton_pairs(g.source)
-        tpairs = skeleton_pairs(g.target)
-        skeep = [i for i, (p, e) in enumerate(spairs) if e in self.exponents_of(p)]
-        tkeep = [j for j, (p, e) in enumerate(tpairs) if e in self.exponents_of(p)]
-        fa = _diag_module(D, [spairs[i][0] for i in skeep])
-        fb = _diag_module(D, [tpairs[j][0] for j in tkeep])
-        out = [[D.zero] * len(skeep) for _ in range(len(tkeep))]
-        for col, i in enumerate(skeep):
-            for row, j in enumerate(tkeep):
-                p_i, e_i = spairs[i]
-                p_j, e_j = tpairs[j]
-                if p_i == p_j and e_i == e_j:
-                    out[row][col] = D.divmod(g.mat.data[j][i], p_j)[1]
-        return Morphism(fa, fb, Mat(D, out, len(tkeep), len(skeep)))
+        kept = [(p, e, idx) for idx, d in enumerate(n.factors) for p, e in D.factor(d)
+                if e in self.exponents_of(p)]
+        kept.sort(key=lambda t: (D.prime_key(t[0]), t[1], t[2]))
+        return kept
 
     def __call__(self, n):
-        # eval_skeleton of the skeleton, without its transforms.
-        return _diag_module(self.domain, [p for p, e, _ in _prime_power_pairs(n)
-                                          if e in self.exponents_of(p)])
+        return _diag_module(self.domain, [p for p, _, _ in self._kept(n)])
 
     def map(self, g):
-        _, _, from_a = skeleton(g.source)
-        _, to_b, _ = skeleton(g.target)
-        conj = to_b.compose(g).compose(from_a)
-        return self.map_skeleton(conj)
+        D = self.domain
+        ks, kt = self._kept(g.source), self._kept(g.target)
+        tg = (g.target._to_dec @ g.mat @ g.source._from_dec).data
+        out = [[D.divmod(tg[j][i], p)[1] if (p, e) == (q, f) else D.zero for p, e, i in ks]
+               for q, f, j in kt]
+        return Morphism(_diag_module(D, [p for p, _, _ in ks]),
+                        _diag_module(D, [q for q, _, _ in kt]), Mat(D, out, len(kt), len(ks)))
 
     def __repr__(self):
         inner = ", ".join(f"{self.domain.elem_str(p)}: {s!r}" for p, s in self.rules.items())

@@ -136,7 +136,6 @@ class KwHomology(Family):
 class StabilizationReport(NamedTuple):
     """A scanned sequence of values with the detected verdict."""
 
-    kind: str
     observations: tuple
     window: int
     status: str
@@ -189,7 +188,6 @@ class ScanResult(NamedTuple):
     rows: tuple
     ass_report: StabilizationReport
     depth_report: Optional[StabilizationReport]
-    ann_checks: int
 
 
 def scan_range_fault(start, horizon, window):
@@ -243,15 +241,13 @@ def scan_rows(family, functor=None, depth_ideal=None, horizon=50, window=10):
 
     ass_values = [r.ass_set for r in rows]
     status, n0, period = detect(ns, ass_values, window)
-    ass_report = StabilizationReport("ass", tuple(zip(ns, ass_values)),
-                                     window, status, n0, period)
+    ass_report = StabilizationReport(tuple(zip(ns, ass_values)), window, status, n0, period)
     depth_report = None
     if depth_ideal is not None:
         dvals = [r.depth_value for r in rows]
         status, n0, period = detect(ns, dvals, window)
-        depth_report = StabilizationReport("depth", tuple(zip(ns, dvals)),
-                                           window, status, n0, period)
-    return ScanResult(tuple(rows), ass_report, depth_report, len(rows))
+        depth_report = StabilizationReport(tuple(zip(ns, dvals)), window, status, n0, period)
+    return ScanResult(tuple(rows), ass_report, depth_report)
 
 
 def artin_rees_probe(beta, n_prime, ideal, horizon=10):

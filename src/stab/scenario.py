@@ -500,7 +500,7 @@ def report_json(sc, outcome):
         "ass_verdict": _report_verdict(outcome.result.ass_report),
         "depth_verdict": _report_verdict(outcome.result.depth_report),
         "artin_rees_d": outcome.artin_d,
-        "annihilator_checks": outcome.result.ann_checks,
+        "annihilator_checks": len(outcome.result.rows),
         "expect_ok": outcome.expect_ok if sc.expect is not None else None,
         "expect_failures": list(outcome.expect_failures),
     }

@@ -157,7 +157,7 @@ def _assert_group_stable(outcomes, n0_max=30):
         dep = out.result.depth_report
         assert dep is not None and dep.status == "stable", name
         COLLECTED_ARTIN[name] = out.artin_d
-        COLLECTED_ANN_CHECKS["total"] += out.result.ann_checks
+        COLLECTED_ANN_CHECKS["total"] += len(out.result.rows)
 
 
 def test_criterion_04_brodmann_suite():
@@ -230,7 +230,7 @@ def test_criterion_07_oscillating():
         assert out.expect_ok, (name, out.expect_failures)
         assert out.horizon == 40
         COLLECTED_ARTIN[name] = out.artin_d
-        COLLECTED_ANN_CHECKS["total"] += out.result.ann_checks
+        COLLECTED_ANN_CHECKS["total"] += len(out.result.rows)
     print("ACCEPTANCE 7: PASS oscillating functor laws (200 morphism pairs "
           "per prime) and all four packaged scan patterns at horizon 40")
 
@@ -264,7 +264,7 @@ def test_criterion_09_artin_rees():
     for name, sc, out in _run_group("gammatau_"):
         assert out.expect_ok, (name, out.expect_failures)
         COLLECTED_ARTIN[name] = out.artin_d
-        COLLECTED_ANN_CHECKS["total"] += out.result.ann_checks
+        COLLECTED_ANN_CHECKS["total"] += len(out.result.rows)
     assert COLLECTED_ARTIN, "scenario groups must run before this test"
     for name, dd in COLLECTED_ARTIN.items():
         assert dd is not None and dd <= 10, (name, dd)

@@ -16,12 +16,13 @@ from stab.functors import (IdentityFunctor, HomFrom, CoherentFunctor,
                            ModTau, MiddleFiniteFunctor,
                            EndSummand, OscillatingFunctor, ExponentSet,
                            ext_functor, tor_functor, gamma_as_middle_finite,
-                           skeleton, skeleton_pairs, SkeletonFormError,
+                           SkeletonFormError,
                            presentation_map, homology)
 from stab.laws import (check_functor_laws, random_module, random_morphism,
                        random_torsion_module)
 from oracles import (cyclic_hom_oracle, cyclic_ext_oracle, complex_homology_reference,
                      TensoredComplexHomologyReference, skeleton_pairs_reference,
+                     skeleton_reference, oscillating_map_reference,
                      torsion_part_reference, torsion_part_map_reference,
                      torsion_quotient_reference, coherent_map_reference,
                      coherent_value_reference, hom_induced_reference, homology_at_reference,
@@ -571,73 +572,76 @@ def test_middle_finite_poly_backend():
 
 def test_skeleton_normalization():
     m = cyc(12).direct_sum(cyc(2))
-    skel, to_s, from_s = skeleton(m)
-    assert skeleton_pairs(skel) == [(2, 1), (2, 2), (3, 1)]
+    skel, to_s, from_s = skeleton_reference(m)
+    assert skeleton_pairs_reference(skel) == [(2, 1), (2, 2), (3, 1)]
     assert to_s.compose(from_s).equals(Morphism.identity(skel))
     assert from_s.compose(to_s).equals(Morphism.identity(m))
     with pytest.raises(DomainViolation):
-        skeleton(R)
+        skeleton_reference(R)
+    osc = OscillatingFunctor(ZZ, {2: ExponentSet(members=[1])})
+    for bad in (lambda: osc(R), lambda: osc.map(Morphism.identity(R.direct_sum(cyc(2))))):
+        with pytest.raises(SkeletonFormError, match="torsion modules only"):
+            bad()
 
 
 def test_skeleton_pairs_rejects_unsorted():
     bad = FpModule(ZZ, 2, Mat(ZZ, [[4, 0], [0, 2]]))
     with pytest.raises(SkeletonFormError):
-        skeleton_pairs(bad)
+        skeleton_pairs_reference(bad)
     merged = cyc(6)
     with pytest.raises(SkeletonFormError):
-        skeleton_pairs(merged)
+        skeleton_pairs_reference(merged)
 
 
 # Primes of each backend; F2 has no unit but 1, so its associates are equal.
-SKELETON_PRIMES = {ZZ: [2, 3, 5],
-                   F2: [F2.elem_from_json(c) for c in ([0, 1], [1, 1], [1, 1, 1])],
-                   F5: [F5.elem_from_json(c) for c in ([0, 1], [1, 1], [2, 0, 1])]}
-SKELETON_FLAWS = ("none", "merged", "unit", "associate", "free", "off_diagonal",
-                  "mixed", "swapped")
+OSC_PRIMES = {ZZ: [2, 3, 5],
+              F2: [F2.elem_from_json(c) for c in ([0, 1], [1, 1], [1, 1, 1])],
+              F5: [F5.elem_from_json(c) for c in ([0, 1], [1, 1], [2, 0, 1])]}
 
 
 @st.composite
-def skeleton_candidates(draw):
-    """Diagonal prime-power modules, sorted or not, with at most one flaw."""
-    D = draw(st.sampled_from([ZZ, F2, F5]))
-    pairs = draw(st.lists(st.tuples(st.sampled_from(SKELETON_PRIMES[D]), st.integers(1, 3)),
-                          max_size=4))
-    if draw(st.booleans()):
-        pairs.sort(key=lambda t: (D.prime_key(t[0]), t[1]))
-    diag = [D.pow(p, e) for p, e in pairs]
-    flaw = draw(st.sampled_from(SKELETON_FLAWS))
-    if flaw == "merged" and len(diag) >= 2:
-        diag[:2] = [D.mul(diag[0], diag[1])]
-    elif flaw in ("unit", "free"):
-        diag.insert(draw(st.integers(0, len(diag))), D.one if flaw == "unit" else D.zero)
-    elif flaw == "associate" and diag:
-        diag[0] = D.mul(-1 if D is ZZ else D.const(D.p - 1), diag[0])
+def _osc_modules(draw, D):
+    """A torsion module presented by a diagonal of prime-power products,
+    possibly with a generator killed by a unit, and possibly re-presented by
+    a unimodular change of generators."""
+    factors = draw(st.lists(st.lists(st.tuples(st.sampled_from(OSC_PRIMES[D]),
+                                               st.integers(1, 3)), min_size=1, max_size=2),
+                            max_size=3))
+    diag = [D.one] * draw(st.integers(0, 1))
+    for powers in factors:
+        d = D.one
+        for p, e in powers:
+            d = D.mul(d, D.pow(p, e))
+        diag.insert(draw(st.integers(0, len(diag))), d)
     k = len(diag)
-    rows = [[diag[i] if i == j else D.zero for j in range(k)] for i in range(k)]
-    if flaw == "off_diagonal" and k >= 2:
+    rel = Mat.monomial(D, k, list(enumerate(diag)))
+    if k >= 2 and draw(st.booleans()):
         i, j = draw(st.permutations(range(k)))[:2]
-        rows[i][j] = draw(_elems(D))
-    elif flaw == "swapped" and k >= 2:
-        rows = [row[::-1] for row in rows]
-    rel = Mat(D, rows, k, k)
-    if flaw == "mixed" and k >= 2:
-        # A change of generators: the module is the same, its presentation is not.
-        mix = Mat.identity(D, k).data
-        rel = Mat(D, [mix[0], tuple(map(D.add, mix[0], mix[1])), *mix[2:]]) @ rel
+        mix = [list(row) for row in Mat.identity(D, k).data]
+        mix[i][j] = draw(_elems(D))
+        rel = Mat(D, mix[::-1] if draw(st.booleans()) else mix) @ rel
     return FpModule(D, k, rel)
 
 
-def _read(reader, module):
-    try:
-        return reader(module)
-    except SkeletonFormError:
-        return SkeletonFormError
+@st.composite
+def oscillating_maps(draw):
+    """An oscillating functor and a map between two drawn torsion modules."""
+    D = draw(st.sampled_from([ZZ, F2, F5]))
+    rules = {p: ExponentSet(members=draw(st.lists(st.integers(1, 3), max_size=3)))
+             for p in OSC_PRIMES[D] if draw(st.booleans())}
+    a, b = draw(_osc_modules(D)), draw(_osc_modules(D))
+    h = HomSpace(a, b)
+    return OscillatingFunctor(D, rules), h.realize([draw(_elems(D)) for _ in h.pairs])
 
 
-@given(skeleton_candidates())
+@given(oscillating_maps())
 @settings(max_examples=300, deadline=None)
-def test_skeleton_pairs_reads_as_the_entrywise_reference(module):
-    assert _read(skeleton_pairs, module) == _read(skeleton_pairs_reference, module)
+def test_oscillating_map_reads_as_the_skeleton_route(case):
+    osc, g = case
+    got, want = osc.map(g), oscillating_map_reference(osc, g)
+    assert got.mat == want.mat
+    assert got.source.relations == want.source.relations == osc(g.source).relations
+    assert got.target.relations == want.target.relations == osc(g.target).relations
 
 
 def test_oscillating_object_rule():
@@ -659,8 +663,8 @@ def test_oscillating_object_rule_runs_no_smith_transforms(monkeypatch):
     value = osc(n)
     assert computed == []
     # The same presentation as the skeleton route gives.
-    skel, _, _ = skeleton(n)
-    assert value.relations == osc.eval_skeleton(skel).relations
+    skeleton_route = oscillating_map_reference(osc, Morphism.identity(n))
+    assert value.relations == skeleton_route.source.relations
     assert value.decompose() == (0, [2, 6])  # n = Z/6 (+) Z/72
 
 
@@ -668,8 +672,9 @@ def test_oscillating_morphism_block_rule():
     osc = OscillatingFunctor(ZZ, {2: ExponentSet(members=[1, 2])})
     m = FpModule(ZZ, 2, Mat(ZZ, [[2, 0], [0, 4]]))
     g = Morphism(m, m, Mat(ZZ, [[1, 1], [2, 1]]))
-    induced = osc.map_skeleton(g)
+    induced = osc.map(g)
     assert induced.mat.data == ((1, 0), (0, 1))
+    assert induced.mat == oscillating_map_reference(osc, g).mat
 
 
 def test_oscillating_laws_two_hundred_pairs_per_prime():
@@ -678,6 +683,18 @@ def test_oscillating_laws_two_hundred_pairs_per_prime():
         osc = OscillatingFunctor(ZZ, {prime: ExponentSet(members=[1, 3])})
         failures = check_functor_laws(osc, ZZ, rng, trials=25, torsion_only=True,
                                       module_pool=pool)
+        assert failures == []
+
+
+@pytest.mark.parametrize("D", [F2, F5], ids=["GF2x", "GF5x"])
+def test_oscillating_laws_over_poly_rings_at_three_seeds(D):
+    x, x1 = D.elem_from_json([0, 1]), D.elem_from_json([1, 1])
+    osc = OscillatingFunctor(D, {x: ExponentSet(progressions=[(2, 2)]),
+                                 x1: ExponentSet(members=[1, 3])})
+    pool = [x, D.mul(x, x), D.pow(x, 3), x1, D.pow(x1, 3), D.mul(x, x1)]
+    for seed in (1, 2, 3):
+        failures = check_functor_laws(osc, D, random.Random(seed), trials=20,
+                                      torsion_only=True, module_pool=pool)
         assert failures == []
 
 

@@ -91,11 +91,11 @@ def _values(draw):
 
 
 @st.composite
-def _verdicts(draw, kind):
+def _verdicts(draw):
     if draw(st.booleans()):
         return None
     n0, period = draw(st.none() | st.integers(0, 9)), draw(st.none() | st.integers(1, 4))
-    return StabilizationReport(kind, (), draw(st.integers(2, 9)),
+    return StabilizationReport((), draw(st.integers(2, 9)),
                                draw(st.sampled_from(["stable", "not-stable-within-horizon"])),
                                n0, period)
 
@@ -117,8 +117,7 @@ def made_up_outcomes(draw):
     domain = _Domain(draw(st.dictionaries(TEXT, TEXT | st.integers(), max_size=2)))
     expect = draw(st.none() | st.just({}))
     sc = Scenario(draw(NAMES), domain, None, None, {}, None, 9, 2, None, expect)
-    result = ScanResult(tuple(rows), draw(_verdicts("ass")), draw(_verdicts("depth")),
-                        len(rows))
+    result = ScanResult(tuple(rows), draw(_verdicts()), draw(_verdicts()))
     failures = tuple(draw(st.lists(TEXT, max_size=2)))
     outcome = RunOutcome(result, draw(st.none() | st.integers(0, 9)), not failures, failures,
                          draw(st.integers(0, 99)), draw(st.integers(2, 9)),
@@ -127,7 +126,7 @@ def made_up_outcomes(draw):
 
 
 def _case(name, rows, domain=_Domain({}), expect=None, failures=()):
-    result = ScanResult(tuple(rows), None, None, len(rows))
+    result = ScanResult(tuple(rows), None, None)
     return (Scenario(name, domain, None, None, {}, None, 9, 2, None, expect),
             RunOutcome(result, None, not failures, tuple(failures), 9, 2,
                        _report_cells(domain, result.rows)))
