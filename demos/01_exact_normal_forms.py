@@ -16,8 +16,9 @@ print("A:", A.data)
 print("diagonal of D:", D.diagonal())          # [2, 4]
 print("U @ A @ V == D:", (U @ A @ V) == D)
 
-# The transforms are unimodular: exact inverses exist over the integers.
-print("U^-1 exists:", U.inverse() is not None)
+# The transforms are unimodular: exact inverses exist over the integers,
+# solving U X = I.
+print("U^-1 exists:", U.solve(Mat.identity(ZZ, U.rows)) is not None)
 
 # Column Hermite form: A @ U == H, canonical for the column span.
 H, U2 = Mat(ZZ, [[12, 6]]).hnf()
@@ -34,8 +35,8 @@ print("solve 2x=[4, 3]:", two.solve(Mat(ZZ, [[4, 3]])))    # None
 P = two.preimage(Mat(ZZ, [[6]]))
 print("preimage of 6Z under 2:", P.col(0))                # [3]
 
-# Kernels: all integer solutions of 2x + 4y = 0.
-K = Mat(ZZ, [[2, 4]]).kernel()
+# Kernels: all integer solutions of 2x + 4y = 0, the preimage of zero.
+K = Mat(ZZ, [[2, 4]]).preimage(Mat.zero(ZZ, 1, 0))
 print("kernel generators of [[2, 4]]:", [K.col(j) for j in range(K.cols)])
 
 # The same machinery runs over GF(5)[x]; elements are coefficient tuples

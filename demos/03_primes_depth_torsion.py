@@ -26,7 +26,8 @@ print("depth (2) on Z:", depth(Ideal(ZZ, 2), R))
 # by it split Ass along V(I).
 part, include = gamma(Ideal(ZZ, 2), M)
 quotient = ModGamma(Ideal(ZZ, 2))(M)
-print("Gamma_(2):", part.decompose(), "  quotient:", quotient.decompose())
+print("Gamma_(2):", (part.rank, list(part.factors)),
+      "  quotient:", (quotient.rank, list(quotient.factors)))
 print("Ass of part:", ass(part), "  Ass of quotient:", ass(quotient))
 print("the quotient kills the included part:", quotient.contains(include.mat))
 
@@ -37,7 +38,7 @@ print("{4,6} cmc:", CmcSet.explicit(ZZ, [4, 6]).is_cmc())
 
 # tau for the multiplicative closure of {2} is 2-power torsion.
 t, _ = tau(CmcSet.closure(ZZ, [2]), FpModule.cyclic(ZZ, 12))
-print("tau_closure{2} of Z/12:", t.decompose())
+print("tau_closure{2} of Z/12:", (t.rank, list(t.factors)))
 
 # The quotient formula can fail for sets that are merely cmc: with S = {2}
 # and M = Z/4, the prime (2) meets S yet survives in M/tau.

@@ -21,20 +21,22 @@ Z2 = FpModule.cyclic(ZZ, 2)
 
 # A coherent functor presented by f: R --2--> R is N |-> N/2N.
 F = CoherentFunctor(Morphism(R, R, Mat(ZZ, [[2]])))
-print("coker(h_R -> h_R) at Z/8:", F(FpModule.cyclic(ZZ, 8)).decompose())
+v = F(FpModule.cyclic(ZZ, 8))
+print("coker(h_R -> h_R) at Z/8:", (v.rank, list(v.factors)))
 
 # Ext^1(Z/2, -) and Tor_1(Z/2, -) give Z/2 on every Z/2^n.
 for n in (1, 2, 3):
     e = ext_functor(Z2, 1)(FpModule.cyclic(ZZ, 2**n))
     t = tor_functor(Z2, 1)(FpModule.cyclic(ZZ, 2**n))
-    print(f"Ext1, Tor1 at Z/{2**n}:", e.decompose(), t.decompose())
+    print(f"Ext1, Tor1 at Z/{2**n}:", (e.rank, list(e.factors)), (t.rank, list(t.factors)))
 
 # The 2-power-torsion functor agrees with the homology of 0 -> R -> R[1/2].
 mf = gamma_as_middle_finite(Ideal(ZZ, 2))
 gf = GammaFunctor(Ideal(ZZ, 2))
 n = FpModule.cyclic(ZZ, 12)
+a, b = mf(n), gf(n)
 print("middle-finite vs direct torsion part:",
-      mf(n).decompose(), gf(n).decompose())
+      (a.rank, list(a.factors)), (b.rank, list(b.factors)))
 
 # A torsion module's skeleton: its prime-power summands, sorted by prime
 # then exponent, read off the invariant factors.

@@ -292,9 +292,6 @@ class Integers(_Backend):
     def prime_key(self, p):
         return p
 
-    def elem_sort_key(self, a):
-        return (abs(a), -a)
-
     def elem_str(self, a):
         return str(a)
 
@@ -612,9 +609,6 @@ class PolyOverFp(_Backend):
 
     def prime_key(self, q):
         return (len(q), q)
-
-    def elem_sort_key(self, a):
-        return (len(a), a)
 
     def elem_str(self, a):
         if not a:

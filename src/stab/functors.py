@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .domains import int_in_range
+from .domains import BackendMismatch, int_in_range
 from .matrices import Mat
 from .modules import (FpModule, Morphism, HomSpace, _diag_module, loc_tensor,
                       sub_contains, torsion_gens, DomainViolation, NotWellDefined,
@@ -69,6 +69,12 @@ def _carried(source, target, gens, images):
     return Morphism(source, target, carried)
 
 
+def _check_backend(domain, n):
+    """Raise :class:`BackendMismatch` unless the module ``n`` is over ``domain``."""
+    if n.domain != domain:
+        raise BackendMismatch(f"functor over {domain!r} applied to a module over {n.domain!r}")
+
+
 class Functor:
     """Interface: ``F(N)`` evaluates on objects, ``F.map(g)`` on morphisms."""
 
@@ -98,7 +104,8 @@ class CoherentFunctor(Functor):
     >>> from stab.matrices import Mat
     >>> r = FpModule.free(ZZ, 1)
     >>> f = Morphism(r, r, Mat(ZZ, [[2]]))
-    >>> CoherentFunctor(f)(FpModule.cyclic(ZZ, 4)).decompose()
+    >>> v = CoherentFunctor(f)(FpModule.cyclic(ZZ, 4))
+    >>> v.rank, list(v.factors)
     (0, [2])
     """
 
@@ -172,6 +179,11 @@ class _TorsionSplitFunctor(Functor):
     def __init__(self, subset):
         self.subset = subset
 
+    def _gens(self, n):
+        # The one entry to ``gens``: ``n`` must be over the subset's backend.
+        _check_backend(self.subset.domain, n)
+        return self.gens(self.subset, n)
+
     def __repr__(self):
         return f"{self.label}_{self.subset!r}"
 
@@ -181,11 +193,11 @@ class _TorsionPartFunctor(_TorsionSplitFunctor):
     inclusion."""
 
     def __call__(self, n):
-        return n.spanned(self.gens(self.subset, n))
+        return n.spanned(self._gens(n))
 
     def map(self, g):
         # ``g`` on the source part's generators, written over the target part's.
-        gens_a, gens_b = self.gens(self.subset, g.source), self.gens(self.subset, g.target)
+        gens_a, gens_b = self._gens(g.source), self._gens(g.target)
         return _carried(g.source.spanned(gens_a), g.target.spanned(gens_b), gens_b,
                         g.mat @ gens_a)
 
@@ -195,7 +207,7 @@ class _TorsionQuotientFunctor(_TorsionSplitFunctor):
     maps keep their matrix."""
 
     def __call__(self, n):
-        return n.quotient(self.gens(self.subset, n))
+        return n.quotient(self._gens(n))
 
     def map(self, g):
         return Morphism(self(g.source), self(g.target), g.mat)
@@ -418,6 +430,7 @@ class OscillatingFunctor(Functor):
     def _kept(self, n):
         """``(p, e, factor index)`` per prime power ``p^e`` of ``n`` whose
         exponent lies in the set of ``p``, in skeleton order."""
+        _check_backend(self.domain, n)
         if not n.is_torsion():
             raise SkeletonFormError("skeleton is defined for torsion modules only")
         D = self.domain

@@ -52,13 +52,6 @@ class AssSet:
     def __hash__(self):
         return hash(self.primes)
 
-    def restrict_to_v(self, ideal):
-        """Intersection with ``V(I) = {P : P >= I}``."""
-        return AssSet([p for p in self.primes if p.contains(ideal.gen)])
-
-    def remove_v(self, ideal):
-        return AssSet([p for p in self.primes if not p.contains(ideal.gen)])
-
     def to_json(self):
         return [repr(p) for p in self.primes]
 
@@ -198,14 +191,6 @@ class CmcSet:
             if all(D.divides(r, s) for r in self.elems):
                 return s
         return None
-
-    def meets_prime(self, p):
-        """Whether ``P`` intersects the set."""
-        if self.is_explicit():
-            return any(p.contains(e) for e in self.elems)
-        if p.is_zero():
-            return False
-        return any(p.contains(g) for g in self.closure_gens)
 
     def to_json(self):
         D = self.domain

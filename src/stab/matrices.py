@@ -20,13 +20,14 @@ is then ``(t, t)`` and nothing needs clearing.
 
 Linear algebra goes through two calls, each on one Hermite form: ``solve``
 takes a matrix of right-hand sides and answers every column at once, and
-``preimage`` gives the canonical generators of ``{x : A @ x in span(B)}``,
-with ``kernel`` the preimage of zero.  A *monomial* ``A`` (at most one
-nonzero in each row and each column, as in diagonal presentations and their
-Kronecker blocks) needs no Hermite form: over a PID the system splits into
-one equation per entry.  ``solve`` divides entrywise, and ``preimage`` of a
-``B`` with no column of two nonzeros reads one gcd per row of ``B``; both
-give exactly the Hermite path's answer.  ``_support`` reads a matrix's
+``preimage`` gives the canonical generators of ``{x : A @ x in span(B)}``.
+A kernel is the preimage of a ``B`` with no columns, and the inverse of a
+square matrix is ``solve`` of the identity.  A *monomial* ``A`` (at most
+one nonzero in each row and each column, as in diagonal presentations and
+their Kronecker blocks) needs no Hermite form: over a PID the system splits
+into one equation per entry.  ``solve`` divides entrywise, and ``preimage``
+of a ``B`` with no column of two nonzeros reads one gcd per row of ``B``;
+both give exactly the Hermite path's answer.  ``_support`` reads a matrix's
 nonzeros for this and for the one-gcd-per-row pruning of module relations.
 Every matrix with at most one nonzero per column is built by
 ``Mat.monomial``: scalar matrices, the monomial ``preimage`` answer, and in
@@ -280,18 +281,6 @@ class Mat:
                 row.append(acc)
             out.append(row)
         return Mat(D, out, self.rows, other.cols)
-
-    def mul_vec(self, vec):
-        D = self.domain
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = D.zero
-            for k in range(self.cols):
-                acc = D.add(acc, D.mul(self.data[i][k], vec[k]))
-            out.append(acc)
-        return out
 
     def __add__(self, other):
         return self._entrywise(self.domain.add, other)
@@ -590,20 +579,10 @@ class Mat:
         # form of the span.
         return Mat.monomial(D, n, [(j, c) for j, c in enumerate(pivots) if c is not None])
 
-    def kernel(self):
-        """Columns generating ``{x : self @ x == 0}``, in canonical Hermite form."""
-        return self.preimage(Mat.zero(self.domain, self.rows, 0))
-
     def span_basis(self):
         """The nonzero columns of the Hermite form: canonical generators of the span."""
         H, _ = self.hnf()
         return H.take_cols(range(len(_pivots(H))))
-
-    def inverse(self):
-        """Exact inverse over the domain, or ``None`` if not unimodular."""
-        if self.rows != self.cols:
-            return None
-        return self.solve(Mat.identity(self.domain, self.rows))
 
 
 def _slot_setters(cls):

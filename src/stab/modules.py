@@ -22,21 +22,22 @@ later normal form runs on the smaller matrix.
 of the relations, without transforms; the decomposition transforms run the
 full Smith form on their own first read.  So kernels and carriers that only
 serve as presentations pay for neither, and invariant-only reads never pay
-for the transforms.  Isomorphism testing reduces to comparing
-``(rank, invariant factors)``.  Immutable objects fill their slots, lazy
+for the transforms.  Two modules are isomorphic exactly when their
+``(rank, factors)`` agree.  Immutable objects fill their slots, lazy
 ones too, through the member descriptors (see :mod:`stab.matrices`).
 
 >>> from stab.domains import ZZ
 >>> M = FpModule.from_relations(ZZ, [[2, 4], [6, 8]])
 >>> M.rank, list(M.factors)
 (0, [2, 4])
->>> FpModule.free(ZZ, 1).tensor(M).is_isomorphic_to(M)
+>>> T = FpModule.free(ZZ, 1).tensor(M)
+>>> (T.rank, T.factors) == (M.rank, M.factors)
 True
 """
 
 from __future__ import annotations
 
-from .domains import BackendMismatch, _ptrim, int_in_range
+from .domains import BackendMismatch, int_in_range
 from .matrices import Mat, _row_gcds, _slot_setters, _support
 
 
@@ -193,10 +194,6 @@ class FpModule:
 
     # -- structure ------------------------------------------------------------
 
-    def decompose(self):
-        """``(free rank, invariant factors)`` with units dropped, d1 | d2 | ..."""
-        return self.rank, list(self.factors)
-
     def dec_module(self):
         """The diagonal presentation isomorphic to this module."""
         return FpModule.from_invariants(self.domain, self.rank, list(self.factors))
@@ -206,41 +203,6 @@ class FpModule:
 
     def is_torsion(self):
         return self.rank == 0
-
-    def is_isomorphic_to(self, other):
-        return (self.domain == other.domain and self.rank == other.rank
-                and self.factors == other.factors)
-
-    def element_count(self):
-        """Number of elements, or ``None`` when infinite."""
-        if self.rank > 0:
-            return None
-        D = self.domain
-        total = 1
-        for d in self.factors:
-            total *= abs(d) if D.kind == "integers" else D.p ** (len(d) - 1)
-        return total
-
-    def elements(self):
-        """All elements as ambient coordinate vectors (finite modules only)."""
-        D = self.domain
-        if self.rank > 0:
-            raise DomainViolation("cannot enumerate an infinite module")
-        residues = []
-        for d in self.factors:
-            if D.kind == "integers":
-                residues.append([r for r in range(abs(d))])
-            else:
-                p, deg = D.p, len(d) - 1
-                opts = [()]
-                for _ in range(deg):
-                    opts = [o + (c,) for o in opts for c in range(p)]
-                residues.append([_ptrim(o) for o in opts])
-        out = [[]]
-        for opts in residues:
-            out = [v + [o] for v in out for o in opts]
-        frommat = self._from_dec
-        return [frommat.mul_vec(v) for v in out]
 
     def contains(self, gens):
         """Whether every column of ``gens`` lies in the relation span (is zero here).
@@ -273,7 +235,7 @@ class FpModule:
 
         >>> from stab.domains import ZZ
         >>> a = FpModule.cyclic(ZZ, 4).tensor(FpModule.cyclic(ZZ, 6))
-        >>> a.decompose()
+        >>> a.rank, list(a.factors)
         (0, [2])
         """
         self._check(other)
@@ -426,11 +388,6 @@ class Morphism:
         return cls(source, target, Mat.zero(source.domain, target.ambient, source.ambient),
                    check=False)
 
-    @classmethod
-    def mult_by(cls, elem, module):
-        return cls(module, module, Mat.scalar(module.domain, module.ambient, elem),
-                   check=False)
-
     def compose(self, other):
         """``self after other``."""
         if other.target.ambient != self.source.ambient:
@@ -457,13 +414,6 @@ class Morphism:
 
 
 _set_source, _set_target, _set_mat = _slot_setters(Morphism)
-
-
-def tensor_mor(f, g):
-    """``f (x) g`` on tensor products, matching :meth:`FpModule.tensor` indexing."""
-    src = f.source.tensor(g.source)
-    tgt = f.target.tensor(g.target)
-    return Morphism(src, tgt, f.mat.kron(g.mat), check=False)
 
 
 def loc_tensor(module, x, n):
@@ -509,7 +459,7 @@ class HomSpace:
 
     >>> from stab.domains import ZZ
     >>> H = HomSpace(FpModule.cyclic(ZZ, 6), FpModule.cyclic(ZZ, 4))
-    >>> H.module.decompose()
+    >>> H.module.rank, list(H.module.factors)
     (0, [2])
     """
 

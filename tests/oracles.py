@@ -15,7 +15,7 @@ from stab.domains import _is_probable_prime, _pollard_rho
 from stab.invariants import DEPTH_INF, AssSet
 from stab.matrices import Mat, _pivots
 from stab.modules import (FpModule, HomSpace, Ideal, Morphism, SubmoduleError, sub_equal,
-                          sub_intersect, tensor_mor)
+                          sub_intersect)
 from stab.functors import SkeletonFormError
 
 
@@ -134,26 +134,26 @@ def ass_reference(m):
     return AssSet(primes)
 
 
-def hom_count_oracle(module, target):
-    """Number of module maps by enumerating generator images with a relation check."""
-    domain = module.domain
-    elements = target.elements()
-    count = 0
-    rel = module.relations
-    for images in product(elements, repeat=module.ambient):
-        ok = True
-        for j in range(rel.cols):
-            col = rel.col(j)
-            total = [domain.zero] * target.ambient
-            for coeff, vec in zip(col, images):
-                for i in range(target.ambient):
-                    total[i] = domain.add(total[i], domain.mul(coeff, vec[i]))
-            if not target.contains(Mat.from_cols(domain, [total], target.ambient)):
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+def hom_count_oracle(module, target, e):
+    """Number of module maps into a ``target`` killed by ``e``: the choices of
+    one generator image per class of the :class:`EnumeratedModule` target
+    that send every relation column of ``module`` to zero."""
+    enum = EnumeratedModule(target, e)
+    elements = set(enum.classes().values())
+
+    def total(col, images):
+        out = (0,) * target.ambient
+        for c, v in zip(col, images):
+            out = enum.add(out, enum.scale(enum.residue(c), v))
+        return out
+
+    return sum(all(total(col, images) in enum.zero_set for col in module.relations.columns())
+               for images in product(elements, repeat=module.ambient))
+
+
+def iso_type(m):
+    """``(free rank, invariant factors)``: the isomorphism type of ``m``."""
+    return m.rank, list(m.factors)
 
 
 def cyclic_hom_oracle(a, b):
@@ -174,7 +174,7 @@ def elementary_divisors(domain, rank, factors):
     for d in factors:
         for p, e in domain.factor(d):
             out.append(domain.pow(p, e))
-    return rank, sorted(out, key=domain.elem_sort_key)
+    return rank, sorted(out, key=domain.prime_key)
 
 
 # Reference GF(p)[x] arithmetic by the direct loops, reducing every
@@ -286,8 +286,7 @@ def matmul_reference(a, b):
 
 # Reference linear algebra by the direct routes: one right-hand side at a
 # time, and a preimage as the first rows of the kernel of the augmented
-# matrix.  Used by differential tests of ``Mat.solve``, ``Mat.preimage`` and
-# ``Mat.kernel``.
+# matrix.  Used by differential tests of ``Mat.solve`` and ``Mat.preimage``.
 
 def solve_vector_reference(a, b):
     """A solution ``x`` of ``a @ x == b`` for one vector ``b``, or ``None``."""
@@ -309,10 +308,8 @@ def solve_vector_reference(a, b):
         if not D.is_zero(r):
             return None
         y[j] = q
-    x = U.mul_vec(y)
-    if any(not D.is_zero(D.sub(c, t)) for c, t in zip(a.mul_vec(x), b)):
-        return None
-    return x
+    x = (U @ Mat.from_cols(D, [y], a.cols)).col(0)
+    return x if (a @ Mat.from_cols(D, [x], a.cols)).col(0) == list(b) else None
 
 
 def kernel_reference(a):
@@ -371,7 +368,7 @@ def decomposition_reference(module):
 
     Torsion rows of the Smith form come first in diagonal order, then the free
     rows; rows with a unit on the diagonal present vanishing generators and
-    are dropped.  Uses the public ``snf`` and ``inverse`` rather than the
+    are dropped.  Uses the public ``snf`` and ``solve`` rather than the
     module's own decomposition.
     """
     D = module.domain
@@ -381,7 +378,7 @@ def decomposition_reference(module):
     free = [i for i in range(module.ambient) if i >= len(diag) or D.is_zero(diag[i])]
     order = torsion + free
     return (len(free), tuple(diag[i] for i in torsion),
-            u.take_rows(order), u.inverse().take_cols(order))
+            u.take_rows(order), u.solve(Mat.identity(D, u.rows)).take_cols(order))
 
 
 # Reference constructions in their earlier, separately built forms: the
@@ -397,14 +394,10 @@ def loc_tensor_reference(module, x, n):
     """``(module[1/x]) (x) N`` with one extra relation per invariant factor."""
     D = n.domain
     base = module.tensor(n)
-    extra = []
-    for idx, d in enumerate(base.factors):
-        col = [D.zero] * (len(base.factors) + base.rank)
-        col[idx] = D.exact_div(d, D.saturate_part(d, x))
-        extra.append(base._from_dec.mul_vec(col))
-    if not extra:
+    entries = [(idx, D.exact_div(d, D.saturate_part(d, x))) for idx, d in enumerate(base.factors)]
+    if not entries:
         return base
-    add = Mat.from_cols(D, extra, base.ambient)
+    add = base._from_dec @ Mat.monomial(D, base._from_dec.cols, entries)
     return FpModule(D, base.ambient, base.relations.hstack(add))
 
 
@@ -438,6 +431,12 @@ def same_span(a, b):
     """Whether two presentations share their generators and relation span."""
     free = FpModule.free(a.domain, a.ambient)
     return a.ambient == b.ambient and sub_equal(free, a.relations, b.relations)
+
+
+def tensor_mor(f, g):
+    """``f (x) g`` on tensor products, matching :meth:`FpModule.tensor` indexing."""
+    return Morphism(f.source.tensor(g.source), f.target.tensor(g.target), f.mat.kron(g.mat),
+                    check=False)
 
 
 def complex_homology_reference(d2, d1, index, n):
@@ -629,8 +628,10 @@ def periodic_tail_reference(values, window):
 #   tau_S(R/b)     = R/gcd(b, s)                     (s a cogenerator of an explicit
 #                                                     set S; zero when b = 0 and s != 0),
 # and the quotients by the last two are ``R/(b / part)`` (``R`` again when
-# b = 0: a free summand stays).  A multiplicative closure reduces to Gamma at
-# the product of its generators.  So every row is known without a normal
+# b = 0: a free summand stays).  The coherent functor of ``R -> R/(c)``,
+# ``1 -> 1``, is ``N -> N/N[c] = cN``, and ``c R/(b) = R/(b / gcd(b, c))``
+# (``R`` again when b = 0, for c != 0).  A multiplicative closure reduces
+# to Gamma at the product of its generators.  So every row is known without a normal
 # form; primes come from trial division of ``g``, the ``d_i`` and the
 # ``a_j``, not from the library's ``factor``.  Depth over such a row is 0
 # when ``J = (j)`` lies in an associated prime (a prime of ``j`` divides a
@@ -703,9 +704,9 @@ def quotient_value_reference(domain, rank, factors, g, n, kind="identity", fixed
     ``F(g^(n-1) M / g^n M)``, or with ``graded`` of ``F(g^n M / g^n M')``
     (0 for a free summand, units for none) by the closed forms above.
     ``graded`` gives ``M' = (+) m_i e_i`` as one ``m_i`` per summand of
-    ``M``, the free summands first.  ``kind`` is ``identity``; one of
-    ``HOM_KINDS`` with ``fixed = (s, a_j)`` for the module ``A``; or one of
-    ``TORSION_KINDS`` with ``fixed`` the subset of
+    ``M``, the free summands first.  ``kind`` is ``identity``; ``times``
+    with ``fixed = c``; one of ``HOM_KINDS`` with ``fixed = (s, a_j)`` for
+    the module ``A``; or one of ``TORSION_KINDS`` with ``fixed`` the subset of
     :func:`torsion_split_reference`."""
     D = domain
     gn = D.pow(g, n)
@@ -725,6 +726,8 @@ def quotient_value_reference(domain, rank, factors, g, n, kind="identity", fixed
                     for d, m, a in zip(ds, graded, summands)]
     if kind in TORSION_KINDS:
         return [torsion_split_reference(D, b, kind, fixed) for b in summands]
+    if kind == "times":
+        return [D.exact_div(b, D.gcd(b, fixed)) if b else b for b in summands]
     s, fixed_factors = fixed
     out = []
     for b in summands:
@@ -754,7 +757,7 @@ def elementary_divisors_over(domain, orders, primes):
             if not D.is_unit(q):
                 powers.append(q)
         assert D.is_unit(c), f"{c!r} has a prime outside {primes!r}"
-    return rank, sorted(powers, key=D.elem_sort_key)
+    return rank, sorted(powers, key=D.prime_key)
 
 
 def depth_over(domain, rank, powers, j):

@@ -19,7 +19,8 @@ from stab.laws import check_functor_laws, random_torsion_module
 from stab.scan import artin_rees_probe
 from stab.scenario import parse_scenario, run_scenario
 from stab.cli import _iter_packaged_scenarios
-from oracles import (ass_oracle, cyclic_hom_oracle, cyclic_ext_oracle)
+from oracles import (ass_oracle, cyclic_hom_oracle, cyclic_ext_oracle, invariant_counts,
+                     iso_type)
 
 F2 = poly_ring(2)
 R = FpModule.free(ZZ, 1)
@@ -96,9 +97,9 @@ def test_criterion_02_hom_tor_ext_oracle_equivalence():
             assert list(h.factors) == want and h.rank == 0
             assert list(t.factors) == want and t.rank == 0
             assert list(e.factors) == want and e.rank == 0
-            assert (h.element_count() or 1) == cyclic_hom_oracle(a, b)
-            assert (t.element_count() or 1) == cyclic_hom_oracle(a, b)
-            assert (e.element_count() or 1) == cyclic_ext_oracle(a, b)
+            assert invariant_counts(ZZ, h.factors, [])[0] == cyclic_hom_oracle(a, b)
+            assert invariant_counts(ZZ, t.factors, [])[0] == cyclic_hom_oracle(a, b)
+            assert invariant_counts(ZZ, e.factors, [])[0] == cyclic_ext_oracle(a, b)
     print("ACCEPTANCE 2: PASS hom/tor1/ext1 match enumeration on all "
           "900 cyclic pairs up to 30")
 
@@ -196,18 +197,20 @@ def test_criterion_06_section3_formulas():
         g = rng.choice([0, 1, 2, 3, 5, 6, 12])
         ideal = Ideal(ZZ, g)
         a = ass(m)
-        assert ass(gamma(ideal, m)[0]) == a.restrict_to_v(ideal)
-        assert ass(ModGamma(ideal)(m)) == a.remove_v(ideal)
+        # Ass Gamma_I(M) = Ass M meet V(I) and Ass M/Gamma_I(M) = Ass M \ V(I).
+        assert ass(gamma(ideal, m)[0]) == AssSet([p for p in a if p.contains(g)])
+        assert ass(ModGamma(ideal)(m)) == AssSet([p for p in a if not p.contains(g)])
         gens = [rng.choice([2, 3, 5, 6]) for _ in range(rng.randint(1, 2))]
         s = CmcSet.closure(ZZ, gens)
-        meets = AssSet([p for p in a if s.meets_prime(p)])
-        avoids = AssSet([p for p in a if not s.meets_prime(p)])
+        # The primes that meet S: those holding one of its nonzero generators.
+        meets = AssSet([p for p in a if any(p.contains(c) for c in gens)])
+        avoids = AssSet([p for p in a if not any(p.contains(c) for c in gens)])
         assert ass(tau(s, m)[0]) == meets
         assert ass(ModTau(s)(m)) == avoids
     # pinned regression: S = {2}, M = Z/4; (2) meets S but survives the quotient
     pinned = CmcSet.explicit(ZZ, [2])
     assert ass(ModTau(pinned)(cyc(4))) == AssSet([Ideal(ZZ, 2)])
-    assert tau(pinned, cyc(4))[0].decompose() == (0, [2])
+    assert iso_type(tau(pinned, cyc(4))[0]) == (0, [2])
     print("ACCEPTANCE 6: PASS torsion-part prime formulas on 300 random "
           "triples plus the pinned quotient counterexample")
 
@@ -242,13 +245,13 @@ def test_criterion_08_middle_finite():
         gf = GammaFunctor(Ideal(ZZ, g))
         for _ in range(40):
             n = random_torsion_module(ZZ, rng)
-            assert mf(n).is_isomorphic_to(gf(n))
+            assert iso_type(mf(n)) == iso_type(gf(n))
     x = (0, 1)
     mfp = gamma_as_middle_finite(Ideal(F2, x))
     gfp = GammaFunctor(Ideal(F2, x))
     for _ in range(20):
         n = random_torsion_module(F2, rng)
-        assert mfp(n).is_isomorphic_to(gfp(n))
+        assert iso_type(mfp(n)) == iso_type(gfp(n))
     outcomes = _run_group("midfin_")
     assert any(sc.domain.kind == "integers" for _, sc, _ in outcomes)
     _assert_group_stable(outcomes)
