@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .domains import BackendMismatch, int_in_range
-from .matrices import Mat
+from .matrices import Mat, _Frozen
 from .modules import (FpModule, Morphism, HomSpace, _diag_module, loc_tensor,
                       sub_contains, torsion_gens, DomainViolation, NotWellDefined,
                       SubmoduleError)
@@ -355,7 +355,7 @@ def gamma_as_middle_finite(ideal):
     return MiddleFiniteFunctor([], r, [EndSummand(r, ideal.gen)], None, Mat.identity(D, 1))
 
 
-class ExponentSet:
+class ExponentSet(_Frozen):
     """A subset of the positive integers: finite members plus progressions a + bN."""
 
     __slots__ = ("members", "progressions")
@@ -367,21 +367,10 @@ class ExponentSet:
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "progressions", tuple(progs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ExponentSet is immutable")
-
     def __contains__(self, e):
         if e in self.members:
             return True
         return any(e >= a and (e - a) % b == 0 for a, b in self.progressions)
-
-    def to_json(self):
-        doc = {}
-        if self.members:
-            doc["members"] = sorted(self.members)
-        if self.progressions:
-            doc["progressions"] = [list(p) for p in self.progressions]
-        return doc
 
     def __repr__(self):
         parts = [str(e) for e in sorted(self.members)]
@@ -445,7 +434,7 @@ class OscillatingFunctor(Functor):
     def map(self, g):
         D = self.domain
         ks, kt = self._kept(g.source), self._kept(g.target)
-        tg = (g.target._to_dec @ g.mat @ g.source._from_dec).data
+        tg = g.dec_rows()
         out = [[D.divmod(tg[j][i], p)[1] if (p, e) == (q, f) else D.zero for p, e, i in ks]
                for q, f, j in kt]
         return Morphism(_diag_module(D, [p for p, _, _ in ks]),

@@ -15,6 +15,7 @@ families well-defined.
 
 from __future__ import annotations
 
+from .matrices import _Frozen
 from .modules import Ideal, DomainViolation, killed_by, torsion_gens
 
 DEPTH_INF = float("inf")
@@ -25,7 +26,7 @@ def _prime_order(p):
     return (0,) if p.is_zero() else (1, p.domain.prime_key(p.gen))
 
 
-class AssSet:
+class AssSet(_Frozen):
     """A finite, canonically ordered set of prime ideals (:class:`Ideal` values)."""
 
     __slots__ = ("primes",)
@@ -33,9 +34,6 @@ class AssSet:
     def __init__(self, primes):
         uniq = {p: None for p in sorted(primes, key=_prime_order)}
         object.__setattr__(self, "primes", tuple(uniq))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AssSet is immutable")
 
     def __iter__(self):
         return iter(self.primes)
@@ -130,7 +128,7 @@ def gamma(i, m):
     return m.submodule(gamma_gens(i, m))
 
 
-class CmcSet:
+class CmcSet(_Frozen):
     """A subset of the backend used by the torsion functor tau_S.
 
     Either an explicit finite list of elements, or the multiplicative closure
@@ -156,9 +154,6 @@ class CmcSet:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "elems", elems)
         object.__setattr__(self, "closure_gens", closure_gens)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CmcSet is immutable")
 
     @classmethod
     def explicit(cls, domain, elems):
@@ -191,12 +186,6 @@ class CmcSet:
             if all(D.divides(r, s) for r in self.elems):
                 return s
         return None
-
-    def to_json(self):
-        D = self.domain
-        if self.is_explicit():
-            return {"elements": [D.elem_to_json(e) for e in self.elems]}
-        return {"closure": [D.elem_to_json(g) for g in self.closure_gens]}
 
     def __repr__(self):
         D = self.domain

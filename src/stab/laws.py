@@ -12,8 +12,13 @@ import random
 
 from .modules import FpModule, Morphism, HomSpace
 
+# The most torsion summands of a random module, and the largest absolute value
+# of a random integer Hom coordinate.
+MAX_SUMMANDS = 3
+COORD_BOUND = 6
 
-def random_torsion_module(domain, rng, max_summands=3, pool=None):
+
+def random_torsion_module(domain, rng, pool=None):
     if pool is None:
         if domain.kind == "integers":
             pool = [2, 3, 4, 8, 9, 12]
@@ -25,27 +30,27 @@ def random_torsion_module(domain, rng, max_summands=3, pool=None):
                 # A third prime, x - 1, alone and times x + 1.
                 x_1 = domain.sub(x, domain.one)
                 pool += [x_1, domain.mul(x1, x_1)]
-    k = rng.randint(1, max_summands)
+    k = rng.randint(1, MAX_SUMMANDS)
     factors = [pool[rng.randrange(len(pool))] for _ in range(k)]
     return FpModule.from_invariants(domain, 0, factors)
 
 
-def random_module(domain, rng, max_summands=3, max_rank=1, pool=None):
-    m = random_torsion_module(domain, rng, max_summands, pool)
+def random_module(domain, rng, max_rank=1, pool=None):
+    m = random_torsion_module(domain, rng, pool)
     rank = rng.randint(0, max_rank)
     if rank:
         return FpModule.free(domain, rank).direct_sum(m)
     return m
 
 
-def random_morphism(source, target, rng, bound=6):
+def random_morphism(source, target, rng):
     """A uniformly random-ish well-defined morphism via Hom coordinates."""
     h = HomSpace(source, target)
     domain = source.domain
     coords = []
     for _ in h.pairs:
         if domain.kind == "integers":
-            coords.append(rng.randint(-bound, bound))
+            coords.append(rng.randint(-COORD_BOUND, COORD_BOUND))
         else:
             coords.append(tuple(rng.randrange(domain.p) for _ in range(2)))
     coords = [domain.elem_from_json(list(c) if isinstance(c, tuple) else c)

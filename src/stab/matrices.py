@@ -22,13 +22,12 @@ Linear algebra goes through two calls, each on one Hermite form: ``solve``
 takes a matrix of right-hand sides and answers every column at once, and
 ``preimage`` gives the canonical generators of ``{x : A @ x in span(B)}``.
 A kernel is the preimage of a ``B`` with no columns, and the inverse of a
-square matrix is ``solve`` of the identity.  A *monomial* ``A`` (at most
-one nonzero in each row and each column, as in diagonal presentations and
-their Kronecker blocks) needs no Hermite form: over a PID the system splits
-into one equation per entry.  ``solve`` divides entrywise, and ``preimage``
-of a ``B`` with no column of two nonzeros reads one gcd per row of ``B``;
-both give exactly the Hermite path's answer.  ``_support`` reads a matrix's
-nonzeros for this and for the one-gcd-per-row pruning of module relations.
+square matrix is ``solve`` of the identity.  ``preimage`` of a *monomial*
+``A`` (at most one nonzero in each row and each column, as in diagonal
+presentations and their Kronecker blocks) by a ``B`` with no column of two
+nonzeros splits over a PID into one equation per entry: one gcd per row of
+``B`` gives exactly the Hermite path's answer.  ``_support`` reads the
+nonzeros for this, for the pruning of module relations and for membership.
 Every matrix with at most one nonzero per column is built by
 ``Mat.monomial``: scalar matrices, the monomial ``preimage`` answer, and in
 the module layer pruned relations and diagonal presentations.
@@ -46,8 +45,10 @@ scan reuses a repeated row whole and a module keeps its own invariants and
 transforms, so in the packaged scenarios a Smith form asked for again is
 that of a matrix already in Smith form, which is read off.
 
-``Mat`` is immutable and hashed by content.  Its ``__setattr__`` raises, so
-the constructor fills the slots through their member descriptors, bound once.
+``Mat`` is immutable and hashed by content.  Every immutable class of the
+library derives from ``_Frozen``, whose one ``__setattr__`` raises, so a
+constructor fills its slots through their member descriptors, which the
+classes built most often bind once with ``_slot_setters``.
 """
 
 from __future__ import annotations
@@ -157,7 +158,21 @@ def _pivots(H):
     return rows
 
 
-class Mat:
+class _Frozen:
+    """Base of the immutable classes: setting any attribute raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def _slot_setters(cls):
+    """Each slot's member-descriptor ``__set__``, for a :class:`_Frozen` class."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+
+class Mat(_Frozen):
     """An immutable ``rows x cols`` matrix with entries in a backend domain.
 
     Zero-row and zero-column matrices are permitted and arise routinely as
@@ -178,9 +193,6 @@ class Mat:
         _set_rows(self, rows)
         _set_cols(self, cols)
         _set_data(self, data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mat is immutable")
 
     # -- construction -----------------------------------------------------
 
@@ -501,9 +513,8 @@ class Mat:
     def solve(self, b):
         """A particular exact solution ``X`` of ``self @ X == b``, or ``None``.
 
-        ``b`` is a matrix of right-hand sides, and one product checks the
-        whole answer.  A monomial ``self`` splits into one equation per
-        entry; any other takes one Hermite form for every column.
+        ``b`` is a matrix of right-hand sides: one Hermite form serves every
+        column, and one product checks the whole answer.
         """
         self._check_domain(b)
         if b.rows != self.rows:
@@ -511,20 +522,6 @@ class Mat:
         D = self.domain
         if not b.cols:
             return Mat.zero(D, self.cols, 0)
-        support = _monomial(self)
-        if support is not None:
-            # x[j] = b[i] / a_ij; zero columns of self give x = 0, and a zero
-            # row of self with nonzero b is left to the product check.
-            X = [[D.zero] * b.cols for _ in range(self.cols)]
-            for i, j, a in support:
-                xj = X[j]
-                for k, bik in enumerate(b.data[i]):
-                    if bik:
-                        xj[k], r = D.divmod(bik, a)
-                        if r:
-                            return None
-            x = Mat(D, X, self.cols, b.cols)
-            return x if self @ x == b else None
         H, U = self.hnf()
         sub, mul = D.sub, D.mul
         pivots = _pivots(H)
@@ -583,11 +580,6 @@ class Mat:
         """The nonzero columns of the Hermite form: canonical generators of the span."""
         H, _ = self.hnf()
         return H.take_cols(range(len(_pivots(H))))
-
-
-def _slot_setters(cls):
-    """Each slot's member-descriptor ``__set__``, for a class whose ``__setattr__`` raises."""
-    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
 
 _set_domain, _set_rows, _set_cols, _set_data = _slot_setters(Mat)

@@ -38,7 +38,7 @@ True
 from __future__ import annotations
 
 from .domains import BackendMismatch, int_in_range
-from .matrices import Mat, _row_gcds, _slot_setters, _support
+from .matrices import Mat, _Frozen, _row_gcds, _slot_setters, _support
 
 
 class NotWellDefined(ValueError):
@@ -53,7 +53,7 @@ class DomainViolation(ValueError):
     """An input lies outside the domain of the requested operation."""
 
 
-class Ideal:
+class Ideal(_Frozen):
     """A principal ideal, stored by its canonical generator (possibly zero)."""
 
     __slots__ = ("domain", "gen", "_powers")
@@ -61,9 +61,6 @@ class Ideal:
     def __init__(self, domain, gen):
         _set_ideal_domain(self, domain)
         _set_gen(self, domain.canon(gen)[0])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Ideal is immutable")
 
     def power_gen(self, n):
         """Generator of the n-th power; ``I^0 = R`` even for the zero ideal.
@@ -104,7 +101,7 @@ class Ideal:
 _set_ideal_domain, _set_gen, _set_powers = _slot_setters(Ideal)
 
 
-class FpModule:
+class FpModule(_Frozen):
     """A finitely presented module: ambient free rank plus a relation matrix."""
 
     __slots__ = ("domain", "ambient", "relations", "rank", "factors",
@@ -120,9 +117,6 @@ class FpModule:
         _set_module_domain(self, domain)
         _set_ambient(self, ambient)
         _set_relations(self, _pruned(relations))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FpModule is immutable")
 
     def __getattr__(self, name):
         # Reached only for unset slots: the invariants and the transforms are
@@ -354,7 +348,7 @@ def _array(value, key):
     return value
 
 
-class Morphism:
+class Morphism(_Frozen):
     """A module map given by a generator-image matrix.
 
     The matrix sends ambient generators of the source to ambient vectors of
@@ -375,9 +369,6 @@ class Morphism:
         _set_mat(self, mat)
         if check and not target.contains(mat @ source.relations):
             raise NotWellDefined("images of relations do not vanish")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Morphism is immutable")
 
     @classmethod
     def identity(cls, module):
@@ -402,6 +393,11 @@ class Morphism:
 
     def is_zero(self):
         return self.target.contains(self.mat)
+
+    def dec_rows(self):
+        """The rows of this map's matrix on the invariant-factor coordinates of
+        its two ends, each in decomposition order."""
+        return (self.target._to_dec @ self.mat @ self.source._from_dec).data
 
     def equals(self, other):
         if self.source.ambient != other.source.ambient or \
@@ -450,7 +446,7 @@ def killed_by(module, c):
     return Mat.scalar(module.domain, module.ambient, c).preimage(module.relations)
 
 
-class HomSpace:
+class HomSpace(_Frozen):
     """``Hom(M, N)`` as a module plus realize/coordinate maps.
 
     The generators are indexed by pairs of decomposition summands of ``M``
@@ -489,9 +485,6 @@ class HomSpace:
         _set_pairs(self, tuple(pairs))
         _set_hom_module(self, _diag_module(D, [ann for (_, _, ann, _) in pairs]))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HomSpace is immutable")
-
     def realize(self, coords):
         """The morphism with the given coordinates over the Hom generators."""
         if len(coords) != len(self.pairs):
@@ -508,7 +501,7 @@ class HomSpace:
     def coords(self, f):
         """Coordinates of a morphism ``source -> target`` over the generators."""
         D = self.source.domain
-        dec = (self.target._to_dec @ f.mat @ self.source._from_dec).data
+        dec = f.dec_rows()
         return [_hom_coord(D, dec[j][i], ann, mult) for i, j, ann, mult in self.pairs]
 
     def induced(self, other, f=None, g=None):
@@ -516,11 +509,11 @@ class HomSpace:
         ``Hom(K, B)`` for ``f : K -> L`` and ``g : A -> B``, each omitted for
         the identity.  As ``_to_dec @ _from_dec`` is the identity on each
         module, generator ``(i, j, _, m)`` goes to the decomposed entries
-        ``Tg[j2][j] m Tf[i][i2]``, with ``Tf = L._to_dec @ f.mat @ K._from_dec``
-        and ``Tg = B._to_dec @ g.mat @ A._from_dec``; no generator is realized."""
+        ``Tg[j2][j] m Tf[i][i2]``, with ``Tf`` and ``Tg`` the
+        :meth:`Morphism.dec_rows` of ``f`` and ``g``; no generator is realized."""
         D = self.source.domain
-        tf = None if f is None else (other.source._to_dec @ f.mat @ self.source._from_dec).data
-        tg = None if g is None else (self.target._to_dec @ g.mat @ other.target._from_dec).data
+        tf = None if f is None else f.dec_rows()
+        tg = None if g is None else g.dec_rows()
 
         def entry(i, j, m, i2, j2, ann, m2):
             # An omitted map's entry is whether it lies on the diagonal, and a

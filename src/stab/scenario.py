@@ -107,7 +107,6 @@ class Scenario(NamedTuple):
     domain: object
     family: object
     functor: object
-    functor_doc: dict
     depth_ideal: Optional[Ideal]
     horizon: int
     window: int
@@ -308,8 +307,7 @@ def parse_scenario(doc):
     horizon = _int(doc.get("horizon", 50), "horizon")
     window = _int(doc.get("window", 10), "window")
     family = build_family(env, _require(doc, "family", "$", dict), (horizon, window))
-    functor_doc = doc.get("functor", {"kind": "identity"})
-    functor = build_functor(env, functor_doc)
+    functor = build_functor(env, doc.get("functor", {"kind": "identity"}))
     depth_ideal = env.ref(doc, "depth_ideal", "$", "ideals") if "depth_ideal" in doc else None
     artin = None
     if "artin_rees" in doc:
@@ -332,8 +330,8 @@ def parse_scenario(doc):
         raise ScenarioError("out", "expected a directory path")
     sc = Scenario(
         name=name, domain=domain, family=family, functor=functor,
-        functor_doc=functor_doc, depth_ideal=depth_ideal, horizon=horizon,
-        window=window, artin_rees=artin, expect=expect,
+        depth_ideal=depth_ideal, horizon=horizon, window=window,
+        artin_rees=artin, expect=expect,
     )
     scan_range(sc)
     return sc

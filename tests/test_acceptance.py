@@ -178,10 +178,10 @@ def test_criterion_04_brodmann_suite():
 
 def test_criterion_05_coherent_suite():
     outcomes = _run_group("coh_")
-    kinds = {sc.functor_doc["kind"] for _, sc, _ in outcomes}
-    assert {"tor1", "ext1", "hom_from", "coherent"} <= kinds
-    bespoke = [sc for _, sc, _ in outcomes if sc.functor_doc["kind"] == "coherent"]
-    assert len(bespoke) >= 3
+    kinds = [json.loads(text)["functor"]["kind"] for name, text in _iter_packaged_scenarios()
+             if name.startswith("coh_")]
+    assert {"tor1", "ext1", "hom_from", "coherent"} <= set(kinds)
+    assert kinds.count("coherent") >= 3
     _assert_group_stable(outcomes)
     print(f"ACCEPTANCE 5: PASS {len(outcomes)} coherent-functor scenarios "
           f"stable for ass and depth")

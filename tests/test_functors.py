@@ -693,10 +693,66 @@ def test_oscillating_laws_over_poly_rings_at_three_seeds(D):
     x, x1 = D.elem_from_json([0, 1]), D.elem_from_json([1, 1])
     osc = OscillatingFunctor(D, {x: ExponentSet(progressions=[(2, 2)]),
                                  x1: ExponentSet(members=[1, 3])})
-    pool = [x, D.mul(x, x), D.pow(x, 3), x1, D.pow(x1, 3), D.mul(x, x1)]
+    # The default module pool, then one with cubes, where {1, 3} differs from
+    # {1} and the progression from its start.
+    for pool in (None, [x, D.mul(x, x), D.pow(x, 3), x1, D.pow(x1, 3), D.mul(x, x1)]):
+        for seed in (1, 2, 3):
+            failures = check_functor_laws(osc, D, random.Random(seed), trials=20,
+                                          torsion_only=True, module_pool=pool)
+            assert failures == []
+
+
+def torsion_law_cases():
+    """``(backend, functor, module pool)`` for each torsion functor whose laws
+    run at three seeds: Gamma at three ideals and tau at explicit sets and
+    closures, each with its quotient companion."""
+    x, x1, x2 = (0, 1), (1, 1), (2, 1)
+    # Over GF(5)[x] the modules also have (x+2)-torsion, which the sets there
+    # reach and the default module pool lacks.
+    subsets = [("ZZ", ZZ, [0, 2, 6], [[2, 4], [3, 12, 1]], [[2], [2, 3]], None),
+               ("GF2x", F2, [F2.zero, x, F2.mul(x, x1)], [[x, F2.mul(x, x)]], [[x1]], None),
+               ("GF5x", F5, [F5.zero, x, F5.mul(x, x1)], [[x1, F5.mul(x1, x2)]], [[x, x2]],
+                [x, x1, x2, F5.mul(x, x), F5.mul(x1, x2)])]
+    for name, D, ideals, explicit, closures, pool in subsets:
+        sets = [CmcSet.explicit(D, e) for e in explicit] + [CmcSet.closure(D, c) for c in closures]
+        functors = [F(Ideal(D, g)) for g in ideals for F in (GammaFunctor, ModGamma)]
+        functors += [F(s) for s in sets for F in (TauFunctor, ModTau)]
+        for functor in functors:
+            yield pytest.param(D, functor, pool, id=f"{name}-{functor!r}".replace(" ", ""))
+
+
+@pytest.mark.parametrize("D, functor, pool", torsion_law_cases())
+def test_torsion_functor_laws_at_three_seeds(D, functor, pool):
     for seed in (1, 2, 3):
-        failures = check_functor_laws(osc, D, random.Random(seed), trials=20,
-                                      torsion_only=True, module_pool=pool)
+        failures = check_functor_laws(functor, D, random.Random(seed), trials=20,
+                                      module_pool=pool)
+        assert failures == []
+
+
+def coherent_law_functors(D):
+    """Coherent and homology functors by name, each with whether its laws run
+    on torsion modules only."""
+    g = 2 if D is ZZ else D.elem_from_json([0, 1])
+    # K = R/(g^2) (+) R; the user functor is presented by K -> R/(g^3), (g, 1).
+    k = FpModule.from_invariants(D, 1, [D.pow(g, 2)])
+    user = Morphism(k, FpModule.cyclic(D, D.pow(g, 3)), Mat(D, [[g, D.one]]))
+    pres = presentation_map(k)
+    head = Morphism.zero_map(FpModule.zero(D), pres.source)
+    functors = {"hom": (HomFrom(k), False), "ext1": (ext_functor(k, 1), False),
+                "coherent": (CoherentFunctor(user), False),
+                "gamma_middle_finite": (gamma_as_middle_finite(Ideal(D, g)), True)}
+    # Tor_i(K, -) for i = 0, 1, 2 through the homology of its resolution.
+    functors.update((f"tor{i}", (ComplexHomology(head, pres, i), False)) for i in (0, 1, 2))
+    return functors
+
+
+@pytest.mark.parametrize("kind", sorted(coherent_law_functors(ZZ)))
+@pytest.mark.parametrize("D", [ZZ, F2, F5], ids=["ZZ", "GF2x", "GF5x"])
+def test_coherent_and_homology_functor_laws_at_three_seeds(D, kind):
+    functor, torsion_only = coherent_law_functors(D)[kind]
+    for seed in (1, 2, 3):
+        failures = check_functor_laws(functor, D, random.Random(seed), trials=20,
+                                      torsion_only=torsion_only)
         assert failures == []
 
 

@@ -16,7 +16,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "stab"
 KEPT_UNCALLED = {
     "subquotient": "perfbench/tracer.py wraps it by name; families call _subquotient",
     "gcd_ext": "the backends' Bezout step: test references call it, perfbench/tracer.py wraps it",
-    "gamma_as_middle_finite": "the paper's example of a middle-finite functor; CI runs its laws",
+    "gamma_as_middle_finite": "the paper's example of a middle-finite functor; tier-1 runs its laws",
     "is_cmc": "CmcSet's cmc predicate for users; tau_gens asks for the cogenerator itself",
     "cyclic": "builds R/(d) for users; the library builds diagonal modules by from_invariants",
     "lcm": "the backends' lcm beside gcd, for users such as the test oracles",

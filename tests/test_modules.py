@@ -14,7 +14,8 @@ from stab.modules import (FpModule, Morphism, Ideal, HomSpace, MAX_GENERATORS,
                           sub_equal, sub_intersect, torsion_gens)
 from stab.laws import random_module, random_torsion_module
 from stab.scan import Layers
-from stab.functors import CoherentFunctor, _carried
+from stab.functors import CoherentFunctor, ExponentSet, _carried
+from stab.invariants import AssSet, CmcSet
 from oracles import (hom_count_oracle, elementary_divisors, decomposition_reference,
                      loc_tensor_reference, torsion_gens_reference, hom_induced_reference,
                      hom_generators, factor_through_reference, invariant_counts, iso_type,
@@ -716,10 +717,15 @@ def test_every_slot_refuses_setattr_before_and_after_the_lazy_fill():
     ideal = Ideal(ZZ, 6)
     m = FpModule.from_relations(ZZ, [[4, 6], [0, 3]])
     f = Morphism(m, m, Mat.identity(ZZ, 2))
-    for obj in (Mat(ZZ, [[1, 2]]), ideal, m, f, HomSpace(m, m)):
+    objs = (Mat(ZZ, [[1, 2]]), ideal, m, f, HomSpace(m, m), AssSet([Ideal(ZZ, 0), I2]),
+            CmcSet.explicit(ZZ, [2, 6]), CmcSet.closure(ZZ, [3]),
+            ExponentSet(members=[1], progressions=[(2, 2)]))
+    for obj in objs:
+        message = f"^{type(obj).__name__} is immutable$"
         for _ in range(2):
-            for name in type(obj).__slots__:
-                with pytest.raises(AttributeError):
+            # Every slot, and a name that is none, refused by the type's name.
+            for name in type(obj).__slots__ + ("not_a_slot",):
+                with pytest.raises(AttributeError, match=message):
                     setattr(obj, name, getattr(obj, name, None))
             # Fill every lazy slot, then check again.
             ideal.power_gen(3)
@@ -743,6 +749,26 @@ def test_hom_induced_of_an_endomorphism_builds_one_hom_space(monkeypatch):
     # A map between two presentations still builds both spaces.
     CoherentFunctor(Morphism(cyc(2), m, Mat(ZZ, [[0], [2]])))(n)
     assert len(built) == 3
+
+
+def test_shared_hom_space_reads_the_presenting_map_on_its_own_ends(monkeypatch):
+    # K and L share a presentation, so one Hom space Hom(K, N) serves both
+    # ends, and f is read on L's invariant-factor coordinates where that space
+    # has K's: equal relations give equal transforms.  L's Smith form then
+    # runs once beside K's, however many values are read.
+    k, l = R.direct_sum(cyc(4)), R.direct_sum(cyc(4))
+    f = Morphism(k, l, Mat(ZZ, [[2, 0], [1, 2]]))
+    assert k is not l and k.relations == l.relations
+    computed, compute = [], Mat._snf_full
+    monkeypatch.setattr(Mat, "_snf_full", lambda a: computed.append(a) or compute(a))
+    targets = (cyc(2, 8), cyc(3), R.direct_sum(cyc(6)))
+    values = [CoherentFunctor(f)(n) for n in targets]
+    assert computed.count(k.relations) == 2
+    assert (l._to_dec, l._from_dec) == (k._to_dec, k._from_dec)
+    for n, value in zip(targets, values):
+        hk = HomSpace(k, n)
+        cols = [hk.coords(g.compose(f)) for g in hom_generators(HomSpace(l, n))]
+        assert value.relations == hk.module.quotient(Mat.from_cols(ZZ, cols, len(hk.pairs))).relations
 
 
 # -- torsion parts as one kernel -------------------------------------------------

@@ -116,7 +116,7 @@ def made_up_outcomes(draw):
             rows.append(ScanRow(n, draw(_values()), primes, draw(DEPTHS)))
     domain = _Domain(draw(st.dictionaries(TEXT, TEXT | st.integers(), max_size=2)))
     expect = draw(st.none() | st.just({}))
-    sc = Scenario(draw(NAMES), domain, None, None, {}, None, 9, 2, None, expect)
+    sc = Scenario(draw(NAMES), domain, None, None, None, 9, 2, None, expect)
     result = ScanResult(tuple(rows), draw(_verdicts()), draw(_verdicts()))
     failures = tuple(draw(st.lists(TEXT, max_size=2)))
     outcome = RunOutcome(result, draw(st.none() | st.integers(0, 9)), not failures, failures,
@@ -127,7 +127,7 @@ def made_up_outcomes(draw):
 
 def _case(name, rows, domain=_Domain({}), expect=None, failures=()):
     result = ScanResult(tuple(rows), None, None)
-    return (Scenario(name, domain, None, None, {}, None, 9, 2, None, expect),
+    return (Scenario(name, domain, None, None, None, 9, 2, None, expect),
             RunOutcome(result, None, not failures, tuple(failures), 9, 2,
                        _report_cells(domain, result.rows)))
 
