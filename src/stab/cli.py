@@ -134,10 +134,10 @@ def _compute(sub, domain, doc):
         return {"depth": _depth_str(depth(arg("ideal", "ideals"), module))}
     if sub == "hom":
         source, target = arg("source", "modules"), arg("target", "modules")
-        return {"module": HomSpace(source, target).module.dec_module().to_json()}
+        return {"module": HomSpace(source, target).module.to_json()}
     if sub == "eval":
         functor = build_functor(env, _require(doc, "functor", "$"))
-        return {"value": functor(arg("argument", "modules")).dec_module().to_json()}
+        return {"value": functor(arg("argument", "modules")).to_json()}
     raise ScenarioError("sub", f"unknown compute subcommand {sub!r}")
 
 

@@ -28,10 +28,12 @@ and invariant-factor equality reduce to element equality.
 
 GF(p)[x] arithmetic keeps the tuple representation but works around Python's
 per-coefficient cost.  ``mul`` packs both operands into one integer each
-(Kronecker substitution, with byte slots wide enough that no product
-coefficient carries), multiplies once and unpacks; a constant operand is
-scaled directly, and only characteristics too large for 8-byte slots fall
-back to the schoolbook loop.  ``gcd`` is plain remainder Euclid made monic,
+(Kronecker substitution, with ``k``-byte slots, ``k`` the fewest bytes that
+hold ``n (p-1)^2`` for an ``n``-coefficient operand, so no product
+coefficient carries), multiplies once and unpacks, for every
+characteristic; one-byte slots pack and reduce through ``bytes``, and a
+constant operand is scaled directly.  ``pow`` is square-and-multiply over
+each backend's ``mul``.  ``gcd`` is plain remainder Euclid made monic,
 without the Bezout cofactors that ``gcd_ext`` carries.
 
 ``saturate_part(d, g)``, the part of ``d`` supported on the primes of ``g``,
@@ -52,16 +54,12 @@ from __future__ import annotations
 import functools
 import math
 import random
-import sys
-from array import array
 from itertools import compress, zip_longest
 
 
 FACTOR_MEMO_BOUND = 1024
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _RHO_BLOCK = 128  # steps of Brent's rho whose differences share one gcd
-# (slot bytes, array typecode) for the packed GF(p)[x] mul, narrowest first.
-_SLOT_CODES = sorted({array(t).itemsize: t for t in "QLIHB"}.items())
 
 
 @functools.lru_cache(maxsize=FACTOR_MEMO_BOUND)
@@ -199,6 +197,18 @@ class _Backend:
             raise ValueError(f"{self.elem_str(b)} does not divide {self.elem_str(a)}")
         return q
 
+    def pow(self, a, n):
+        if n < 0:
+            raise ValueError("negative exponent")
+        result = self.one
+        while n:
+            if n & 1:
+                result = self.mul(result, a)
+            n >>= 1
+            if n:
+                a = self.mul(a, a)
+        return result
+
     def lcm(self, a, b):
         if not a or not b:
             return self.zero
@@ -232,11 +242,6 @@ class Integers(_Backend):
 
     def mul(self, a, b):
         return a * b
-
-    def pow(self, a, n):
-        if n < 0:
-            raise ValueError("negative exponent")
-        return a**n
 
     def _powmod(self, a, n, modulus):
         return pow(a, n, modulus)
@@ -320,6 +325,12 @@ class Integers(_Backend):
 ZZ = object.__new__(Integers)
 
 
+def _packed(coeffs, k):
+    """The integer with ``coeffs`` in ``k``-byte little-endian slots, low first."""
+    to_bytes = int.to_bytes
+    return int.from_bytes(b"".join([to_bytes(c, k, "little") for c in coeffs]), "little")
+
+
 def _ptrim(coeffs):
     if not any(coeffs):
         return ()
@@ -384,41 +395,14 @@ class PolyOverFp(_Backend):
             return b if c == 1 else tuple([c * cb % p for cb in b])
         # A product coefficient is a sum of at most n terms below p^2, so
         # slots of k bytes with 256^k > n * (p-1)^2 never carry.
-        bits = (n * (p - 1) ** 2).bit_length()
-        for k, code in _SLOT_CODES:
-            if 8 * k >= bits:
-                return self._kronecker_mul(a, b, k, code)
-        # Schoolbook when even the widest slot could carry, as for p = 2^31 - 1.
-        out = [0] * (n + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b, i):
-                    out[j] += ca * cb
-        return tuple([c % p for c in out])
-
-    def _kronecker_mul(self, a, b, k, code):
-        """The product from one integer multiply, each operand packed in ``k``-byte slots."""
-        size = k * (len(a) + len(b) - 1)
+        k = -(-(n * (p - 1) ** 2).bit_length() // 8)
+        size = k * (n + len(b) - 1)
         if k == 1:
             prod = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
             return tuple(prod.to_bytes(size, "little").translate(self._mod_byte))
-        # Native byte order on both sides keeps slot i the coefficient of x^i.
-        prod = (int.from_bytes(array(code, a), sys.byteorder)
-                * int.from_bytes(array(code, b), sys.byteorder))
-        p = self.p
-        return tuple([c % p for c in memoryview(prod.to_bytes(size, sys.byteorder)).cast(code)])
-
-    def pow(self, a, n):
-        if n < 0:
-            raise ValueError("negative exponent")
-        result = self.one
-        while n:
-            if n & 1:
-                result = self.mul(result, a)
-            n >>= 1
-            if n:
-                a = self.mul(a, a)
-        return result
+        raw = (_packed(a, k) * _packed(b, k)).to_bytes(size, "little")
+        from_bytes = int.from_bytes
+        return tuple([from_bytes(raw[i:i + k], "little") % p for i in range(0, size, k)])
 
     def divmod(self, a, b):
         if not b:

@@ -52,9 +52,9 @@ def random_morphism(source, target, rng):
         if domain.kind == "integers":
             coords.append(rng.randint(-COORD_BOUND, COORD_BOUND))
         else:
-            coords.append(tuple(rng.randrange(domain.p) for _ in range(2)))
-    coords = [domain.elem_from_json(list(c) if isinstance(c, tuple) else c)
-              for c in coords]
+            # c0 + c1 x, both already reduced mod p.
+            c0, c1 = rng.randrange(domain.p), rng.randrange(domain.p)
+            coords.append((c0, c1) if c1 else domain.const(c0))
     return h.realize(coords)
 
 

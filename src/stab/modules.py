@@ -188,10 +188,6 @@ class FpModule(_Frozen):
 
     # -- structure ------------------------------------------------------------
 
-    def dec_module(self):
-        """The diagonal presentation isomorphic to this module."""
-        return FpModule.from_invariants(self.domain, self.rank, list(self.factors))
-
     def is_zero(self):
         return self.rank == 0 and not self.factors
 
@@ -300,16 +296,10 @@ class FpModule(_Frozen):
     # -- serialization ------------------------------------------------------------
 
     def to_json(self):
+        """The invariants ``{"rank", "factors"}``; :meth:`from_json` reads them
+        back as the diagonal module isomorphic to this one."""
         D = self.domain
-        if self._is_diag_presentation():
-            return {"rank": self.rank, "factors": [D.elem_to_json(d) for d in self.factors]}
-        return {"relations": [[D.elem_to_json(a) for a in row] for row in self.relations.data],
-                "ambient": self.ambient}
-
-    def _is_diag_presentation(self):
-        # Exactly the shape produced by from_invariants.
-        diag = Mat.monomial(self.domain, self.ambient, [*enumerate(self.factors)])
-        return self.relations == diag
+        return {"rank": self.rank, "factors": [D.elem_to_json(d) for d in self.factors]}
 
     @classmethod
     def from_json(cls, domain, doc):
@@ -447,7 +437,8 @@ def killed_by(module, c):
 
 
 class HomSpace(_Frozen):
-    """``Hom(M, N)`` as a module plus realize/coordinate maps.
+    """``Hom(M, N)`` as a module, with :meth:`realize` building the map of
+    given coordinates.
 
     The generators are indexed by pairs of decomposition summands of ``M``
     and ``N`` in decomposition order (torsion summands ascending by invariant
@@ -497,12 +488,6 @@ class HomSpace(_Frozen):
             dec[j][i] = D.add(dec[j][i], D.mul(c, mult))
         mat = self.target._from_dec @ Mat(D, dec, tdim, sdim) @ self.source._to_dec
         return Morphism(self.source, self.target, mat)
-
-    def coords(self, f):
-        """Coordinates of a morphism ``source -> target`` over the generators."""
-        D = self.source.domain
-        dec = f.dec_rows()
-        return [_hom_coord(D, dec[j][i], ann, mult) for i, j, ann, mult in self.pairs]
 
     def induced(self, other, f=None, g=None):
         """The matrix of ``u -> g u f`` from ``other = Hom(L, A)`` to this

@@ -14,8 +14,8 @@ from itertools import product
 from stab.domains import _is_probable_prime, _pollard_rho
 from stab.invariants import DEPTH_INF, AssSet
 from stab.matrices import Mat, _pivots
-from stab.modules import (FpModule, HomSpace, Ideal, Morphism, SubmoduleError, sub_equal,
-                          sub_intersect)
+from stab.modules import (FpModule, HomSpace, Ideal, Morphism, SubmoduleError, _hom_coord,
+                          sub_equal, sub_intersect)
 from stab.functors import SkeletonFormError
 
 
@@ -864,6 +864,15 @@ def hom_generators(h):
     return [h.realize([D.one if t == k else D.zero for t in range(n)]) for k in range(n)]
 
 
+def hom_coords(h, f):
+    """Coordinates of a morphism ``h.source -> h.target`` over the generators
+    of ``h``, the inverse of :meth:`HomSpace.realize`: each generator's
+    decomposed entry of ``f`` divided by its multiplier and reduced."""
+    D = h.source.domain
+    dec = f.dec_rows()
+    return [_hom_coord(D, dec[j][i], ann, mult) for i, j, ann, mult in h.pairs]
+
+
 def hom_induced_reference(hk, hl, f=None, g=None):
     """The matrix of ``u -> g u f`` from ``hl = Hom(L, A)`` to
     ``hk = Hom(K, B)`` for ``f : K -> L`` and ``g : A -> B`` (identities
@@ -872,7 +881,7 @@ def hom_induced_reference(hk, hl, f=None, g=None):
     cols = []
     for u in hom_generators(hl):
         u = u if f is None else u.compose(f)
-        cols.append(hk.coords(u if g is None else g.compose(u)))
+        cols.append(hom_coords(hk, u if g is None else g.compose(u)))
     return Mat.from_cols(hk.source.domain, cols, len(hk.pairs))
 
 

@@ -367,10 +367,11 @@ def test_poly_elem_str_matches_the_dense_loop(case):
 
 
 # Differential tests of GF(p)[x] arithmetic against the reference loops in
-# ``oracles``, at degrees up to 300.  These characteristics cover one-, two-
-# and eight-byte packing slots and, at 2^31 - 1, the schoolbook product for
-# operands too long for any slot; the slot-edge test adds four-byte slots.
-DIFF_PRIMES = [2, 3, 5, 65537, 2**31 - 1]
+# ``oracles``, at degrees up to 300.  These characteristics cover packing
+# slots of one and two bytes (p = 2, 3, 5), five and six (65537), eight and
+# nine (2^31 - 1), sixteen and seventeen (2^61 - 1), and thirty-two and
+# thirty-three (2^127 - 1); the slot-edge test adds three and four bytes.
+DIFF_PRIMES = [2, 3, 5, 65537, 2**31 - 1, 2**61 - 1, 2**127 - 1]
 
 
 def long_polys(p, max_deg=300):
@@ -418,14 +419,13 @@ def test_poly_divmod_exact_and_monomial_divisors(pab, shift):
 
 def _slot_edges(p, max_len=300):
     """Operand lengths on either side of each packing-slot width."""
-    for k in (1, 2, 4, 8):
-        n = (256**k - 1) // (p - 1) ** 2  # the longest operand k bytes hold
-        for m in (n, n + 1):
-            if 1 <= m <= max_len:
-                yield m
+    k = 1
+    while (n := (256**k - 1) // (p - 1) ** 2) < max_len:  # the longest k bytes hold
+        yield from (m for m in (n, n + 1) if m >= 1)
+        k += 1
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 17, 4099, 65537, 2**31 - 1])
+@pytest.mark.parametrize("p", [2, 3, 5, 17, 4099, 65537, 2**31 - 1, 2**61 - 1, 2**127 - 1])
 def test_poly_mul_worst_case_coefficients_at_slot_edges(p):
     # All coefficients p - 1 make the middle product coefficient exactly
     # n * (p-1)^2, the bound the slot width is chosen against.

@@ -19,7 +19,7 @@ from stab.invariants import AssSet, CmcSet
 from oracles import (hom_count_oracle, elementary_divisors, decomposition_reference,
                      loc_tensor_reference, torsion_gens_reference, hom_induced_reference,
                      hom_generators, factor_through_reference, invariant_counts, iso_type,
-                     tensor_mor)
+                     tensor_mor, hom_coords)
 
 F2 = poly_ring(2)
 F5 = poly_ring(5)
@@ -46,9 +46,10 @@ def test_dec_isomorphisms_mutually_inverse():
         rows = [[rng.randint(-9, 9) for _ in range(cols)]
                 for _ in range(rng.randint(1, 3))]
         m = FpModule.from_relations(ZZ, rows)
-        fwd = Morphism(m, m.dec_module(), m._to_dec)
-        back = Morphism(m.dec_module(), m, m._from_dec)
-        assert fwd.compose(back).equals(Morphism.identity(m.dec_module()))
+        dec = FpModule.from_invariants(ZZ, m.rank, m.factors)
+        fwd = Morphism(m, dec, m._to_dec)
+        back = Morphism(dec, m, m._from_dec)
+        assert fwd.compose(back).equals(Morphism.identity(dec))
         assert back.compose(fwd).equals(Morphism.identity(m))
 
 
@@ -104,7 +105,7 @@ def test_hom_coords_inverse_to_realize():
         h = HomSpace(m, n)
         coords = [rng.randint(-6, 6) for _ in h.pairs]
         f = h.realize(coords)
-        again = h.realize(h.coords(f))
+        again = h.realize(hom_coords(h, f))
         assert again.equals(f)
 
 
@@ -738,7 +739,7 @@ def test_hom_induced_of_an_endomorphism_builds_one_hom_space(monkeypatch):
     f = Morphism(m, m, Mat(ZZ, [[2, 0], [1, 2]]))
     # Precomposition read off two separately built spaces.
     hl, hk = HomSpace(m, n), HomSpace(m, n)
-    cols = [hk.coords(g.compose(f)) for g in hom_generators(hl)]
+    cols = [hom_coords(hk, g.compose(f)) for g in hom_generators(hl)]
     built, init = [], HomSpace.__init__
     monkeypatch.setattr(HomSpace, "__init__",
                         lambda self, a, b: built.append(a) or init(self, a, b))
@@ -767,7 +768,7 @@ def test_shared_hom_space_reads_the_presenting_map_on_its_own_ends(monkeypatch):
     assert (l._to_dec, l._from_dec) == (k._to_dec, k._from_dec)
     for n, value in zip(targets, values):
         hk = HomSpace(k, n)
-        cols = [hk.coords(g.compose(f)) for g in hom_generators(HomSpace(l, n))]
+        cols = [hom_coords(hk, g.compose(f)) for g in hom_generators(HomSpace(l, n))]
         assert value.relations == hk.module.quotient(Mat.from_cols(ZZ, cols, len(hk.pairs))).relations
 
 

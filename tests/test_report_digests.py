@@ -15,7 +15,14 @@ polynomials, coefficients out of range).  The forms themselves are
 canonical but their transforms are not, so a changed pivot choice or order
 of operations fails here while every identity the other tests check holds.
 
-When a change to either is intended, record both fixtures again from the
+``tests/module_digests.json`` holds the SHA-256 of the exit code and stdout
+of ``stab compute hom`` and ``stab compute eval`` for a seeded set of module
+documents over the same three backends: each ``hom`` pairs two of them, and
+each ``eval`` takes a packaged scenario's functor to one of them.  Modules
+come as invariants or as relation matrices, so the module documents these
+commands write are checked byte for byte whatever the argument's shape.
+
+When a change to any of them is intended, record the fixtures again from the
 repository root:
 
     PYTHONPATH=src python3 tests/test_report_digests.py
@@ -36,6 +43,7 @@ import stab.scenario
 SCENARIOS = Path(stab.__file__).resolve().parent / "scenarios"
 FIXTURE = Path(__file__).resolve().parent / "report_digests.json"
 COMPUTE_FIXTURE = Path(__file__).resolve().parent / "compute_digests.json"
+MODULE_FIXTURE = Path(__file__).resolve().parent / "module_digests.json"
 BACKENDS = {"zz": {"kind": "integers"},
             "gf2": {"kind": "poly", "characteristic": 2},
             "gf5": {"kind": "poly", "characteristic": 5}}
@@ -97,6 +105,54 @@ def current_compute_digests():
     return out
 
 
+def _factor(rng, desc):
+    """A nonzero, often non-canonical, invariant factor."""
+    p = desc.get("characteristic")
+    if p is None:
+        return str(rng.choice((-1, 1, 2, 3, 4, -6, 8, 9, 12, 36)))
+    low = [rng.randint(-3, 2 * p) for _ in range(rng.randint(0, 2))]
+    return low + [rng.randrange(1, p) + p * rng.randint(0, 1)]
+
+
+def _module_doc(rng, desc):
+    """A module document, as invariants or as a relation matrix."""
+    if rng.random() < 0.4:
+        return {"rank": rng.randint(0, 2),
+                "factors": [_factor(rng, desc) for _ in range(rng.randint(0, 3))]}
+    rows, cols = rng.randint(1, 3), rng.randint(0, 3)
+    style = rng.choice(("sparse", "dense"))
+    return {"relations": [[_entry(rng, desc, style) for _ in range(cols)]
+                          for _ in range(rows)], "ambient": rows}
+
+
+def module_cases():
+    """``(key, subcommand, document)`` for every pinned ``hom`` and ``eval``."""
+    rng = random.Random(3434)
+    for tag, desc in BACKENDS.items():
+        for k in range(20):
+            yield f"{tag}-hom-{k:02d}", "hom", {"backend": desc,
+                                                "source": _module_doc(rng, desc),
+                                                "target": _module_doc(rng, desc)}
+    for path in sorted(SCENARIOS.glob("*.json")):
+        doc = json.loads(path.read_text())
+        desc = doc.get("backend", {"kind": "integers"})
+        args = {k: doc[k] for k in ("backend", "modules", "ideals", "submodules",
+                                    "morphisms", "functor") if k in doc}
+        for k in range(3):
+            yield (f"{path.stem}-eval-{k}", "eval",
+                   dict(args, argument=_module_doc(rng, desc)))
+
+
+def current_module_digests():
+    out = {}
+    for key, sub, doc in module_cases():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+            code = stab.cli.main(["compute", sub, json.dumps(doc)])
+        out[key] = _sha256(f"{code}\n{buf.getvalue()}".encode())
+    return out
+
+
 def test_packaged_reports_match_their_digests():
     expected = json.loads(FIXTURE.read_text())
     actual = current_digests()
@@ -113,7 +169,17 @@ def test_compute_normal_forms_match_their_digests():
     assert not changed, f"normal forms changed: {changed}"
 
 
+def test_compute_module_answers_match_their_digests():
+    expected = json.loads(MODULE_FIXTURE.read_text())
+    actual = current_module_digests()
+    assert sorted(actual) == sorted(expected), "pinned module documents and digests differ"
+    changed = [key for key in actual if actual[key] != expected[key]]
+    assert not changed, f"compute answers changed: {changed}"
+
+
 if __name__ == "__main__":
     FIXTURE.write_text(json.dumps(current_digests(), indent=1, sort_keys=True) + "\n")
     COMPUTE_FIXTURE.write_text(
         json.dumps(current_compute_digests(), indent=1, sort_keys=True) + "\n")
+    MODULE_FIXTURE.write_text(
+        json.dumps(current_module_digests(), indent=1, sort_keys=True) + "\n")
