@@ -22,7 +22,7 @@ result = scan_rows(QuotientPowers(M, I), None, Ideal(ZZ, 2), horizon=30, window=
 report = result.ass_report
 print("quotient powers:", report.status, "from n0 =", report.n0)
 dep = result.depth_report
-print("depth sequence:", dep.status, [v for _, v in dep.observations[:4]], "...")
+print("depth sequence:", dep.status, [row.depth_value for row in result.rows[:4]], "...")
 
 # Layers 2^(n-1) M / 2^n M stabilize as well.
 print("layers:", scan_rows(Layers(M, I), horizon=30, window=10).ass_report.status)
@@ -34,9 +34,9 @@ print("tor1 scan:", report.status, "n0 =", report.n0)
 
 # An exponent-rule functor that refuses to settle: nonzero exactly at even n.
 osc = OscillatingFunctor(ZZ, {2: ExponentSet(progressions=[(2, 2)])})
-report = scan_rows(QuotientPowers(R, I), osc, horizon=40, window=10).ass_report
-print("oscillating scan:", report.status)
-print("first values:", [a.to_json() for _, a in report.observations[:6]])
+result = scan_rows(QuotientPowers(R, I), osc, horizon=40, window=10)
+print("oscillating scan:", result.ass_report.status)
+print("first values:", [row.ass_set.to_json() for row in result.rows[:6]])
 
 # The Artin-Rees probe on beta = (*4): R -> R, N' = R, I = (2) returns d = 2:
 # 4Z * 2^n Z = 2^max(2, n) Z needs exactly a shift of two.

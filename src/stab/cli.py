@@ -4,7 +4,7 @@
 ``stab compute <sub> <json>`` does a one-shot computation printed as JSON;
 ``stab suite`` runs the packaged scenario corpus plus a seeded law check.
 
-Exit codes: 0 success (and expectation match), 1 parse, validation or write error,
+Exit codes: 0 success (and expectation match), 1 read, parse, validation or write error,
 2 runtime domain violation, 3 verdict mismatch against an expectation block.
 """
 
@@ -27,43 +27,24 @@ from .scenario import (ScenarioError, parse_scenario, run_scenario, scan_range,
                        _Env, _mat, _require, _depth_str)
 
 
-def _fail_parse(message):
-    print(f"error: {message}", file=sys.stderr)
-    return 1
-
-
-def _fail_domain(exc):
-    print(f"domain violation: {exc}", file=sys.stderr)
-    return 2
-
-
 def _load_json(text, filename):
     try:
-        return json.loads(text), None
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        return None, f"{filename}:{exc.lineno}:{exc.colno}: {exc.msg}"
+        raise ScenarioError(f"{filename}:{exc.lineno}:{exc.colno}", exc.msg) from exc
 
 
 def _cmd_run(args):
     path = Path(args.file)
+    doc = _load_json(path.read_text(), str(path))
     try:
-        text = path.read_text()
-    except OSError as exc:
-        return _fail_parse(f"{path}: {exc}")
-    doc, err = _load_json(text, str(path))
-    if err:
-        return _fail_parse(err)
-    try:
-        sc = parse_scenario(doc)
-        # Checked before --out is made, so that a bad override writes nothing.
-        scan_range(sc, args.horizon, args.window)
-        outdir = Path(args.out or doc.get("out", "."))
-        outdir.mkdir(parents=True, exist_ok=True)
-        outcome = run_scenario(sc, args.horizon, args.window)
+        # Overrides are checked before --out is made, so that a bad one writes nothing.
+        sc = scan_range(parse_scenario(doc), args.horizon, args.window)
     except ScenarioError as exc:
-        return _fail_parse(f"{path}: {exc}")
-    except DomainViolation as exc:
-        return _fail_domain(exc)
+        raise ScenarioError(path, exc) from exc
+    outdir = Path(args.out or doc.get("out", "."))
+    outdir.mkdir(parents=True, exist_ok=True)
+    outcome = run_scenario(sc)
     _write_reports(outdir, sc, outcome)
     print(_summary_line(sc, outcome))
     if not outcome.expect_ok:
@@ -96,17 +77,8 @@ def _summary_line(sc, outcome):
 
 
 def _cmd_compute(args):
-    doc, err = _load_json(args.json if args.json != "-" else sys.stdin.read(),
-                          "<args>")
-    if err:
-        return _fail_parse(err)
-    try:
-        out = _compute(args.sub, read_backend(doc), doc)
-    except ScenarioError as exc:
-        return _fail_parse(str(exc))
-    except DomainViolation as exc:
-        return _fail_domain(exc)
-    print(json.dumps(out, indent=2, sort_keys=True))
+    doc = _load_json(args.json if args.json != "-" else sys.stdin.read(), "<args>")
+    print(json.dumps(_compute(args.sub, read_backend(doc), doc), indent=2, sort_keys=True))
     return 0
 
 
@@ -151,21 +123,16 @@ def _iter_packaged_scenarios():
 def _cmd_suite(args):
     parsed = []
     for name, text in _iter_packaged_scenarios():
-        doc, err = _load_json(text, name)
-        sc = None
-        if not err:
-            try:
-                sc = parse_scenario(doc)
-            except ScenarioError as exc:
-                err = str(exc)
-        parsed.append((name, sc, err))
-    # Overrides are checked against every scenario before any scan or write.
-    for name, sc, _ in parsed:
-        if sc is not None:
-            try:
-                scan_range(sc, args.horizon, args.window)
-            except ScenarioError as exc:
-                return _fail_parse(f"{name}: {exc}")
+        try:
+            sc = parse_scenario(_load_json(text, name))
+        except ScenarioError as exc:
+            parsed.append((name, None, str(exc)))
+            continue
+        # Overrides are checked against every scenario before any scan or write.
+        try:
+            parsed.append((name, scan_range(sc, args.horizon, args.window), None))
+        except ScenarioError as exc:
+            raise ScenarioError(name, exc) from exc
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
     failures = 0
@@ -176,7 +143,7 @@ def _cmd_suite(args):
             failures += 1
             continue
         try:
-            outcome = run_scenario(sc, args.horizon, args.window)
+            outcome = run_scenario(sc)
         except DomainViolation as exc:
             print(f"FAIL {name}: {exc}")
             failures += 1
@@ -226,10 +193,17 @@ def main(argv=None):
     p_suite.add_argument("--seed", type=int, default=0)
 
     args = parser.parse_args(argv)
+    # The one mapping of errors to exit codes.
     try:
         return args.func(args)
-    except OSError as exc:  # an --out or a report that cannot be written
-        return _fail_parse(f"{exc.filename}: {exc.strerror}")
+    except ScenarioError as exc:
+        message, code = f"error: {exc}", 1
+    except OSError as exc:  # an unreadable file, or an --out or report that cannot be written
+        message, code = f"error: {exc.filename}: {exc.strerror}", 1
+    except DomainViolation as exc:
+        message, code = f"domain violation: {exc}", 2
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -362,10 +362,6 @@ class Mat(_Frozen):
                         out[i * other.rows + k][j * other.cols + l] = D.mul(a, other.data[k][l])
         return Mat(D, out, rows, cols)
 
-    def is_zero(self):
-        D = self.domain
-        return all(D.is_zero(a) for r in self.data for a in r)
-
     # -- normal forms ----------------------------------------------------------
 
     def hnf(self):

@@ -188,9 +188,6 @@ class FpModule(_Frozen):
 
     # -- structure ------------------------------------------------------------
 
-    def is_zero(self):
-        return self.rank == 0 and not self.factors
-
     def is_torsion(self):
         return self.rank == 0
 

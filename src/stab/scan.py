@@ -2,10 +2,13 @@
 and the Artin-Rees exponent probe.
 
 A family produces one finitely presented module per index ``n``; a scan
-pushes the family through a functor, records associated primes and depth,
-and reports whether the observed sequence is eventually constant within the
-horizon.  A row whose source repeats the previous row's presentation, as
-most rows do once a family settles, takes that row's value.  Detection is
+pushes the family through a functor, records each index's value,
+associated primes and depth in one row, and reports whether the primes and
+the depths are eventually constant within the horizon.  The rows are the one
+record of the sequence: a :class:`StabilizationReport` holds only the
+verdict, and the window it was read through is the caller's.  A row whose
+source repeats the previous row's presentation, as most rows do once a
+family settles, takes that row's value.  Detection is
 honest about its finite window: the theorems this machinery probes
 guarantee existence of a stabilization index but give no bound, so a
 sequence that keeps moving is reported as ``not-stable-within-horizon`` (or
@@ -134,10 +137,8 @@ class KwHomology(Family):
 
 
 class StabilizationReport(NamedTuple):
-    """A scanned sequence of values with the detected verdict."""
+    """The verdict on one column of a scan's rows."""
 
-    observations: tuple
-    window: int
     status: str
     n0: Optional[int]
     period: Optional[int]
@@ -160,7 +161,7 @@ def detect(ns, values, window):
         i = count - 1
         while i > 0 and values[i - 1] == values[-1]:
             i -= 1
-        return "stable", ns[i], None
+        return StabilizationReport("stable", ns[i], None)
     best = None
     for k in range(2, count // 2 + 1):
         # Walk back from the end while the period still holds.
@@ -172,9 +173,9 @@ def detect(ns, values, window):
             if s == 0:
                 break  # no longer period can start earlier
     if best is None:
-        return "not-stable-within-horizon", None, None
+        return StabilizationReport("not-stable-within-horizon", None, None)
     s, k = best
-    return f"oscillating-with-period-{k}", ns[s] if s else None, k
+    return StabilizationReport(f"oscillating-with-period-{k}", ns[s] if s else None, k)
 
 
 class ScanRow(NamedTuple):
@@ -239,14 +240,10 @@ def scan_rows(family, functor=None, depth_ideal=None, horizon=50, window=10):
             raise AnnihilatorViolation(f"ann {anns[0]!r} not inside ann {anns[1]!r} at n={n}")
         rows.append(row)
 
-    ass_values = [r.ass_set for r in rows]
-    status, n0, period = detect(ns, ass_values, window)
-    ass_report = StabilizationReport(tuple(zip(ns, ass_values)), window, status, n0, period)
+    ass_report = detect(ns, [r.ass_set for r in rows], window)
     depth_report = None
     if depth_ideal is not None:
-        dvals = [r.depth_value for r in rows]
-        status, n0, period = detect(ns, dvals, window)
-        depth_report = StabilizationReport(tuple(zip(ns, dvals)), window, status, n0, period)
+        depth_report = detect(ns, [r.depth_value for r in rows], window)
     return ScanResult(tuple(rows), ass_report, depth_report)
 
 

@@ -7,6 +7,14 @@ or coefficient arrays low to high degree (polynomials); matrices as nested
 row-major arrays; modules either as ``{"relations": [[...]]}`` or as
 ``{"rank": r, "factors": [...]}``.
 
+:func:`parse_scenario` resolves a document into a :class:`Scenario`, and
+:func:`scan_range` applies and checks the one scan-range rule, for the
+file's horizon and window and for command-line overrides alike; the Scenario
+it returns carries the range that :func:`run_scenario` scans and the reports
+state.  A :class:`RunOutcome` holds the scan, the Artin-Rees index, the
+failed expectations and each row's report cells, rendered once: the CSV, the
+JSON document and an expectation's ``sequence`` all read those cells.
+
 Reports are written as a flat CSV (columns ``n, invariant_factors, ass,
 depth``) and a structured JSON document carrying the detection verdicts.
 Output is deterministic: the same scenario file yields byte-identical
@@ -110,7 +118,7 @@ class Scenario(NamedTuple):
     depth_ideal: Optional[Ideal]
     horizon: int
     window: int
-    artin_rees: Optional[dict]
+    artin_rees: Optional[tuple]  # the arguments of ``artin_rees_probe``
     expect: Optional[dict]
 
 
@@ -172,12 +180,16 @@ def _cmc_set(domain, doc, path):
     raise ScenarioError(path, "set must be an object with 'elements' or 'closure'")
 
 
+def _known_keys(doc, keys, path):
+    for key in doc:
+        if key not in keys:
+            raise ScenarioError(path, f"unknown key {key!r}")
+
+
 def _exponent_set(doc, path):
     if not isinstance(doc, dict):
         raise ScenarioError(path, "exponent set must be an object")
-    for key in doc:
-        if key not in ("members", "progressions", "parity"):
-            raise ScenarioError(path, f"unknown key {key!r}")
+    _known_keys(doc, ("members", "progressions", "parity"), path)
     if "parity" in doc:
         if "members" in doc or "progressions" in doc:
             raise ScenarioError(path, "parity cannot be combined with members or progressions")
@@ -313,12 +325,11 @@ def parse_scenario(doc):
     if "artin_rees" in doc:
         adoc = doc["artin_rees"]
         beta = env.ref(adoc, "beta", "artin_rees", "morphisms")
-        artin = {"beta": beta,
-                 "n_prime": env.ref(adoc, "n_prime", "artin_rees", "submodules",
-                                    beta.target.ambient),
-                 "ideal": (env.ref(adoc, "ideal", "artin_rees", "ideals") if "ideal" in adoc
-                           else family.ideal),
-                 "horizon": _int(adoc.get("horizon", 10), "artin_rees.horizon", least=0)}
+        artin = (beta,
+                 env.ref(adoc, "n_prime", "artin_rees", "submodules", beta.target.ambient),
+                 (env.ref(adoc, "ideal", "artin_rees", "ideals") if "ideal" in adoc
+                  else family.ideal),
+                 _int(adoc.get("horizon", 10), "artin_rees.horizon", least=0))
     expect = doc.get("expect")
     if expect is not None:
         _check_expect_doc(expect)
@@ -328,23 +339,24 @@ def parse_scenario(doc):
         raise ScenarioError("name", "expected a file name without '/', '\\' or '..'")
     if not isinstance(doc.get("out", ""), str):
         raise ScenarioError("out", "expected a directory path")
-    sc = Scenario(
+    return scan_range(Scenario(
         name=name, domain=domain, family=family, functor=functor,
         depth_ideal=depth_ideal, horizon=horizon, window=window,
         artin_rees=artin, expect=expect,
-    )
-    scan_range(sc)
-    return sc
+    ))
 
 
 def _check_expect_doc(expect):
-    """Type-check an expectation block, so that a bad one fails before the scan."""
+    """Check the keys and types of an expectation block, so that a bad one
+    fails before the scan and a misspelt key is not met vacuously."""
     if not isinstance(expect, dict):
         raise ScenarioError("expect", "expected an object")
+    _known_keys(expect, ("ass", "depth", "artin_rees_max", "artin_rees_d"), "expect")
     for key in ("ass", "depth"):
         block, path = expect.get(key, {}), f"expect.{key}"
         if not isinstance(block, dict):
             raise ScenarioError(path, "expected an object")
+        _known_keys(block, ("status", "n0_max", "period", "sequence"), path)
         if not isinstance(block.get("status", ""), str):
             raise ScenarioError(f"{path}.status", "expected a string")
         if not isinstance(block.get("sequence", []), list):
@@ -362,11 +374,12 @@ def _check_expect_doc(expect):
 class RunOutcome(NamedTuple):
     result: object
     artin_d: Optional[int]
-    expect_ok: bool
     expect_failures: tuple
-    horizon: int
-    window: int
     cells: tuple
+
+    @property
+    def expect_ok(self):
+        return not self.expect_failures
 
 
 def _depth_str(v):
@@ -384,32 +397,30 @@ def _check_scan_range(start, horizon, window):
 
 
 def scan_range(sc, horizon=None, window=None):
-    """``(horizon, window)`` with any overrides applied, checked by the one
-    scan-range rule for file values and command-line values alike."""
-    horizon = sc.horizon if horizon is None else horizon
-    window = sc.window if window is None else window
-    _check_scan_range(sc.family.scan_start, horizon, window)
-    return horizon, window
+    """``sc`` with any overrides of its horizon and window applied, checked by
+    the one scan-range rule for file values and command-line values alike."""
+    sc = sc._replace(horizon=sc.horizon if horizon is None else horizon,
+                     window=sc.window if window is None else window)
+    _check_scan_range(sc.family.scan_start, sc.horizon, sc.window)
+    return sc
 
 
-def run_scenario(sc, horizon=None, window=None):
-    """Execute the scans and probes of a parsed scenario."""
-    horizon, window = scan_range(sc, horizon, window)
-    result = scan_rows(sc.family, sc.functor, sc.depth_ideal, horizon, window)
-    artin_d = None
-    if sc.artin_rees is not None:
-        artin_d = artin_rees_probe(sc.artin_rees["beta"], sc.artin_rees["n_prime"],
-                                   sc.artin_rees["ideal"], sc.artin_rees["horizon"])
-    failures = _check_expect(sc, result, artin_d)
-    return RunOutcome(result, artin_d, not failures, tuple(failures), horizon, window,
-                      _report_cells(sc.domain, result.rows))
+def run_scenario(sc):
+    """Execute the scans and probes of a scenario whose range
+    :func:`scan_range` has checked."""
+    result = scan_rows(sc.family, sc.functor, sc.depth_ideal, sc.horizon, sc.window)
+    artin_d = artin_rees_probe(*sc.artin_rees) if sc.artin_rees else None
+    cells = _report_cells(sc.domain, result.rows)
+    return RunOutcome(result, artin_d, _check_expect(sc, result, artin_d, cells), cells)
 
 
-def _check_expect(sc, result, artin_d):
+def _check_expect(sc, result, artin_d, cells):
+    """The failed expectations; a ``sequence`` is compared with the rows'
+    report cells."""
     failures = []
     expect = sc.expect or {}
 
-    def check_report(block, report, label):
+    def check_report(block, report, label, column):
         if "status" in block and report.status != block["status"]:
             failures.append(f"{label}: status {report.status!r} != {block['status']!r}")
         if "n0_max" in block:
@@ -417,39 +428,37 @@ def _check_expect(sc, result, artin_d):
                 failures.append(f"{label}: n0 {report.n0} exceeds {block['n0_max']}")
         if "period" in block and report.period != block["period"]:
             failures.append(f"{label}: period {report.period} != {block['period']}")
-        if "sequence" in block:
-            want = block["sequence"]
-            got = [v for _, v in report.observations][:len(want)]
-            for (n, _), w, g in zip(report.observations, want, got):
-                rendered = g.to_json() if hasattr(g, "to_json") else _depth_str(g)
-                if rendered != w:
-                    failures.append(f"{label}: value at n={n} is {rendered!r}, expected {w!r}")
+        for row, row_cells, want in zip(result.rows, cells, block.get("sequence", ())):
+            got = row_cells[column]
+            if got != want:
+                failures.append(f"{label}: value at n={row.n} is {got!r}, expected {want!r}")
 
     if "ass" in expect:
-        check_report(expect["ass"], result.ass_report, "ass")
+        check_report(expect["ass"], result.ass_report, "ass", 1)
     if "depth" in expect:
         if result.depth_report is None:
             failures.append("depth: no depth ideal given")
         else:
-            check_report(expect["depth"], result.depth_report, "depth")
+            check_report(expect["depth"], result.depth_report, "depth", 2)
     if "artin_rees_max" in expect:
         if artin_d is None or artin_d > expect["artin_rees_max"]:
             failures.append(f"artin_rees: d={artin_d} exceeds {expect['artin_rees_max']}")
     if "artin_rees_d" in expect and artin_d != expect["artin_rees_d"]:
         failures.append(f"artin_rees: d={artin_d} != {expect['artin_rees_d']}")
-    return failures
+    return tuple(failures)
 
 
 def _report_cells(D, rows):
     """Each row's invariant factors (a ``"0"`` per free summand), ``Ass``
-    strings and depth, rendered once for both reports; a row whose value,
+    strings (a list, as a document's ``sequence`` holds them) and depth,
+    rendered once for both reports and the expectations; a row whose value,
     primes and depth are the previous row's, as a reused row's are, shares
     that row's cells."""
     cells = []
     for i, row in enumerate(rows):
         cells.append(cells[-1] if i and row[1:] == rows[i - 1][1:] else (
             ("0",) * row.value.rank + tuple(map(D.elem_str, row.value.factors)),
-            tuple(map(repr, row.ass_set)), _depth_str(row.depth_value)))
+            [repr(p) for p in row.ass_set], _depth_str(row.depth_value)))
     return tuple(cells)
 
 
@@ -467,11 +476,8 @@ def report_csv(sc, outcome):
     return "".join(["n,invariant_factors,ass,depth\n", *(f"{n},{t}\n" for n, t in tails)])
 
 
-def _report_verdict(report):
-    if report is None:
-        return None
-    return {"status": report.status, "n0": report.n0, "period": report.period,
-            "window": report.window}
+def _report_verdict(report, window):
+    return None if report is None else dict(report._asdict(), window=window)
 
 
 def _json_strs(strs):
@@ -492,11 +498,11 @@ def report_json(sc, outcome):
     doc = {
         "name": sc.name,
         "backend": sc.domain.descriptor(),
-        "horizon": outcome.horizon,
-        "window": outcome.window,
+        "horizon": sc.horizon,
+        "window": sc.window,
         "rows": [],
-        "ass_verdict": _report_verdict(outcome.result.ass_report),
-        "depth_verdict": _report_verdict(outcome.result.depth_report),
+        "ass_verdict": _report_verdict(outcome.result.ass_report, sc.window),
+        "depth_verdict": _report_verdict(outcome.result.depth_report, sc.window),
         "artin_rees_d": outcome.artin_d,
         "annihilator_checks": len(outcome.result.rows),
         "expect_ok": outcome.expect_ok if sc.expect is not None else None,

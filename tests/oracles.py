@@ -926,11 +926,11 @@ def report_csv_reference(sc, outcome):
     return "\n".join(lines) + "\n"
 
 
-def _verdict_reference(report):
+def _verdict_reference(report, window):
     if report is None:
         return None
     return {"status": report.status, "n0": report.n0, "period": report.period,
-            "window": report.window}
+            "window": window}
 
 
 def report_json_reference(sc, outcome):
@@ -940,11 +940,11 @@ def report_json_reference(sc, outcome):
     doc = {
         "name": sc.name,
         "backend": sc.domain.descriptor(),
-        "horizon": outcome.horizon,
-        "window": outcome.window,
+        "horizon": sc.horizon,
+        "window": sc.window,
         "rows": rows,
-        "ass_verdict": _verdict_reference(outcome.result.ass_report),
-        "depth_verdict": _verdict_reference(outcome.result.depth_report),
+        "ass_verdict": _verdict_reference(outcome.result.ass_report, sc.window),
+        "depth_verdict": _verdict_reference(outcome.result.depth_report, sc.window),
         "artin_rees_d": outcome.artin_d,
         "annihilator_checks": len(outcome.result.rows),
         "expect_ok": outcome.expect_ok if sc.expect is not None else None,

@@ -17,7 +17,7 @@ from stab.functors import (OscillatingFunctor, ExponentSet, GammaFunctor, ModGam
                            ModTau, gamma_as_middle_finite, ext_functor, tor_functor)
 from stab.laws import check_functor_laws, random_torsion_module
 from stab.scan import artin_rees_probe
-from stab.scenario import parse_scenario, run_scenario
+from stab.scenario import parse_scenario, run_scenario, scan_range
 from stab.cli import _iter_packaged_scenarios
 from oracles import (ass_oracle, cyclic_hom_oracle, cyclic_ext_oracle, invariant_counts,
                      iso_type)
@@ -35,8 +35,8 @@ def _run_group(prefix, horizon=None, window=None):
     for name, text in _iter_packaged_scenarios():
         if not name.startswith(prefix):
             continue
-        sc = parse_scenario(json.loads(text))
-        outcomes.append((name, sc, run_scenario(sc, horizon, window)))
+        sc = scan_range(parse_scenario(json.loads(text)), horizon, window)
+        outcomes.append((name, sc, run_scenario(sc)))
     return outcomes
 
 
@@ -170,7 +170,7 @@ def test_criterion_04_brodmann_suite():
     assert backends == {"integers", "poly"}
     _assert_group_stable(outcomes)
     for _, sc, out in outcomes:
-        assert out.horizon == 50 and out.window == 10
+        assert sc.horizon == 50 and sc.window == 10
     assert elapsed < 60.0, f"Brodmann suite took {elapsed:.1f}s"
     print(f"ACCEPTANCE 4: PASS {len(outcomes)} identity-functor scenarios "
           f"stable over both backends in {elapsed:.1f}s")
@@ -231,7 +231,7 @@ def test_criterion_07_oscillating():
                         "stable"}
     for name, sc, out in outcomes:
         assert out.expect_ok, (name, out.expect_failures)
-        assert out.horizon == 40
+        assert sc.horizon == 40
         COLLECTED_ARTIN[name] = out.artin_d
         COLLECTED_ANN_CHECKS["total"] += len(out.result.rows)
     print("ACCEPTANCE 7: PASS oscillating functor laws (200 morphism pairs "

@@ -7,9 +7,7 @@ name appears as an ``Attribute`` (``.name``): a local variable or a
 parameter of the same name does not call it.  The check still goes by name
 only, so a dead method whose name another class's method shares, and that
 one is called, counts as called too (``map``, ``contains``, ``quotient``,
-...).  ``FpModule.is_zero`` and ``Mat.is_zero`` are two such: no library
-code calls either, but the backends' ``is_zero`` is called, and tests use
-both.
+``is_zero``, ...); such a method needs a search for its own callers.
 """
 
 import ast

@@ -54,7 +54,7 @@ def test_dec_isomorphisms_mutually_inverse():
 
 
 def test_tensor_examples():
-    assert cyc(2).tensor(cyc(3)).is_zero()
+    assert iso_type(cyc(2).tensor(cyc(3))) == (0, [])
     m = FpModule.from_relations(ZZ, [[2, 4], [6, 8]])
     assert iso_type(R.tensor(m)) == iso_type(m)
     assert iso_type(cyc(4).tensor(cyc(6))) == (0, [2])
@@ -83,7 +83,7 @@ def test_hom_examples():
     assert iso_type(HomSpace(cyc(6), cyc(4)).module) == (0, [2])
     m = FpModule.from_relations(ZZ, [[2, 4], [6, 8]])
     assert iso_type(HomSpace(R, m).module) == iso_type(m)
-    assert HomSpace(cyc(2), R).module.is_zero()
+    assert iso_type(HomSpace(cyc(2), R).module) == (0, [])
     assert iso_type(HomSpace(R.direct_sum(R), R).module) == (2, [])
 
 
@@ -201,7 +201,7 @@ def test_kernel_cokernel_image_examples():
     # target's generators.
     f = Morphism(R, R, Mat(ZZ, [[2]]))
     k, _ = R.submodule(f.mat.preimage(R.relations))
-    assert k.is_zero()
+    assert iso_type(k) == (0, [])
     c = R.quotient(f.mat)
     assert iso_type(c) == (0, [2])
     Morphism(R, c, Mat.identity(ZZ, 1))  # the projection, checked
@@ -264,13 +264,13 @@ def test_power_quotient_examples():
     m = R.direct_sum(cyc(8))
     assert iso_type(m.power_quotient(I2, 5)) == (0, [8, 32])
     assert iso_type(m.power_quotient(Ideal(ZZ, 0), 3)) == iso_type(m)
-    assert m.power_quotient(I2, 0).is_zero()
+    assert iso_type(m.power_quotient(I2, 0)) == (0, [])
 
 
 def test_power_layer_examples():
     assert iso_type(Layers(R, I2).generate(3)) == (0, [2])
     assert iso_type(Layers(R, Ideal(ZZ, 0)).generate(1)) == iso_type(R)
-    assert Layers(R, Ideal(ZZ, 0)).generate(2).is_zero()
+    assert iso_type(Layers(R, Ideal(ZZ, 0)).generate(2)) == (0, [])
     with pytest.raises(ValueError, match="layers need n >= 1"):
         Layers(R, I2).generate(0)
 
@@ -360,7 +360,7 @@ def test_subquotient_counts_match_subgroup_enumeration():
 def test_loc_tensor_examples():
     assert iso_type(loc_tensor(R, 2, cyc(12))) == (0, [3])
     assert iso_type(loc_tensor(R, 1, cyc(12))) == (0, [12])
-    assert loc_tensor(R, 6, cyc(12)).is_zero()
+    assert iso_type(loc_tensor(R, 6, cyc(12))) == (0, [])
     with pytest.raises(DomainViolation):
         loc_tensor(R, 2, R)
     with pytest.raises(ValueError, match="cannot invert zero"):
@@ -400,7 +400,7 @@ def test_free_module_from_empty_relations():
               FpModule.from_json(ZZ, {"relations": [], "ambient": 2}),
               FpModule.from_json(F5, {"relations": [], "ambient": 2})):
         assert iso_type(m) == (2, []) and m.relations.cols == 0
-    assert FpModule.from_relations(ZZ, []).is_zero()
+    assert iso_type(FpModule.from_relations(ZZ, [])) == (0, [])
     with pytest.raises(ValueError, match="relations: 1 rows but ambient is 2"):
         FpModule.from_relations(ZZ, [[2]], 2)
     with pytest.raises(ValueError, match="relations: 2 rows but ambient is 1"):
@@ -707,7 +707,7 @@ def test_direct_sum_with_a_zero_summand_is_the_other_summand():
     m = FpModule.from_invariants(ZZ, 1, [6])
     zero = FpModule.zero(ZZ)
     assert m.direct_sum(zero) is m and zero.direct_sum(m) is m
-    assert zero.direct_sum(zero).is_zero()
+    assert iso_type(zero.direct_sum(zero)) == (0, [])
     with pytest.raises(BackendMismatch):
         m.direct_sum(FpModule.zero(F5))
 

@@ -18,7 +18,7 @@ import stab
 from stab.invariants import DEPTH_INF
 from stab.scan import ScanResult, ScanRow, StabilizationReport
 from stab.scenario import (RunOutcome, Scenario, _report_cells, parse_scenario,
-                           report_csv, report_json, run_scenario)
+                           report_csv, report_json, run_scenario, scan_range)
 from oracles import report_csv_reference, report_json_reference
 
 SCENARIOS = sorted((Path(stab.__file__).resolve().parent / "scenarios").glob("*.json"))
@@ -40,14 +40,15 @@ def test_packaged_reports_match_the_references(path, horizon, data):
     start = sc.family.scan_start
     horizon = max(horizon, start + 1)
     window = data.draw(st.integers(2, horizon - start + 1))
-    out = run_scenario(sc, horizon, window)
+    sc = scan_range(sc, horizon, window)
+    out = run_scenario(sc)
     assert report_csv(sc, out) == report_csv_reference(sc, out)
     assert report_json(sc, out) == report_json_reference(sc, out)
 
 
 def test_reused_rows_share_their_cells():
     sc = _parsed(next(p for p in SCENARIOS if p.stem == "brodmann_int_layers"))
-    out = run_scenario(sc, 12, 4)
+    out = run_scenario(scan_range(sc, 12, 4))
     rows = out.result.rows
     reused = [i for i in range(1, len(rows)) if rows[i].value is rows[i - 1].value]
     assert len(reused) == len(rows) - 2
@@ -95,8 +96,7 @@ def _verdicts(draw):
     if draw(st.booleans()):
         return None
     n0, period = draw(st.none() | st.integers(0, 9)), draw(st.none() | st.integers(1, 4))
-    return StabilizationReport((), draw(st.integers(2, 9)),
-                               draw(st.sampled_from(["stable", "not-stable-within-horizon"])),
+    return StabilizationReport(draw(st.sampled_from(["stable", "not-stable-within-horizon"])),
                                n0, period)
 
 
@@ -116,11 +116,11 @@ def made_up_outcomes(draw):
             rows.append(ScanRow(n, draw(_values()), primes, draw(DEPTHS)))
     domain = _Domain(draw(st.dictionaries(TEXT, TEXT | st.integers(), max_size=2)))
     expect = draw(st.none() | st.just({}))
-    sc = Scenario(draw(NAMES), domain, None, None, None, 9, 2, None, expect)
+    sc = Scenario(draw(NAMES), domain, None, None, None, draw(st.integers(0, 99)),
+                  draw(st.integers(2, 9)), None, expect)
     result = ScanResult(tuple(rows), draw(_verdicts()), draw(_verdicts()))
     failures = tuple(draw(st.lists(TEXT, max_size=2)))
-    outcome = RunOutcome(result, draw(st.none() | st.integers(0, 9)), not failures, failures,
-                         draw(st.integers(0, 99)), draw(st.integers(2, 9)),
+    outcome = RunOutcome(result, draw(st.none() | st.integers(0, 9)), failures,
                          _report_cells(domain, result.rows))
     return sc, outcome
 
@@ -128,8 +128,7 @@ def made_up_outcomes(draw):
 def _case(name, rows, domain=_Domain({}), expect=None, failures=()):
     result = ScanResult(tuple(rows), None, None)
     return (Scenario(name, domain, None, None, None, 9, 2, None, expect),
-            RunOutcome(result, None, not failures, tuple(failures), 9, 2,
-                       _report_cells(domain, result.rows)))
+            RunOutcome(result, None, tuple(failures), _report_cells(domain, result.rows)))
 
 
 _ZERO = _Value(0, ())

@@ -243,16 +243,15 @@ def test_detect_window_validation():
 
 
 def test_scan_ass_identity_example():
-    rep = scan_rows(QuotientPowers(R, I2), horizon=20, window=5).ass_report
-    assert rep.status == "stable" and rep.n0 == 1
-    assert all(v == _ass_of(2) for _, v in rep.observations)
+    res = scan_rows(QuotientPowers(R, I2), horizon=20, window=5)
+    assert res.ass_report.status == "stable" and res.ass_report.n0 == 1
+    assert all(row.ass_set == _ass_of(2) for row in res.rows)
 
 
 def test_scan_ass_tor1_example():
-    rep = scan_rows(QuotientPowers(R, I2), tor_functor(cyc(4), 1),
-                    horizon=20, window=5).ass_report
-    assert rep.status == "stable" and rep.n0 == 1
-    assert all(v == _ass_of(2) for _, v in rep.observations)
+    res = scan_rows(QuotientPowers(R, I2), tor_functor(cyc(4), 1), horizon=20, window=5)
+    assert res.ass_report.status == "stable" and res.ass_report.n0 == 1
+    assert all(row.ass_set == _ass_of(2) for row in res.rows)
 
 
 def test_scan_ass_oscillating():
@@ -263,25 +262,22 @@ def test_scan_ass_oscillating():
 
 def test_scan_depth_examples():
     m = R.direct_sum(cyc(8))
-    rep = scan_rows(QuotientPowers(m, I2), None, Ideal(ZZ, 2),
-                    horizon=20, window=5).depth_report
-    assert rep.status == "stable"
-    assert all(v == 0 for _, v in rep.observations)
-    rep = scan_rows(QuotientPowers(m, I2), None, Ideal(ZZ, 3),
-                    horizon=20, window=5).depth_report
-    assert all(v == DEPTH_INF for _, v in rep.observations)
-    rep = scan_rows(QuotientPowers(m, I2), None, Ideal(ZZ, 1),
-                    horizon=20, window=5).depth_report
-    assert all(v == DEPTH_INF for _, v in rep.observations)
+    res = scan_rows(QuotientPowers(m, I2), None, Ideal(ZZ, 2), horizon=20, window=5)
+    assert res.depth_report.status == "stable"
+    assert all(row.depth_value == 0 for row in res.rows)
+    res = scan_rows(QuotientPowers(m, I2), None, Ideal(ZZ, 3), horizon=20, window=5)
+    assert all(row.depth_value == DEPTH_INF for row in res.rows)
+    res = scan_rows(QuotientPowers(m, I2), None, Ideal(ZZ, 1), horizon=20, window=5)
+    assert all(row.depth_value == DEPTH_INF for row in res.rows)
 
 
 def test_scan_depth_free_module_value_one():
     # identity functor on M/I^n M for M with free part: depth (3) on
     # Z/2^n (+) ... exercises the regular-element branch
-    rep = scan_rows(QuotientPowers(R.direct_sum(R), Ideal(ZZ, 6)), None, Ideal(ZZ, 3),
-                    horizon=14, window=5).depth_report
-    assert rep.status == "stable"
-    assert all(v == 0 for _, v in rep.observations)  # 3 divides 6^n
+    res = scan_rows(QuotientPowers(R.direct_sum(R), Ideal(ZZ, 6)), None, Ideal(ZZ, 3),
+                    horizon=14, window=5)
+    assert res.depth_report.status == "stable"
+    assert all(row.depth_value == 0 for row in res.rows)  # 3 divides 6^n
 
 
 def test_scan_rows_carries_everything():
@@ -549,7 +545,7 @@ def small_elems(D, nonzero=False):
     return elems.filter(bool) if nonzero else elems
 
 
-def check_against_closed_form(result, D, rank, factors, g, kind, fixed, j, layers=False,
+def check_against_closed_form(result, window, D, rank, factors, g, kind, fixed, j, layers=False,
                               graded=None):
     ns = [row.n for row in result.rows]
     expected, primes = quotient_scan_reference(D, rank, factors, g, ns, kind, fixed, j, layers,
@@ -568,7 +564,7 @@ def check_against_closed_form(result, D, rank, factors, g, kind, fixed, j, layer
     while start and got[start - 1] == got[-1]:
         start -= 1
     report = result.ass_report
-    if len(got) - start >= report.window:
+    if len(got) - start >= window:
         assert report.status == "stable" and report.n0 == ns[start]
     else:
         assert report.status != "stable"
@@ -625,7 +621,7 @@ def test_quotient_scans_match_the_closed_form(case):
     D, rank, factors, module, g, kind, fixed, j, horizon, _ = case
     functor = closed_form_functor(D, kind, fixed)
     result = scan_rows(QuotientPowers(module, Ideal(D, g)), functor, Ideal(D, j), horizon, 2)
-    check_against_closed_form(result, D, rank, factors, g, kind, fixed, j)
+    check_against_closed_form(result, 2, D, rank, factors, g, kind, fixed, j)
 
 
 @given(quotient_scans())
@@ -634,7 +630,7 @@ def test_layer_scans_match_the_closed_form(case):
     D, rank, factors, module, g, kind, fixed, j, horizon, _ = case
     functor = closed_form_functor(D, kind, fixed)
     result = scan_rows(Layers(module, Ideal(D, g)), functor, Ideal(D, j), horizon, 2)
-    check_against_closed_form(result, D, rank, factors, g, kind, fixed, j, layers=True)
+    check_against_closed_form(result, 2, D, rank, factors, g, kind, fixed, j, layers=True)
 
 
 @st.composite
@@ -658,7 +654,7 @@ def test_graded_layer_scans_match_the_closed_form(graded_case):
                           for r in range(basis.cols)], basis.cols, basis.cols)
     functor = closed_form_functor(D, kind, fixed)
     result = scan_rows(GradedLayers(module, sub, Ideal(D, g)), functor, Ideal(D, j), horizon, 2)
-    check_against_closed_form(result, D, rank, factors, g, kind, fixed, j,
+    check_against_closed_form(result, 2, D, rank, factors, g, kind, fixed, j,
                               graded=ms[len(factors):] + ms[:len(factors)])
 
 
@@ -713,7 +709,7 @@ def test_coherent_transients_match_the_closed_form(case):
     D, rank, factors, module, g, c, j, horizon = case
     functor = closed_form_functor(D, "times", c)
     result = scan_rows(QuotientPowers(module, Ideal(D, g)), functor, Ideal(D, j), horizon, 3)
-    check_against_closed_form(result, D, rank, factors, g, "times", c, j)
+    check_against_closed_form(result, 3, D, rank, factors, g, "times", c, j)
 
 
 QUOTIENT_SCENARIOS = ("brodmann_int_quotient", "brodmann_int_quotient_mixed",
@@ -762,8 +758,9 @@ def check_packaged_scenarios(names):
             graded = ms[len(factors):] + ms[:len(factors)]
         outcome = run_scenario(sc)
         assert len(outcome.result.rows) == sc.horizon, name
-        check_against_closed_form(outcome.result, D, m["rank"], factors, g, kind, fixed, j,
-                                  layers=doc["family"]["kind"] == "layers", graded=graded)
+        check_against_closed_form(outcome.result, sc.window, D, m["rank"], factors, g, kind,
+                                  fixed, j, layers=doc["family"]["kind"] == "layers",
+                                  graded=graded)
 
 
 def test_packaged_quotient_scenarios_match_the_closed_form():

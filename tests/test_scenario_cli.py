@@ -117,6 +117,13 @@ def test_cli_run_byte_identical(tmp_path):
         (tmp_path / "r2" / "demo.json").read_bytes()
 
 
+def test_cli_unreadable_file_exit_1(tmp_path):
+    proc = _run_cli(["run", "missing.json"], tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: missing.json: No such file or directory\n"
+    assert proc.stdout == ""
+
+
 def test_cli_malformed_file_exit_1(tmp_path):
     (tmp_path / "bad.json").write_text("{ not json")
     proc = _run_cli(["run", "bad.json"], tmp_path)
@@ -160,6 +167,11 @@ MALFORMED = [
     ("expect.ass.n0_max", {"expect": {"ass": {"n0_max": "x"}}}),
     ("expect.depth.status", {"expect": {"depth": {"status": 1}}}),
     ("expect.artin_rees_d", {"expect": {"artin_rees_d": 2.0}}),
+    # A misspelt expectation key was met vacuously.
+    ("expect.ass", {"expect": {"ass": {"staus": "not-stable-within-horizon"}}}),
+    ("expect.ass", {"expect": {"ass": {"n0max": 0}}}),
+    ("expect.depth", {"expect": {"depth": {"sequnce": ["inf"]}}}),
+    ("expect", {"expect": {"depht": {"status": "not-stable-within-horizon"}}}),
     ("out", {"out": 3}),
     ("functor.rules", {"functor": {"kind": "oscillating", "rules": 5}}),
     ("functor.a", {"functor": {"kind": "middle_finite", "b": "M", "a": 5}}),
@@ -255,8 +267,7 @@ def test_cli_malformed_field_exit_1(tmp_path, prefix, overrides):
 def test_kw_shift_scan_range_is_checked_at_its_first_index():
     # Horizon 17 fits a window of 4 from n = 14; horizon 16 does not.
     sc = parse_scenario(scenario(family=KW_SHIFTED, horizon=17))
-    assert [n for n, _ in run_scenario(sc).result.ass_report.observations] == \
-        [14, 15, 16, 17]
+    assert [row.n for row in run_scenario(sc).result.rows] == [14, 15, 16, 17]
 
 
 @pytest.mark.parametrize("argv,prefix", [
@@ -314,6 +325,16 @@ def test_cli_expectation_mismatch_exit_3(tmp_path):
     proc = _run_cli(["run", "s.json"], tmp_path)
     assert proc.returncode == 3
     assert "mismatch" in proc.stderr
+
+
+def test_expected_sequence_mismatch_names_each_differing_value():
+    # Ass is {(2)} and depth 0 at every n; a sequence is checked as far as it goes.
+    doc = scenario(expect={"ass": {"sequence": [["(2)"], ["(3)"], ["(2)"]]},
+                           "depth": {"sequence": ["0", "inf"]}})
+    out = run_scenario(parse_scenario(doc))
+    assert out.expect_failures == ("ass: value at n=2 is ['(2)'], expected ['(3)']",
+                                   "depth: value at n=2 is '0', expected 'inf'")
+    assert not out.expect_ok
 
 
 def test_cli_compute_snf(tmp_path):
