@@ -1,8 +1,9 @@
 """Command-line surface.
 
-``stab run <file>`` executes one scenario and writes CSV + JSON reports;
-``stab compute <sub> <json>`` does a one-shot computation printed as JSON;
-``stab suite`` runs the packaged scenario corpus plus a seeded law check.
+``stab run <file>`` executes one scenario and writes CSV + JSON reports under
+``--out``; ``stab compute <sub> <json|->`` does a one-shot computation printed
+as JSON; ``stab suite`` checks every packaged scenario, then runs them and a
+seeded law check.  :func:`_load_json` reads every input document.
 
 Exit codes: 0 success (and expectation match), 1 read, parse, validation or write error,
 2 runtime domain violation, 3 verdict mismatch against an expectation block.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from importlib import resources
@@ -27,31 +29,41 @@ from .scenario import (ScenarioError, parse_scenario, run_scenario, scan_range,
                        _Env, _mat, _require, _depth_str)
 
 
-def _load_json(text, filename):
+def _load_json(data, name):
+    """``data``, bytes, read as strict UTF-8 JSON; any failure is an error at ``name``."""
     try:
-        return json.loads(text)
+        return json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{filename}:{exc.lineno}:{exc.colno}", exc.msg) from exc
+        raise ScenarioError(f"{name}:{exc.lineno}:{exc.colno}", exc.msg) from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(name, exc) from exc
+    except RecursionError as exc:
+        raise ScenarioError(name, "nested too deeply to parse") from exc
+    except ValueError as exc:  # the interpreter's limit on integer-string conversion
+        raise ScenarioError(name, f"integer literal longer than "
+                                  f"{sys.get_int_max_str_digits()} digits") from exc
+
+
+def _read_scenario(data, name, args):
+    doc = _load_json(data, name)
+    try:
+        return scan_range(parse_scenario(doc), args.horizon, args.window)
+    except ScenarioError as exc:
+        raise ScenarioError(name, exc) from exc
 
 
 def _cmd_run(args):
     path = Path(args.file)
-    doc = _load_json(path.read_text(), str(path))
-    try:
-        # Overrides are checked before --out is made, so that a bad one writes nothing.
-        sc = scan_range(parse_scenario(doc), args.horizon, args.window)
-    except ScenarioError as exc:
-        raise ScenarioError(path, exc) from exc
-    outdir = Path(args.out or doc.get("out", "."))
+    # Read and checked before --out is made, so that a bad file writes nothing.
+    sc = _read_scenario(path.read_bytes(), str(path), args)
+    outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     outcome = run_scenario(sc)
     _write_reports(outdir, sc, outcome)
     print(_summary_line(sc, outcome))
-    if not outcome.expect_ok:
-        for failure in outcome.expect_failures:
-            print(f"  mismatch: {failure}", file=sys.stderr)
-        return 3
-    return 0
+    for failure in outcome.expect_failures:
+        print(f"  mismatch: {failure}", file=sys.stderr)
+    return 0 if outcome.expect_ok else 3
 
 
 def _write_reports(outdir, sc, outcome):
@@ -77,7 +89,8 @@ def _summary_line(sc, outcome):
 
 
 def _cmd_compute(args):
-    doc = _load_json(args.json if args.json != "-" else sys.stdin.read(), "<args>")
+    data = sys.stdin.buffer.read() if args.json == "-" else os.fsencode(args.json)
+    doc = _load_json(data, "<args>")
     print(json.dumps(_compute(args.sub, read_backend(doc), doc), indent=2, sort_keys=True))
     return 0
 
@@ -117,31 +130,18 @@ def _iter_packaged_scenarios():
     base = resources.files("stab").joinpath("scenarios")
     for entry in sorted(base.iterdir(), key=lambda e: e.name):
         if entry.name.endswith(".json"):
-            yield entry.name, entry.read_text()
+            yield entry.name, entry.read_bytes()
 
 
 def _cmd_suite(args):
-    parsed = []
-    for name, text in _iter_packaged_scenarios():
-        try:
-            sc = parse_scenario(_load_json(text, name))
-        except ScenarioError as exc:
-            parsed.append((name, None, str(exc)))
-            continue
-        # Overrides are checked against every scenario before any scan or write.
-        try:
-            parsed.append((name, scan_range(sc, args.horizon, args.window), None))
-        except ScenarioError as exc:
-            raise ScenarioError(name, exc) from exc
+    # Every file is read and checked, overrides included, before any scan or write.
+    scenarios = [(name, _read_scenario(data, name, args))
+                 for name, data in _iter_packaged_scenarios()]
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
     failures = 0
     count = 0
-    for name, sc, err in parsed:
-        if err:
-            print(f"FAIL {name}: {err}")
-            failures += 1
-            continue
+    for name, sc in scenarios:
         try:
             outcome = run_scenario(sc)
         except DomainViolation as exc:
@@ -199,7 +199,8 @@ def main(argv=None):
     except ScenarioError as exc:
         message, code = f"error: {exc}", 1
     except OSError as exc:  # an unreadable file, or an --out or report that cannot be written
-        message, code = f"error: {exc.filename}: {exc.strerror}", 1
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        message, code = f"error: {where}{exc.strerror or exc}", 1
     except DomainViolation as exc:
         message, code = f"domain violation: {exc}", 2
     print(message, file=sys.stderr)

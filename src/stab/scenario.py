@@ -15,10 +15,10 @@ state.  A :class:`RunOutcome` holds the scan, the Artin-Rees index, the
 failed expectations and each row's report cells, rendered once: the CSV, the
 JSON document and an expectation's ``sequence`` all read those cells.
 
-Reports are written as a flat CSV (columns ``n, invariant_factors, ass,
-depth``) and a structured JSON document carrying the detection verdicts.
-Output is deterministic: the same scenario file yields byte-identical
-reports.
+Reports, a flat CSV (columns ``n, invariant_factors, ass, depth``) and a JSON
+document with the detection verdicts, are named after ``name``, in a directory
+the caller chooses: an ``out`` key is an error.  The same scenario file always
+yields byte-identical reports.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ class ScenarioError(ValueError):
     """A validation failure, anchored at a JSON path."""
 
     def __init__(self, path, message):
-        self.path = path
         super().__init__(f"{path}: {message}")
 
 
@@ -334,11 +333,11 @@ def parse_scenario(doc):
     if expect is not None:
         _check_expect_doc(expect)
     name = doc.get("name", "scenario")
-    if (not isinstance(name, str) or not name
-            or any(bad in name for bad in ("/", "\\", "..", "\0"))):
+    if (not isinstance(name, str) or not name or not name.isprintable()
+            or any(bad in name for bad in ("/", "\\", ".."))):
         raise ScenarioError("name", "expected a file name without '/', '\\' or '..'")
-    if not isinstance(doc.get("out", ""), str):
-        raise ScenarioError("out", "expected a directory path")
+    if "out" in doc:
+        raise ScenarioError("out", "reports go under --out; a scenario cannot choose where")
     return scan_range(Scenario(
         name=name, domain=domain, family=family, functor=functor,
         depth_ideal=depth_ideal, horizon=horizon, window=window,

@@ -250,6 +250,47 @@ def test_functor_laws(name, functor, torsion_only):
     assert failures == []
 
 
+class _ZeroMaps(IdentityFunctor):
+    """Additive and compatible with composition, but sends ``id`` to 0."""
+
+    def map(self, g):
+        return Morphism.zero_map(g.source, g.target)
+
+
+class _NegatedMaps(IdentityFunctor):
+    """Fixes identities and negates every other map, so ``F(g.f) = -g.f``
+    while ``F(g).F(f) = g.f``."""
+
+    def map(self, g):
+        if g.source is g.target and g.equals(Morphism.identity(g.source)):
+            return g
+        return Morphism(g.source, g.target, g.mat.scale(-1), check=False)
+
+
+class _TensorSquare(functors.Functor):
+    """``M -> M (x) M`` and ``f -> f (x) f``: a functor that is not additive."""
+
+    def __call__(self, n):
+        return n.tensor(n)
+
+    def map(self, g):
+        return Morphism(self(g.source), self(g.target), g.mat.kron(g.mat))
+
+
+@pytest.mark.parametrize("functor, law", [
+    (_ZeroMaps(), "F(id) != id"),
+    (_NegatedMaps(), "F(g.f) != F(g).F(f)"),
+    (_TensorSquare(), "F(f+f') != F(f)+F(f')"),
+], ids=["identity", "composition", "additivity"])
+def test_functor_laws_report_the_broken_law(functor, law):
+    # Each broken functor keeps the other two laws, so the checker must name
+    # exactly the broken one.
+    failures = check_functor_laws(functor, ZZ, random.Random(3), trials=10,
+                                  torsion_only=True)
+    assert failures
+    assert {re.match(r"trial \d+: (.*?) on ", f).group(1) for f in failures} == {law}
+
+
 def test_annihilator_monotonicity_all_variants():
     rng = random.Random(17)
     for name, functor, torsion_only in all_functor_variants():

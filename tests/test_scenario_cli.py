@@ -1,3 +1,6 @@
+import contextlib
+import errno
+import io
 import json
 import os
 import subprocess
@@ -6,6 +9,7 @@ import sys
 import pytest
 
 import stab
+from stab import cli
 from stab.scenario import (parse_scenario, run_scenario, report_csv, report_json,
                            ScenarioError)
 
@@ -89,13 +93,23 @@ def test_report_json_fields():
     assert doc["annihilator_checks"] == 16
 
 
-def _run_cli(args, cwd):
+def _run_cli(args, cwd, stdin=None):
+    """``stab`` in a child process; ``stdin``, if given, is bytes, and then
+    stdout and stderr are bytes too."""
     # The child runs in ``cwd``, so a relative PYTHONPATH would not find stab.
     src = os.path.dirname(os.path.dirname(os.path.abspath(stab.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "stab.cli", *args],
-                          capture_output=True, text=True, cwd=cwd, env=env)
+    return subprocess.run([sys.executable, "-m", "stab.cli", *args], input=stdin,
+                          capture_output=True, text=stdin is None, cwd=cwd, env=env)
+
+
+def _main(argv, stdout=None):
+    """``stab`` in this process: the exit code, stdout and stderr."""
+    out, err = stdout or io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_cli_run_ok(tmp_path):
@@ -129,6 +143,86 @@ def test_cli_malformed_file_exit_1(tmp_path):
     proc = _run_cli(["run", "bad.json"], tmp_path)
     assert proc.returncode == 1
     assert "bad.json:1" in proc.stderr
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (b"[" * 100_000, "nested too deeply to parse"),
+], ids=["not-utf8", "too-deep"])
+def test_cli_unreadable_document_exit_1(tmp_path, data, message):
+    (tmp_path / "bad.json").write_bytes(data)
+    proc = _run_cli(["run", "bad.json", "--out", "reports"], tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: bad.json: {message}\n" and proc.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+def test_cli_compute_integer_literal_too_long_exit_1(tmp_path):
+    # The interpreter's integer-string limit is reported, not raised.
+    proc = _run_cli(["compute", "snf", '{"matrix": [[%s]]}' % ("7" * 5000)], tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: <args>: integer literal longer than "
+                           f"{sys.get_int_max_str_digits()} digits\n")
+    assert proc.stdout == ""
+
+
+def test_cli_compute_stdin_not_utf8_exit_1(tmp_path):
+    # A child process, since stdin is read as bytes and a StringIO has none.
+    proc = _run_cli(["compute", "ass", "-"], tmp_path, stdin=b'{"module": "\xff"}')
+    assert proc.returncode == 1
+    assert proc.stderr == (b"error: <args>: 'utf-8' codec can't decode byte 0xff "
+                           b"in position 12: invalid start byte\n")
+    assert proc.stdout == b""
+
+
+def test_cli_compute_stdin_reads_utf8_bytes(tmp_path):
+    proc = _run_cli(["compute", "ass", "-"], tmp_path,
+                    stdin=json.dumps({"module": {"rank": 1, "factors": [12]}}).encode())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["ass"] == ["(0)", "(2)", "(3)"]
+
+
+def test_cli_suite_unparsable_packaged_scenario_exit_1(tmp_path, monkeypatch):
+    # The broken file comes second: every file is read before the first is scanned.
+    first = next(cli._iter_packaged_scenarios())
+    monkeypatch.setattr(cli, "_iter_packaged_scenarios",
+                        lambda: iter([first, ("broken.json", b'{"name": ')]))
+    code, out, err = _main(["suite", "--horizon", "8", "--window", "4",
+                            "--out", str(tmp_path / "r")])
+    assert (code, out, err) == (1, "", "error: broken.json:1:10: Expecting value\n")
+    assert not any(tmp_path.iterdir())
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_cli_os_error_without_a_file_name_exit_1():
+    # E.g. ``stab compute ... | head -c 5``: the error names no file.
+    code, _, err = _main(["compute", "snf", '{"matrix": [["1", "2"], ["3", "4"]]}'],
+                         stdout=_ClosedPipe())
+    assert (code, err) == (1, "error: Broken pipe\n")
+
+
+@pytest.mark.parametrize("overrides, stdout, mismatch", [
+    ({"expect": {"ass": {"n0_max": 0}}},
+     "demo: ass=stable n0=1 depth=stable depth_n0=1 artin_rees_d=2 expect=FAIL",
+     "ass: n0 1 exceeds 0"),
+    ({"expect": {"depth": {"status": "stable"}}, "depth_ideal": None},
+     "demo: ass=stable n0=1 artin_rees_d=2 expect=FAIL",
+     "depth: no depth ideal given"),
+    ({"expect": {"artin_rees_max": 1}},
+     "demo: ass=stable n0=1 depth=stable depth_n0=1 artin_rees_d=2 expect=FAIL",
+     "artin_rees: d=2 exceeds 1"),
+], ids=["ass-n0-max", "depth-without-ideal", "artin-rees-max"])
+def test_cli_expectation_bound_mismatch_exit_3(tmp_path, overrides, stdout, mismatch):
+    doc = scenario(**overrides)
+    if doc["depth_ideal"] is None:
+        del doc["depth_ideal"]
+    (tmp_path / "s.json").write_text(json.dumps(doc))
+    code, out, err = _main(["run", str(tmp_path / "s.json"), "--out", str(tmp_path / "r")])
+    assert (code, out, err) == (3, stdout + "\n", f"  mismatch: {mismatch}\n")
 
 
 def test_cli_validation_error_exit_1(tmp_path):
@@ -173,6 +267,10 @@ MALFORMED = [
     ("expect.depth", {"expect": {"depth": {"sequnce": ["inf"]}}}),
     ("expect", {"expect": {"depht": {"status": "not-stable-within-horizon"}}}),
     ("out", {"out": 3}),
+    # A scenario chose where its reports went, outside --out.
+    ("out", {"out": "reports"}),
+    # A lone surrogate cannot be written as a file name or printed.
+    ("name", {"name": "\ud800"}),
     ("functor.rules", {"functor": {"kind": "oscillating", "rules": 5}}),
     ("functor.a", {"functor": {"kind": "middle_finite", "b": "M", "a": 5}}),
     ("functor.c", {"functor": {"kind": "middle_finite", "b": "M", "c": 5}}),
